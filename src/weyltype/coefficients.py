@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError, ValidationError, VariableCapError
 from .fields import FieldSpec, Scalar
+from .multiindex import MultiIndex
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -120,6 +121,7 @@ class Context:
         self._der_by_name: dict[str, Derivation] = {}
         self._frozen = False
         self._dcache: dict[tuple[str, Monomial], "AElement"] = {}
+        self._mdcache: dict[tuple[MultiIndex, Monomial], "AElement"] = {}
 
     # -- declaration ------------------------------------------------------
 
@@ -292,6 +294,31 @@ class Context:
         for m, c in u.terms.items():
             total = total + self._monomial_derivative(d, m) * c
         return total
+
+    def multi_derivative(self, gamma: MultiIndex, m: Monomial) -> "AElement":
+        """d^gamma(m) for one monomial, memoized per (gamma, m).
+
+        Each entry is built from the entry at gamma - e_last by one
+        apply_derivation of the last derivation in gamma, so the derivations
+        are applied in declaration order, exactly as iterated application
+        does, whether or not the context is frozen.  Once an entry is zero,
+        every entry above it along the chain is too.
+        """
+        cache = self._mdcache
+        pending = []
+        out = cache.get((gamma, m))
+        while out is None and gamma.entries:
+            pending.append(gamma)
+            *head, (i, e) = gamma.entries
+            gamma = MultiIndex(tuple(head) + (((i, e - 1),) if e > 1 else ()))
+            out = cache.get((gamma, m))
+        if out is None:
+            out = AElement(self, {m: self.spec.one()})
+        for g in reversed(pending):
+            if out:
+                out = self.apply_derivation(self.derivations[g.entries[-1][0]], out)
+            cache[(g, m)] = out
+        return out
 
     def check_commuting(self, d1: Derivation, d2: Derivation, variables=None) -> bool:
         """True iff the commutator vanishes on every generator.

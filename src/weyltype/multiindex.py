@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Union
 
 from .errors import UsageError
 from .fields import FieldSpec, Scalar, binom_scalar
@@ -51,8 +50,6 @@ class _MinusInfinity:
 
 
 MINUS_INFINITY = _MinusInfinity()
-
-Level = Union[int, _MinusInfinity]  # MINUS_INFINITY is the level of zero
 
 
 @total_ordering

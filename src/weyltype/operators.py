@@ -13,15 +13,38 @@ terms is
 where d^gamma is the iterated application of the registered derivations.
 Extending bilinearly gives an associative product, and the natural action on
 the coefficient algebra becomes an algebra homomorphism.
+
+Evaluation (w_mul, act, apply_multi):
+
+- d^gamma(m) for a monomial m comes from Context.multi_derivative, memoized
+  per context on (gamma, m).  Each entry is one derivation applied to the
+  entry at gamma - e_last, so a derivative is never recomputed and the
+  derivations are applied in declaration order.
+- w_mul walks gamma <= alpha depth first, generating each gamma once from
+  gamma - e_last and carrying the integer C(alpha, gamma) along.  Where
+  d^gamma(v) vanishes so does every derivative above it, and the subtree
+  is pruned.  A binomial that is zero in characteristic p skips its term
+  but not the subtree, since deeper gammas can still contribute.
+- Terms accumulate into one {monomial: scalar} bucket per output index,
+  and each bucket becomes one coefficient element at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefficients import AElement, Context, format_a_element, _signed_monomial_term, join_signed
+from .coefficients import (
+    AElement,
+    Context,
+    Monomial,
+    _signed_monomial_term,
+    format_a_element,
+    format_monomial,
+    join_signed,
+)
 from .errors import UsageError
-from .multiindex import MINUS_INFINITY, MultiIndex, ZERO_INDEX, binom_product, compare, lower_set
+from .fields import Scalar
+from .multiindex import MINUS_INFINITY, MultiIndex, ZERO_INDEX, compare
 
 
 class WeylElement:
@@ -133,40 +156,58 @@ def wderivation(ctx: Context, name: str) -> WeylElement:
 def apply_multi(ctx: Context, gamma: MultiIndex, a: AElement) -> AElement:
     """Iterated derivation d^gamma applied to a coefficient element.
 
-    Derivations are applied in declaration order; they commute (validated at
-    context freeze), so the order does not affect the value.
+    Sums the memoized per-monomial derivatives c * d^gamma(m), which apply
+    the derivations in declaration order; they commute (validated at context
+    freeze), so the order does not affect the value.
     """
-    out = a
-    for i, e in gamma.entries:
-        d = ctx.derivations[i]
-        for _ in range(e):
-            if out.is_zero():
-                return out
-            out = ctx.apply_derivation(d, out)
-    return out
+    if gamma.is_zero():
+        return a
+    out: dict[Monomial, Scalar] = {}
+    for m, c in a.terms.items():
+        for dm, dc in ctx.multi_derivative(gamma, m).terms.items():
+            t = dc * c
+            cur = out.get(dm)
+            out[dm] = t if cur is None else cur + t
+    return AElement(ctx, out)
 
 
 def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     """Normal-ordering product; the result is again in normal form."""
     x._check(y)
     ctx = x.ctx
-    out: dict[MultiIndex, AElement] = {}
+    spec = ctx.spec
+    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
     for alpha, u in x.terms.items():
-        weighted = [
-            (gamma, binom_product(alpha, gamma, ctx.spec)) for gamma in lower_set(alpha)
-        ]
+        uterms = u.terms.items()
         for beta, v in y.terms.items():
-            for gamma, c in weighted:
-                if c.is_zero():
-                    continue
+            top = alpha.add(beta)
+            # A child raises the last nonzero entry of gamma or opens a later
+            # one, so each gamma is generated once, from gamma - e_last.
+            stack = [(ZERO_INDEX, 1)]  # (gamma, C(alpha, gamma) over Z)
+            while stack:
+                gamma, binom = stack.pop()
                 dv = apply_multi(ctx, gamma, v)
-                if dv.is_zero():
+                if not dv.terms:
                     continue
-                coeff = u * dv * c
-                idx = alpha.add(beta).sub(gamma)
-                cur = out.get(idx)
-                out[idx] = coeff if cur is None else cur + coeff
-    return WeylElement(ctx, out)
+                c = spec.from_int(binom)
+                if c:
+                    bucket = out.setdefault(top.sub(gamma), {})
+                    for dm, dc in dv.terms.items():
+                        w = dc * c
+                        for um, uc in uterms:
+                            m = um * dm
+                            t = uc * w
+                            cur = bucket.get(m)
+                            bucket[m] = t if cur is None else cur + t
+                entries = gamma.entries
+                last, g = entries[-1] if entries else (-1, 0)
+                for i, a in alpha.entries:
+                    if i == last and g < a:
+                        child = MultiIndex(entries[:-1] + ((i, g + 1),))
+                        stack.append((child, binom * (a - g) // (g + 1)))
+                    elif i > last:
+                        stack.append((MultiIndex(entries + ((i, 1),)), binom * a))
+    return WeylElement(ctx, {idx: AElement(ctx, bucket) for idx, bucket in out.items()})
 
 
 def lie_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -249,13 +290,8 @@ def format_weyl(x: WeylElement) -> str:
             if not mag.is_one():
                 pieces.append(str(mag))
             if not m.is_one():
-                pieces.append(ctx_format_monomial(ctx, m))
+                pieces.append(format_monomial(ctx, m))
             pieces.append(dpart)
             parts.append((negative, "*".join(pieces)))
     return join_signed(parts)
 
-
-def ctx_format_monomial(ctx: Context, m) -> str:
-    from .coefficients import format_monomial
-
-    return format_monomial(ctx, m)

@@ -41,6 +41,7 @@ from .operators import (
     lie_bracket,
     w_mul,
     wbasis,
+    wzero,
 )
 
 DEFAULT_BASIS_CAP = 5000
@@ -236,17 +237,12 @@ def weyl_coords(x: WeylElement, index: dict) -> dict | None:
 
 
 def weyl_from_coords(ctx: Context, labels: list, vec: dict) -> WeylElement:
-    out = wzero_local(ctx)
     terms: dict[MultiIndex, AElement] = {}
     for j, c in vec.items():
         alpha, m = labels[j]
         cur = terms.get(alpha, ctx.zero())
         terms[alpha] = cur + AElement(ctx, {m: c})
     return WeylElement(ctx, terms)
-
-
-def wzero_local(ctx: Context) -> WeylElement:
-    return WeylElement(ctx, {})
 
 
 @dataclass(frozen=True)
@@ -349,7 +345,7 @@ def theta_kernel(
     if kernel:
         witness = []
         for vec in kernel:
-            elem = wzero_local(ctx)
+            elem = wzero(ctx)
             for j, c in vec.items():
                 elem = elem + columns[j].scale(c)
             witness.append(elem)

@@ -1,0 +1,148 @@
+"""The normal-ordering kernel against the plain loop it replaced.
+
+The reference loop below is the textbook product rule: every gamma in the
+lower set of alpha, every binomial computed eagerly, every d^gamma(v)
+recomputed from scratch by repeated apply_derivation.  The kernel in
+operators.py walks gamma lazily, prunes above vanishing derivatives and
+memoizes per-monomial derivatives on the context; it must agree with the
+loop exactly.
+"""
+
+import random
+
+import pytest
+
+from weyltype import (
+    Context,
+    FieldSpec,
+    MultiIndex,
+    RATIONAL,
+    WeylElement,
+    act,
+    apply_multi,
+    binom_product,
+    lower_set,
+    w_mul,
+    wbasis,
+    wfrom_a,
+)
+from weyltype.checks import SampleBounds, random_a, random_multi_index, random_weyl
+from weyltype.parser import evaluate_text
+
+mk = MultiIndex.make
+
+CONTEXTS = ["weyl_q", "mixed_ctx", "weyl_f2", "laurent_euler_f5", "shift_ctx"]
+
+
+def reference_apply_multi(ctx, gamma, a):
+    out = a
+    for i, e in gamma.entries:
+        for _ in range(e):
+            out = ctx.apply_derivation(ctx.derivations[i], out)
+    return out
+
+
+def reference_w_mul(x, y):
+    ctx = x.ctx
+    out = {}
+    for alpha, u in x.terms.items():
+        for beta, v in y.terms.items():
+            for gamma in lower_set(alpha):
+                c = binom_product(alpha, gamma, ctx.spec)
+                coeff = u * reference_apply_multi(ctx, gamma, v) * c
+                idx = alpha.add(beta).sub(gamma)
+                out[idx] = out[idx] + coeff if idx in out else coeff
+    return WeylElement(ctx, out)
+
+
+def reference_act(x, a):
+    out = x.ctx.zero()
+    for alpha, u in x.terms.items():
+        out = out + u * reference_apply_multi(x.ctx, alpha, a)
+    return out
+
+
+@pytest.mark.parametrize("fixture_name", CONTEXTS)
+def test_kernel_matches_reference_loop(fixture_name, request):
+    ctx = request.getfixturevalue(fixture_name)
+    rng = random.Random(f"kernel:{fixture_name}")
+    bounds = SampleBounds(max_degree=4, max_level=4, max_terms=3, n_variables=min(3, len(ctx.variables)))
+    for _ in range(40):
+        x = random_weyl(rng, ctx, bounds)
+        y = random_weyl(rng, ctx, bounds)
+        a = random_a(rng, ctx, bounds)
+        gamma = random_multi_index(rng, ctx, bounds)
+        assert w_mul(x, y) == reference_w_mul(x, y)
+        assert act(x, a) == reference_act(x, a)
+        assert apply_multi(ctx, gamma, a) == reference_apply_multi(ctx, gamma, a)
+
+
+def test_zero_binomial_does_not_prune_deeper_gamma(laurent_euler_f5):
+    # d1 = t*d/dt over F_5: C(5, g) = 0 mod 5 for 0 < g < 5, yet the
+    # derivatives of t never vanish, so gamma = 5 still contributes.
+    ctx = laurent_euler_f5
+    d5 = wbasis(ctx, mk({0: 5}))
+    t = wfrom_a(ctx.var("t"))
+    expected = wbasis(ctx, mk({0: 5}), ctx.var("t")) + t
+    assert w_mul(d5, t) == expected
+    assert reference_w_mul(d5, t) == expected
+    x = wbasis(ctx, mk({0: 7}), ctx.var("t", -1) + ctx.one())
+    y = wbasis(ctx, mk({0: 2}), ctx.var("t", 3) * 2 + ctx.var("t"))
+    assert w_mul(x, y) == reference_w_mul(x, y)
+
+
+def test_zero_binomial_in_char_2():
+    # C(2, 1) = 0 mod 2 skips gamma = 1, but gamma = 2 is still reached.
+    ctx = Context(FieldSpec("prime", 2))
+    ctx.add_variable("t", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.var("t")})
+    ctx.freeze()
+    d2 = wbasis(ctx, mk({0: 2}))
+    t = wfrom_a(ctx.var("t"))
+    assert w_mul(d2, t) == wbasis(ctx, mk({0: 2}), ctx.var("t")) + t
+    assert w_mul(d2, t) == reference_w_mul(d2, t)
+
+
+def test_memo_keeps_declaration_order_on_unfrozen_context():
+    # d1 and d2 do not commute, so the order of application shows.
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.one()})
+    ctx.add_derivation("d2", images={"t": ctx.var("t", 2)})
+    a = ctx.var("t", 3) + ctx.var("t")
+    gamma = mk({0: 1, 1: 2})
+    assert apply_multi(ctx, gamma, a) == reference_apply_multi(ctx, gamma, a)
+    x = wbasis(ctx, mk({0: 2, 1: 1}), ctx.var("t"))
+    y = wfrom_a(a)
+    assert w_mul(x, y) == reference_w_mul(x, y)
+
+
+def _work_for_power(n, monkeypatch):
+    """(apply_derivation calls, multi_derivative calls) to evaluate d1^n."""
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.one()})
+    ctx.freeze()
+    calls = {"apply_derivation": 0, "multi_derivative": 0}
+    for name in calls:
+        original = getattr(Context, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Context, name, counted)
+    value = evaluate_text(f"d1^{n}", ctx)
+    monkeypatch.undo()
+    assert value == wbasis(ctx, mk({0: n}))
+    return calls["apply_derivation"], calls["multi_derivative"]
+
+
+def test_power_of_derivation_does_linear_work(monkeypatch):
+    # The plain loop visited all k + 1 gammas in the k-th product and applied
+    # a derivation for each, so d1^n cost about n^2/2 of both; the pruned,
+    # memoized walk visits two gammas a product and derives d1(1) once.
+    for n in (400, 3000):
+        derivations, gammas = _work_for_power(n, monkeypatch)
+        assert derivations <= 2 * n
+        assert gammas <= 2 * n

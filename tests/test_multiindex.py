@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +18,7 @@ from weyltype import (
     lower_set,
     p_adic_factor,
 )
+import weyltype
 from weyltype.multiindex import PAdicFactor
 
 F5 = FieldSpec("prime", 5)
@@ -151,3 +157,30 @@ def test_vandermonde_consistency(a, b, data):
             if g2.le_componentwise(b):
                 acc = acc + binom_product(a, g1, spec) * binom_product(b, g2, spec)
         assert acc == binom_product(total, gamma, spec)
+
+
+REIMPORT_SCRIPT = """
+import gc, importlib, sys
+for _ in range(20):
+    for name in [n for n in sys.modules if n == "weyltype" or n.startswith("weyltype.")]:
+        del sys.modules[name]
+    importlib.import_module("weyltype")
+gc.collect()
+print(sum(
+    1 for o in gc.get_objects()
+    if isinstance(o, type) and o.__module__ == "weyltype.fields" and o.__name__ == "Scalar"
+))
+"""
+
+
+def test_reimport_does_not_pin_old_module_graphs():
+    # A module-level typing alias over a package class is cached by typing
+    # and keeps that class, and through it every module of its import, alive.
+    src = str(Path(weyltype.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", REIMPORT_SCRIPT],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 2
