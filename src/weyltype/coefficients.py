@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError, ValidationError, VariableCapError
 from .fields import FieldSpec, Scalar
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, merge_exponents
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -62,10 +62,7 @@ class Monomial:
         return sum(abs(e) for _, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = self.to_dict()
-        for i, e in other.exps:
-            d[i] = d.get(i, 0) + e
-        return Monomial.make(d)
+        return Monomial(merge_exponents(self.exps, other.exps))
 
     def __repr__(self):
         return f"Monomial({dict(self.exps)})"

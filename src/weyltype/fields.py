@@ -18,17 +18,35 @@ RATIONAL_KIND = "rational"
 PRIME_KIND = "prime"
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; adequate for the moduli used here."""
+    """Deterministic Miller-Rabin; exact for n < MAX_MODULUS, which it requires."""
+    if n >= MAX_MODULUS:
+        raise UsageError(f"modulus {n} is too large; moduli must be below {MAX_MODULUS}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

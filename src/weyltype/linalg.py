@@ -75,10 +75,16 @@ class RowReducer:
 
 
 def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
-    """Canonical (RREF) basis of {x : Mx = 0} for sparse constraint rows."""
+    """Canonical (RREF) basis of {x : Mx = 0} for sparse constraint rows.
+
+    `constraints` may be any iterable, including a lazy generator.  Once the
+    rows reach full column rank the kernel is {0} whatever rows follow, so
+    iteration stops there and the remaining rows are never produced.
+    """
     red = RowReducer(spec)
     for row in constraints:
-        red.add(row)
+        if red.add(row) and red.rank == ncols:
+            return []
     pivot_set = set(red.pivots())
     one = spec.one()
     kernel = []

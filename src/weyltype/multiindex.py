@@ -52,6 +52,42 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 
+def merge_exponents(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    """a + sign*b for sorted (index, exponent) tuples, dropping zero exponents.
+
+    One merge pass over both tuples; the result is sorted like its inputs.
+    """
+    if not b:
+        return a
+    if not a and sign == 1:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ka = a[i][0]
+        kb = b[j][0]
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j] if sign == 1 else (kb, sign * b[j][1]))
+            j += 1
+        else:
+            e = a[i][1] + sign * b[j][1]
+            if e:
+                out.append((ka, e))
+            i += 1
+            j += 1
+    if i < na:
+        out.extend(a[i:])
+    elif sign == 1:
+        out.extend(b[j:])
+    else:
+        out.extend((k, sign * e) for k, e in b[j:])
+    return tuple(out)
+
+
 @total_ordering
 @dataclass(frozen=True, slots=True)
 class MultiIndex:
@@ -98,18 +134,13 @@ class MultiIndex:
         return self.entries[-1][0] if self.entries else MINUS_INFINITY
 
     def add(self, other: "MultiIndex") -> "MultiIndex":
-        d = self.to_dict()
-        for i, e in other.entries:
-            d[i] = d.get(i, 0) + e
-        return MultiIndex.make(d)
+        return MultiIndex(merge_exponents(self.entries, other.entries))
 
     def sub(self, other: "MultiIndex") -> "MultiIndex":
-        d = self.to_dict()
-        for i, e in other.entries:
-            d[i] = d.get(i, 0) - e
-            if d[i] < 0:
-                raise UsageError("multi-index subtraction went negative")
-        return MultiIndex.make(d)
+        entries = merge_exponents(self.entries, other.entries, -1)
+        if any(e < 0 for _, e in entries):
+            raise UsageError("multi-index subtraction went negative")
+        return MultiIndex(entries)
 
     def le_componentwise(self, other: "MultiIndex") -> bool:
         o = other.to_dict()

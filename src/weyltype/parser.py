@@ -121,10 +121,21 @@ class Power:
     pos: int
 
 
+# Parentheses and unary minus recurse; deeper nesting is rejected rather than
+# left to exhaust the interpreter's stack.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+
+    def enter(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -159,7 +170,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == MINUS:
             self.advance()
-            return Neg(self.parse_factor(), tok.pos)
+            self.enter(tok)
+            node = Neg(self.parse_factor(), tok.pos)
+            self.depth -= 1
+            return node
         node = self.parse_atom()
         if self.peek().kind == CARET:
             caret = self.advance()
@@ -186,8 +200,10 @@ class _Parser:
             return NameRef(tok.text, tok.pos)
         if tok.kind == LPAREN:
             self.advance()
+            self.enter(tok)
             node = self.parse_expr()
             self.expect(RPAREN)
+            self.depth -= 1
             return node
         raise ParseError(
             f"expected one of integer, identifier, '-', '('; found {tok.kind} {tok.text!r}",
@@ -211,8 +227,28 @@ def parse_text(text: str):
 # -- evaluation ----------------------------------------------------------------
 
 
+_CHAIN = (Sum, Diff, Product)
+
+
 def evaluate(ast, ctx: Context) -> WeylElement:
     """Bottom-up evaluation into normal form."""
+    if isinstance(ast, _CHAIN):
+        # Sums and products parse left-deep; fold their left spine in a loop
+        # so a long flat chain does not recurse once per operand.
+        spine = []
+        while isinstance(ast, _CHAIN):
+            spine.append(ast)
+            ast = ast.left
+        out = evaluate(ast, ctx)
+        for node in reversed(spine):
+            rhs = evaluate(node.right, ctx)
+            if isinstance(node, Sum):
+                out = out + rhs
+            elif isinstance(node, Diff):
+                out = out - rhs
+            else:
+                out = w_mul(out, rhs)
+        return out
     if isinstance(ast, ScalarLit):
         if ast.denominator == 0:
             raise EvalError("zero denominator", ast.pos)
@@ -233,12 +269,6 @@ def evaluate(ast, ctx: Context) -> WeylElement:
         raise EvalError(f"unknown identifier {ast.name!r}", ast.pos)
     if isinstance(ast, Neg):
         return -evaluate(ast.arg, ctx)
-    if isinstance(ast, Sum):
-        return evaluate(ast.left, ctx) + evaluate(ast.right, ctx)
-    if isinstance(ast, Diff):
-        return evaluate(ast.left, ctx) - evaluate(ast.right, ctx)
-    if isinstance(ast, Product):
-        return w_mul(evaluate(ast.left, ctx), evaluate(ast.right, ctx))
     if isinstance(ast, Power):
         base = evaluate(ast.base, ctx)
         if ast.exponent >= 0:

@@ -316,6 +316,13 @@ def theta_kernel(
     monomial.  The action is evaluated exactly, so a nonzero kernel element
     is a genuine window operator acting as zero on every window monomial;
     an empty kernel is evidence restricted to the window and labeled so.
+
+    Constraint rows are produced lazily, one window monomial at a time, and
+    row reduction stops as soon as they reach full column rank: a full-rank
+    constraint matrix has kernel {0}, and adding rows cannot enlarge a
+    kernel, so the monomials after that point cannot change the verdict and
+    are never acted on.  A nonzero kernel consumes every row, so its
+    witnesses are those of the full matrix.
     """
     a_labels = window.a_basis(ctx)
     multis = window.multi_indices(ctx)
@@ -332,14 +339,18 @@ def theta_kernel(
                 columns.append(wbasis(ctx, alpha, _a_element(ctx, m)))
     if len(columns) > window.basis_cap:
         raise BasisCapError(f"{len(columns)} operator basis elements, cap {window.basis_cap}")
-    rows: dict[tuple[int, Monomial], dict] = {}
-    for col, b in enumerate(columns):
-        for a_idx, am in enumerate(a_labels):
-            result = act(b, _a_element(ctx, am))
-            for rm, c in result.terms.items():
-                rows.setdefault((a_idx, rm), {})[col] = c
-    ordered = [rows[k] for k in sorted(rows, key=lambda t: (t[0], monomial_sort_key(t[1])))]
-    kernel = nullspace(ordered, len(columns), ctx.spec)
+
+    def constraint_rows():
+        for am in a_labels:
+            elem = _a_element(ctx, am)
+            block: dict[Monomial, dict] = {}
+            for col, b in enumerate(columns):
+                for rm, c in act(b, elem).terms.items():
+                    block.setdefault(rm, {})[col] = c
+            for rm in sorted(block, key=monomial_sort_key):
+                yield block[rm]
+
+    kernel = nullspace(constraint_rows(), len(columns), ctx.spec)
     ncols = len(columns)
     coverage = Fraction(ncols - len(kernel), ncols) if ncols else Fraction(1)
     if kernel:

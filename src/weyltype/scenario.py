@@ -98,10 +98,37 @@ def _require(cond: bool, violations: list[str], message: str):
         violations.append(message)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind: type, what: str, violations: list[str]) -> bool:
+    """Whether value has the JSON type `kind`; records a violation if not."""
+    if isinstance(value, kind):
+        return True
+    violations.append(f"{what} must be {_JSON_KINDS[kind]}")
+    return False
+
+
+def _get(data: dict, key: str, kind: type, default, violations: list[str]):
+    """data[key] when present and of the JSON type `kind`, else the default."""
+    value = data.get(key, default)
+    return value if _typed(value, kind, repr(key), violations) else default
+
+
+def _int(value, what: str, violations: list[str], default: int = 0) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        violations.append(f"{what} must be an integer, not {value!r}")
+        return default
+
+
 def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
+    if not isinstance(data, dict):
+        raise ValidationError([f"a scenario must be a JSON object, not {type(data).__name__}"])
     violations: list[str] = []
-    name = data.get("name", name_hint)
-    description = data.get("description", "")
+    name = _get(data, "name", str, name_hint, violations)
+    description = _get(data, "description", str, "", violations)
 
     field_data = data.get("field")
     spec = None
@@ -121,36 +148,53 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
     if spec is None:
         raise ValidationError(violations)
 
-    cap = int(data.get("variable_cap", DEFAULT_VARIABLE_CAP))
+    cap = _int(data.get("variable_cap", DEFAULT_VARIABLE_CAP), "variable_cap", violations,
+               DEFAULT_VARIABLE_CAP)
     ctx = Context(spec, variable_cap=cap)
-    for vdata in data.get("variables", []):
+    for k, vdata in enumerate(_get(data, "variables", list, [], violations)):
+        if not (_typed(vdata, dict, f"variable {k}", violations)
+                and _typed(vdata.get("name"), str, f"variable {k} name", violations)):
+            continue
         try:
             ctx.add_variable(vdata["name"], vdata.get("kind", POLYNOMIAL))
-        except (WeylTypeError, KeyError, TypeError) as exc:
+        except WeylTypeError as exc:
             violations.append(f"variable {vdata!r}: {exc}")
 
     euler_rows: list[list[int]] = []
     all_euler = True
-    for ddata in data.get("derivations", []):
-        dname = ddata.get("name")
+    for k, ddata in enumerate(_get(data, "derivations", list, [], violations)):
+        if not (_typed(ddata, dict, f"derivation {k}", violations)
+                and _typed(ddata.get("name"), str, f"derivation {k} name", violations)):
+            continue
+        dname = ddata["name"]
         try:
             if "shift_prefix" in ddata:
                 all_euler = False
-                ctx.add_derivation(dname, shift_prefix=ddata["shift_prefix"])
+                if _typed(ddata["shift_prefix"], str, f"derivation {dname!r} shift_prefix",
+                          violations):
+                    ctx.add_derivation(dname, shift_prefix=ddata["shift_prefix"])
             elif "euler_weights" in ddata:
                 weights = ddata["euler_weights"]
+                if not _typed(weights, dict, f"derivation {dname!r} euler_weights", violations):
+                    continue
                 row = []
                 images = {}
                 for var in ctx.variables:
-                    w = int(weights.get(var.name, 0))
+                    w = _int(weights.get(var.name, 0), f"euler weight of {var.name} in {dname!r}",
+                             violations)
                     row.append(w)
                     images[var.name] = ctx.var(var.name) * w
                 euler_rows.append(row)
                 ctx.add_derivation(dname, images=images)
             elif "images" in ddata:
                 all_euler = False
+                given = ddata["images"]
+                if not (_typed(given, dict, f"derivation {dname!r} images", violations)
+                        and all(_typed(expr, str, f"image of {var_name} in {dname!r}", violations)
+                                for var_name, expr in given.items())):
+                    continue
                 images = {}
-                for var_name, expr in ddata["images"].items():
+                for var_name, expr in given.items():
                     elem = evaluate_text(expr, ctx)
                     if not elem.is_a_only():
                         raise ValidationError(
@@ -200,11 +244,16 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(wdata, dict) or "max_level" not in wdata:
         violations.append("missing or malformed 'window'")
     else:
+        bounds = {}
+        for vname, pair in _get(wdata, "bounds", dict, {}, violations).items():
+            if isinstance(pair, list) and len(pair) == 2:
+                bounds[vname] = (
+                    _int(pair[0], f"lower bound for {vname}", violations),
+                    _int(pair[1], f"upper bound for {vname}", violations),
+                )
+            else:
+                violations.append(f"window bounds for {vname} must be a [lo, hi] pair")
         try:
-            bounds = {
-                name: (int(pair[0]), int(pair[1]))
-                for name, pair in wdata.get("bounds", {}).items()
-            }
             window = Window.for_context(
                 ctx,
                 bounds,
@@ -220,20 +269,22 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         margin = Fraction(data.get("margin", "1/2"))
         if not (0 <= margin < 1):
             violations.append("margin must satisfy 0 <= margin < 1")
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         violations.append(f"malformed margin {data.get('margin')!r}")
         margin = DEFAULT_MARGIN
 
-    sdata = data.get("sample", {})
+    sdata = _get(data, "sample", dict, {}, violations)
     sample = SampleConfig(
-        max_degree=int(sdata.get("max_degree", 4)),
-        max_level=int(sdata.get("max_level", 3)),
-        max_terms=int(sdata.get("max_terms", 3)),
+        max_degree=_int(sdata.get("max_degree", 4), "sample max_degree", violations),
+        max_level=_int(sdata.get("max_level", 3), "sample max_level", violations),
+        max_terms=_int(sdata.get("max_terms", 3), "sample max_terms", violations),
     )
 
     probes: list[ProbeRequest] = []
     seeds: dict[int, WeylElement] = {}
-    for k, pdata in enumerate(data.get("probes", [])):
+    for k, pdata in enumerate(_get(data, "probes", list, [], violations)):
+        if not _typed(pdata, dict, f"probe {k}", violations):
+            continue
         kind = pdata.get("kind")
         if kind not in PROBE_KINDS:
             violations.append(f"probe {k}: unknown kind {kind!r}")
@@ -247,7 +298,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                 violations.append(f"probe {k}: theta_kernel takes no seed")
         elif seed_text is None:
             violations.append(f"probe {k}: {kind} requires a seed expression")
-        else:
+        elif _typed(seed_text, str, f"probe {k} seed", violations):
             try:
                 seed = evaluate_text(seed_text, ctx)
                 if kind == "d_simplicity" and not seed.is_a_only():

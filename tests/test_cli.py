@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +257,87 @@ def test_composite_field_rejected():
     data = _scenario_dict(field={"kind": "prime", "p": 6})
     with pytest.raises(ValidationError, match="prime"):
         load_scenario_mapping(data)
+
+
+def _assert_usage_error(capsys, path, *argv):
+    code, out, err = run_cli(capsys, *argv, "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_top_level_array_is_a_validation_error(capsys, tmp_path):
+    bad = tmp_path / "array.json"
+    bad.write_text(json.dumps([_scenario_dict()]))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert "must be a JSON object" in err
+
+
+def test_non_object_derivation_entry_is_a_validation_error(capsys, tmp_path):
+    bad = tmp_path / "derivation.json"
+    bad.write_text(json.dumps(_scenario_dict(derivations=[5])))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert "derivation 0 must be an object" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"name": ["inline"]},
+        {"variables": 5},
+        {"variables": [5]},
+        {"variables": [{"name": 5}]},
+        {"variable_cap": [16]},
+        {"derivations": {"d1": {"images": {"t": "1"}}}},
+        {"derivations": [{"name": "d1", "images": ["1"]}]},
+        {"derivations": [{"name": "d1", "images": {"t": 1}}]},
+        {"derivations": [{"name": "d1", "euler_weights": 5}]},
+        {"derivations": [{"name": "d1", "euler_weights": {"t": [1]}}]},
+        {"derivations": [{"name": "d1", "shift_prefix": 5}]},
+        {"window": {"max_level": 2, "bounds": [0, 4]}},
+        {"window": {"max_level": 2, "bounds": {"t": [0]}}},
+        {"window": {"max_level": [2], "bounds": {"t": [0, 4]}}},
+        {"margin": [1, 2]},
+        {"sample": 5},
+        {"sample": {"max_degree": "many"}},
+        {"probes": 5},
+        {"probes": [5]},
+        {"probes": [{"kind": "lie_closure", "seed": 5}]},
+    ],
+)
+def test_malformed_schema_levels_are_validation_errors(capsys, tmp_path, overrides):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(**overrides)))
+    _assert_usage_error(capsys, bad, "probe")
+
+
+def test_deeply_nested_expression_is_a_parse_error(capsys, s_weyl):
+    code, out, err = run_cli(capsys, "normalize", "(" * 2000 + "d1" + ")" * 2000, "--scenario", s_weyl)
+    assert code == 2
+    assert "nesting deeper than" in err and "Traceback" not in err
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "weyltype", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_large_prime_modulus_is_decided_quickly(tmp_path):
+    good = tmp_path / "mersenne.json"
+    good.write_text(json.dumps(_scenario_dict(field={"kind": "prime", "p": 2**61 - 1})))
+    proc = _run_module("normalize", "d1*t", "--scenario", str(good))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "t*d1 + 1"
+
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_scenario_dict(field={"kind": "prime", "p": 10**30 + 57})))
+    proc = _run_module("normalize", "d1", "--scenario", str(huge))
+    assert proc.returncode == 2
+    assert "too large" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weyltype import (
     Context,
@@ -11,7 +13,7 @@ from weyltype import (
     VariableCapError,
 )
 from weyltype.checks import SampleBounds, random_a
-from weyltype.coefficients import format_a_element, format_monomial
+from weyltype.coefficients import ONE_MONOMIAL, Monomial, format_a_element, format_monomial
 
 
 def test_polynomial_product(weyl_q):
@@ -194,3 +196,24 @@ def test_monomial_and_element_formatting(mixed_ctx):
     # descending graded print order with sign folding
     e = ctx.var("t1", 2) - ctx.one() - ctx.var("x2") * 2
     assert format_a_element(e) == "t1^2 - 2*x2 - 1"
+
+
+laurent_monomials = st.dictionaries(
+    st.integers(min_value=0, max_value=4), st.integers(min_value=-3, max_value=3), max_size=4
+).map(Monomial.make)
+
+
+@given(laurent_monomials, laurent_monomials)
+def test_monomial_product_matches_the_make_path(m, n):
+    d = m.to_dict()
+    for i, e in n.exps:
+        d[i] = d.get(i, 0) + e
+    assert m * n == Monomial.make(d)
+    assert all(e for _, e in (m * n).exps)
+
+
+@given(laurent_monomials)
+def test_monomial_product_cancels_laurent_exponents_to_one(m):
+    inverse = Monomial(tuple((i, -e) for i, e in m.exps))
+    assert m * inverse == ONE_MONOMIAL
+    assert m * ONE_MONOMIAL == m == ONE_MONOMIAL * m

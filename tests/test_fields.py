@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weyltype import FieldSpec, RATIONAL, Scalar, UsageError, binom_scalar, format_scalar, parse_scalar
+from weyltype.fields import MAX_MODULUS, is_prime
 
 F5 = FieldSpec("prime", 5)
 
@@ -134,3 +135,39 @@ def test_parse_scalar_rejects_noncanonical_residues():
     with pytest.raises(UsageError):
         parse_scalar("1/2", F5)
     assert parse_scalar("-3/6", RATIONAL) == q("-1/2")
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_on_small_numbers():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == [
+        n for n in range(-3, 5000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_large_moduli_quickly():
+    assert is_prime(2**61 - 1)  # Mersenne prime; trial division would not finish
+    assert FieldSpec("prime", 2**61 - 1).from_int(-1).value == 2**61 - 2
+    assert not is_prime(2**61 + 1)
+    assert not is_prime(1000000007 * 998244353)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers fool the Fermat test for every coprime base.
+    for carmichael in (561, 1105, 41041, 825265, 321197185):
+        assert not is_prime(carmichael)
+    # Strong pseudoprime to bases 2, 3, 5 and 7.
+    assert not is_prime(3215031751)
+    # The least strong pseudoprime to the first twelve prime bases (up to 37);
+    # base 41 exposes it.
+    assert not is_prime(318665857834031151167461)
+
+
+def test_is_prime_rejects_moduli_beyond_the_exact_range():
+    assert MAX_MODULUS == 3317044064679887385961981
+    with pytest.raises(UsageError, match="too large"):
+        is_prime(MAX_MODULUS)
+    with pytest.raises(UsageError, match="too large"):
+        FieldSpec("prime", 10**30)

@@ -19,7 +19,7 @@ from weyltype import (
     p_adic_factor,
 )
 import weyltype
-from weyltype.multiindex import PAdicFactor
+from weyltype.multiindex import PAdicFactor, ZERO_INDEX
 
 F5 = FieldSpec("prime", 5)
 
@@ -157,6 +157,26 @@ def test_vandermonde_consistency(a, b, data):
             if g2.le_componentwise(b):
                 acc = acc + binom_product(a, g1, spec) * binom_product(b, g2, spec)
         assert acc == binom_product(total, gamma, spec)
+
+
+def _dict_path(a: MultiIndex, b: MultiIndex, sign: int) -> dict:
+    d = a.to_dict()
+    for i, e in b.entries:
+        d[i] = d.get(i, 0) + sign * e
+    return d
+
+
+@given(indices, indices)
+def test_add_sub_match_the_make_path(a, b):
+    total = a.add(b)
+    assert total == mk(_dict_path(a, b, 1))
+    assert total.sub(b) == a and total.sub(a) == b
+    assert a.sub(a) == ZERO_INDEX
+    if b.le_componentwise(a):
+        assert a.sub(b) == mk(_dict_path(a, b, -1))
+    else:
+        with pytest.raises(UsageError, match="negative"):
+            a.sub(b)
 
 
 REIMPORT_SCRIPT = """

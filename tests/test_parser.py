@@ -6,6 +6,7 @@ from weyltype import EvalError, ParseError, act, evaluate_text, w_mul, wderivati
 from weyltype.checks import SampleBounds, random_a, random_weyl
 from weyltype.operators import format_weyl
 from weyltype.parser import (
+    MAX_NESTING,
     Diff,
     NameRef,
     Neg,
@@ -206,3 +207,23 @@ def test_evaluation_respects_the_action(expression, weyl_q):
     for _ in range(20):
         a = random_a(rng, ctx, bounds)
         assert act(element, a) == operator(a)
+
+
+def test_nesting_depth_is_capped():
+    assert parse_text("(" * MAX_NESTING + "d1" + ")" * MAX_NESTING) == NameRef("d1", MAX_NESTING)
+    assert isinstance(parse_text("-" * MAX_NESTING + "d1"), Neg)
+    for text in (
+        "(" * (MAX_NESTING + 1) + "d1" + ")" * (MAX_NESTING + 1),
+        "(" * 2000 + "d1" + ")" * 2000,
+        "-" * 2000 + "d1",
+        "(-" * 60 + "d1" + ")" * 60,
+    ):
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_text(text)
+
+
+def test_long_flat_chains_evaluate_without_deep_recursion(weyl_q):
+    assert format_weyl(evaluate_text(" + ".join(["d1"] * 3000), weyl_q)) == "3000*d1"
+    assert format_weyl(evaluate_text(" - ".join(["t"] * 3001), weyl_q)) == "-2999*t"
+    assert format_weyl(evaluate_text("*".join(["t"] * 1500), weyl_q)) == "t^1500"
+    assert format_weyl(evaluate_text("d1*t*t - t*t*d1", weyl_q)) == "2*t"

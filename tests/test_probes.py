@@ -29,7 +29,9 @@ from weyltype import (
     widentity,
     wronskian_witness,
 )
+from weyltype import probes
 from weyltype.linalg import RowReducer
+from weyltype.operators import format_weyl
 from weyltype.probes import (
     KERNEL_NONZERO,
     KERNEL_ZERO,
@@ -40,6 +42,7 @@ from weyltype.probes import (
     a_from_coords,
     weyl_coords,
 )
+from weyltype.scenario import load_bundled
 
 mk = MultiIndex.make
 
@@ -209,6 +212,53 @@ def test_theta_kernel_restricted_variant(weyl_f2):
         red.add(weyl_coords(e, index))
     for e in restricted.witness:
         assert red.contains(weyl_coords(e, index))
+
+
+def test_theta_kernel_stops_acting_at_full_rank(shift_ctx, monkeypatch):
+    # The widened shift-family window: 256 operator columns, 64 monomials.
+    # The constraint rows reach full rank within the first three monomials,
+    # so acting on all 64 (16,384 calls) would be wasted work.
+    calls = []
+
+    def counted_act(x, a):
+        calls.append(1)
+        return act(x, a)
+
+    monkeypatch.setattr(probes, "act", counted_act)
+    bounds = {name: (0, 3) for name in ("x1", "x2", "x3")}
+    w = Window.for_context(shift_ctx, bounds, max_level=3)
+    verdict = theta_kernel(shift_ctx, w)
+    assert verdict.kind == KERNEL_ZERO
+    assert verdict.coverage == 1
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("restrict", [False, True])
+def test_theta_kernel_nonzero_witnesses_unchanged(restrict):
+    # A nonzero kernel consumes every constraint row; the witnesses are the
+    # ones the eager, all-rows construction produced.
+    scenario = load_bundled("char2_poly")
+    verdict = theta_kernel(scenario.ctx, scenario.window, restrict_to_f1=restrict)
+    powers = range(0, 7, 2) if restrict else range(7)
+    expected = ["d1^2"] + [("t" if k == 1 else f"t^{k}") + "*d1^2" for k in powers if k]
+    assert verdict.kind == KERNEL_NONZERO
+    assert verdict.coverage == Fraction(2, 3)
+    assert [format_weyl(x) for x in verdict.witness] == expected
+
+
+def test_theta_kernel_saturates_before_the_variable_cap():
+    # Acting with d1^2 on x3 needs x5, which a cap of 4 variables forbids;
+    # the rows reach full rank before any such monomial is acted on, so the
+    # probe now certifies an empty kernel instead of raising VariableCapError.
+    ctx = Context(RATIONAL, variable_cap=4)
+    for name in ("x1", "x2", "x3"):
+        ctx.add_variable(name, "polynomial")
+    ctx.add_derivation("d1", shift_prefix="x")
+    ctx.freeze()
+    w = Window.for_context(ctx, {name: (0, 2) for name in ("x1", "x2", "x3")}, max_level=2)
+    verdict = theta_kernel(ctx, w)
+    assert verdict.kind == KERNEL_ZERO
+    assert verdict.coverage == 1
 
 
 # -- ideal closures ---------------------------------------------------------------
