@@ -8,6 +8,7 @@ from .coefficients import AElement, Context, Derivation, Monomial, VariableSpec
 from .errors import (
     BasisCapError,
     EvalError,
+    ExponentCapError,
     InternalError,
     ParseError,
     UsageError,
@@ -27,6 +28,7 @@ from .multiindex import (
     p_adic_factor,
 )
 from .operators import (
+    MAX_EXPONENT,
     LeadingData,
     WeylElement,
     act,

@@ -37,6 +37,10 @@ class EvalError(WeylTypeError):
         super().__init__(message)
 
 
+class ExponentCapError(EvalError):
+    """A power x^n has |n| above operators.MAX_EXPONENT; it would cost |n| products."""
+
+
 class WindowError(WeylTypeError):
     """A window-based computation is indeterminate; widen the window."""
 

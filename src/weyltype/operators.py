@@ -14,7 +14,7 @@ where d^gamma is the iterated application of the registered derivations.
 Extending bilinearly gives an associative product, and the natural action on
 the coefficient algebra becomes an algebra homomorphism.
 
-Evaluation (w_mul, act, apply_multi):
+Evaluation (w_mul, lie_bracket, act, apply_multi):
 
 - d^gamma(m) for a monomial m comes from Context.multi_derivative, memoized
   per context on (gamma, m).  Each entry is one derivation applied to the
@@ -27,6 +27,12 @@ Evaluation (w_mul, act, apply_multi):
   but not the subtree, since deeper gammas can still contribute.
 - Terms accumulate into one {monomial: scalar} bucket per output index,
   and each bucket becomes one coefficient element at the end.
+- lie_bracket runs the same walk twice into one set of buckets, x*y with
+  sign +1 and then y*x with sign -1, and skips gamma = 0 in both.  The
+  gamma = 0 term of (u, alpha)(v, beta) is u*v at alpha + beta, and that
+  of (v, beta)(u, alpha) is v*u there; A is commutative, so they cancel.
+  A skipped term applies no derivation, so lazily created variables still
+  appear in the order the two products would create them.
 """
 
 from __future__ import annotations
@@ -42,9 +48,13 @@ from .coefficients import (
     format_monomial,
     join_signed,
 )
-from .errors import UsageError
+from .errors import ExponentCapError, UsageError
 from .fields import Scalar
 from .multiindex import MINUS_INFINITY, MultiIndex, ZERO_INDEX, compare
+
+# Largest |n| accepted in x^n: a power costs |n| products, so the cap
+# bounds the work an expression can ask for.
+MAX_EXPONENT = 10_000
 
 
 class WeylElement:
@@ -104,6 +114,8 @@ class WeylElement:
     def __pow__(self, n: int) -> "WeylElement":
         if n < 0:
             raise UsageError("negative operator powers are undefined")
+        if n > MAX_EXPONENT:
+            raise ExponentCapError(f"exponent {n} exceeds the cap {MAX_EXPONENT}")
         out = widentity(self.ctx)
         for _ in range(n):
             out = w_mul(out, self)
@@ -171,34 +183,43 @@ def apply_multi(ctx: Context, gamma: MultiIndex, a: AElement) -> AElement:
     return AElement(ctx, out)
 
 
-def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Normal-ordering product; the result is again in normal form."""
-    x._check(y)
+def _accumulate(
+    out: dict[MultiIndex, dict[Monomial, Scalar]],
+    x: WeylElement,
+    y: WeylElement,
+    sign: int,
+    skip_gamma_zero: bool,
+) -> None:
+    """Add sign * x*y into the per-index buckets of `out`.
+
+    With skip_gamma_zero the gamma = 0 terms u*v at alpha + beta are left
+    out; lie_bracket does so because they cancel between x*y and y*x.
+    """
     ctx = x.ctx
     spec = ctx.spec
-    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
     for alpha, u in x.terms.items():
         uterms = u.terms.items()
         for beta, v in y.terms.items():
             top = alpha.add(beta)
             # A child raises the last nonzero entry of gamma or opens a later
             # one, so each gamma is generated once, from gamma - e_last.
-            stack = [(ZERO_INDEX, 1)]  # (gamma, C(alpha, gamma) over Z)
+            stack = [(ZERO_INDEX, sign)]  # (gamma, sign * C(alpha, gamma) over Z)
             while stack:
                 gamma, binom = stack.pop()
-                dv = apply_multi(ctx, gamma, v)
-                if not dv.terms:
-                    continue
-                c = spec.from_int(binom)
-                if c:
-                    bucket = out.setdefault(top.sub(gamma), {})
-                    for dm, dc in dv.terms.items():
-                        w = dc * c
-                        for um, uc in uterms:
-                            m = um * dm
-                            t = uc * w
-                            cur = bucket.get(m)
-                            bucket[m] = t if cur is None else cur + t
+                if gamma.entries or not skip_gamma_zero:
+                    dv = apply_multi(ctx, gamma, v)
+                    if not dv.terms:
+                        continue
+                    c = spec.from_int(binom)
+                    if c:
+                        bucket = out.setdefault(top.sub(gamma), {})
+                        for dm, dc in dv.terms.items():
+                            w = dc * c
+                            for um, uc in uterms:
+                                m = um * dm
+                                t = uc * w
+                                cur = bucket.get(m)
+                                bucket[m] = t if cur is None else cur + t
                 entries = gamma.entries
                 last, g = entries[-1] if entries else (-1, 0)
                 for i, a in alpha.entries:
@@ -207,12 +228,27 @@ def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
                         stack.append((child, binom * (a - g) // (g + 1)))
                     elif i > last:
                         stack.append((MultiIndex(entries + ((i, 1),)), binom * a))
+
+
+def _from_buckets(ctx: Context, out: dict[MultiIndex, dict[Monomial, Scalar]]) -> WeylElement:
     return WeylElement(ctx, {idx: AElement(ctx, bucket) for idx, bucket in out.items()})
 
 
+def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
+    """Normal-ordering product; the result is again in normal form."""
+    x._check(y)
+    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
+    _accumulate(out, x, y, 1, False)
+    return _from_buckets(x.ctx, out)
+
+
 def lie_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Commutator induced by the associative product."""
-    return w_mul(x, y) - w_mul(y, x)
+    """Commutator x*y - y*x, accumulated in one pass without its gamma = 0 terms."""
+    x._check(y)
+    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
+    _accumulate(out, x, y, 1, True)
+    _accumulate(out, y, x, -1, True)
+    return _from_buckets(x.ctx, out)
 
 
 def act(x: WeylElement, a: AElement) -> AElement:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import Context, LAURENT, Monomial
-from .errors import EvalError, ParseError
-from .operators import WeylElement, w_mul, wderivation, wfrom_a, widentity
+from .errors import EvalError, ExponentCapError, ParseError
+from .operators import MAX_EXPONENT, WeylElement, w_mul, wderivation, wfrom_a, widentity
 
 INT = "integer"
 IDENT = "identifier"
@@ -270,17 +270,13 @@ def evaluate(ast, ctx: Context) -> WeylElement:
     if isinstance(ast, Neg):
         return -evaluate(ast.arg, ctx)
     if isinstance(ast, Power):
+        n = ast.exponent
+        if abs(n) > MAX_EXPONENT:
+            raise ExponentCapError(f"exponent {n} exceeds the cap {MAX_EXPONENT}", ast.pos)
         base = evaluate(ast.base, ctx)
-        if ast.exponent >= 0:
-            out = widentity(ctx)
-            for _ in range(ast.exponent):
-                out = w_mul(out, base)
-            return out
-        inverse = _invert_unit(base, ctx, ast.pos)
-        out = widentity(ctx)
-        for _ in range(-ast.exponent):
-            out = w_mul(out, inverse)
-        return out
+        if n < 0:
+            base, n = _invert_unit(base, ctx, ast.pos), -n
+        return base**n
     raise EvalError(f"unknown syntax node {ast!r}")
 
 

@@ -115,12 +115,13 @@ def _get(data: dict, key: str, kind: type, default, violations: list[str]):
     return value if _typed(value, kind, repr(key), violations) else default
 
 
-def _int(value, what: str, violations: list[str], default: int = 0) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        violations.append(f"{what} must be an integer, not {value!r}")
-        return default
+def _int(value, what: str, violations: list[str], default: int | None = 0) -> int | None:
+    """value when it is a JSON integer (not a float, string or boolean), else
+    the default, recording a violation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    violations.append(f"{what} must be an integer, not {value!r}")
+    return default
 
 
 def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
@@ -140,10 +141,12 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
             if kind == RATIONAL_KIND:
                 spec = FieldSpec(RATIONAL_KIND)
             elif kind == PRIME_KIND:
-                spec = FieldSpec(PRIME_KIND, int(field_data.get("p")))
+                p = _int(field_data.get("p"), "field p", violations, None)
+                if p is not None:
+                    spec = FieldSpec(PRIME_KIND, p)
             else:
                 violations.append(f"unknown field kind {kind!r}")
-        except (WeylTypeError, TypeError, ValueError) as exc:
+        except WeylTypeError as exc:
             violations.append(f"field: {exc}")
     if spec is None:
         raise ValidationError(violations)
@@ -257,12 +260,13 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
             window = Window.for_context(
                 ctx,
                 bounds,
-                int(wdata["max_level"]),
-                basis_cap=int(data.get("basis_cap", DEFAULT_BASIS_CAP)),
+                _int(wdata["max_level"], "window max_level", violations),
+                basis_cap=_int(data.get("basis_cap", DEFAULT_BASIS_CAP), "basis_cap", violations,
+                               DEFAULT_BASIS_CAP),
             )
         except ValidationError as exc:
             violations.extend(exc.violations)
-        except (WeylTypeError, TypeError, ValueError) as exc:
+        except WeylTypeError as exc:
             violations.append(f"window: {exc}")
 
     try:

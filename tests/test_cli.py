@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +111,18 @@ def test_probe_matches_bundled_expected_report_bytes(capsys, name):
     assert code == 0, f"scenario {name} has an unexpected probe verdict"
     expected = bundled_scenario_path(name).parent / "expected" / f"{name}.report.json"
     assert out.encode("ascii") == expected.read_bytes()
+
+
+def test_probe_widened_window_matches_recorded_digest(capsys):
+    # The benchmark's widened weyl_polynomial window (t in [0, 12], level 5)
+    # makes 6,006 closure brackets, most of which cancel heavily; any change
+    # to a bracket's value moves this report's digest.
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    code, out, _ = run_cli(capsys, "probe", "--scenario", str(root / "scenarios" / "closure_wide.json"))
+    expected = json.loads((root / "expected" / "closure_wide.json").read_text())
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected["report_sha256"]
+    assert [p["verdict"] for p in json.loads(out)["probes"]] == expected["verdicts"]
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -311,6 +325,35 @@ def test_malformed_schema_levels_are_validation_errors(capsys, tmp_path, overrid
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_scenario_dict(**overrides)))
     _assert_usage_error(capsys, bad, "probe")
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"window": {"max_level": 2.9, "bounds": {"t": [0, 4]}}}, "window max_level"),
+        ({"window": {"max_level": [2], "bounds": {"t": [0, 4]}}}, "window max_level"),
+        ({"window": {"max_level": 2, "bounds": {"t": [0, True]}}}, "upper bound for t"),
+        ({"variable_cap": "3"}, "variable_cap"),
+        ({"basis_cap": "5000"}, "basis_cap"),
+        ({"field": {"kind": "prime", "p": 5.0}}, "field p"),
+    ],
+)
+def test_integer_fields_accept_only_json_integers(capsys, tmp_path, overrides, field):
+    # int() would truncate 2.9 to 2, read true as 1 and parse "3"; the loader
+    # must reject them instead of probing a window nobody asked for.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(**overrides)))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("expr", ["t^2000000", "d1^-2000000"])
+def test_huge_exponent_is_rejected_at_once(capsys, s_weyl, expr):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", expr, "--scenario", s_weyl)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "exceeds the cap" in err and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_deeply_nested_expression_is_a_parse_error(capsys, s_weyl):

@@ -11,6 +11,8 @@ loop exactly.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weyltype import (
     Context,
@@ -18,9 +20,11 @@ from weyltype import (
     MultiIndex,
     RATIONAL,
     WeylElement,
+    Monomial,
     act,
     apply_multi,
     binom_product,
+    lie_bracket,
     lower_set,
     w_mul,
     wbasis,
@@ -146,3 +150,73 @@ def test_power_of_derivation_does_linear_work(monkeypatch):
         derivations, gammas = _work_for_power(n, monkeypatch)
         assert derivations <= 2 * n
         assert gammas <= 2 * n
+
+
+# The bracket is accumulated in one pass without its gamma = 0 terms, which
+# cancel because the coefficient algebra is commutative.  The oracle is the
+# difference of two products of the plain loop above.
+
+
+@pytest.mark.parametrize("fixture_name", CONTEXTS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False))
+def test_bracket_is_difference_of_products(fixture_name, request, rng):
+    ctx = request.getfixturevalue(fixture_name)
+    bounds = SampleBounds(max_degree=3, max_level=3, max_terms=3, n_variables=min(3, len(ctx.variables)))
+    x = random_weyl(rng, ctx, bounds)
+    y = random_weyl(rng, ctx, bounds)
+    bracket = lie_bracket(x, y)
+    assert bracket == reference_w_mul(x, y) - reference_w_mul(y, x)
+    assert bracket == w_mul(x, y) - w_mul(y, x)
+    assert lie_bracket(y, x) == -bracket
+
+
+def _shift_context():
+    ctx = Context(RATIONAL, variable_cap=16)
+    for name in ("x1", "x2", "x3"):
+        ctx.add_variable(name, "polynomial")
+    ctx.add_derivation("d1", shift_prefix="x")
+    return ctx.freeze()
+
+
+def test_bracket_creates_shift_variables_in_product_order():
+    # x*y runs before y*x, so lazily created variables appear in the order
+    # the two products would create them.
+    rng = random.Random("bracket:shift")
+    bounds = SampleBounds(max_degree=2, max_level=3, max_terms=3, n_variables=3)
+    for _ in range(20):
+        fused, plain = _shift_context(), _shift_context()
+        state = rng.getstate()
+        x, y = random_weyl(rng, fused, bounds), random_weyl(rng, fused, bounds)
+        rng.setstate(state)
+        px, py = random_weyl(rng, plain, bounds), random_weyl(rng, plain, bounds)
+        lie_bracket(x, y)
+        w_mul(px, py) - w_mul(py, px)
+        assert [v.name for v in fused.variables] == [v.name for v in plain.variables]
+
+
+def test_bracket_of_coefficients_multiplies_no_monomials(mixed_ctx, monkeypatch):
+    # [u, v] = 0 for coefficient-only u, v, and every term of it is gamma = 0;
+    # subtracting two full products costs 2*|u|*|v| monomial products.
+    ctx = mixed_ctx
+    u = wfrom_a(ctx.var("t1") + ctx.var("x2", -1) * 3 + ctx.var("t2", 2))
+    v = wfrom_a(ctx.var("x3") * ctx.var("t1") + ctx.one())
+    d = wbasis(ctx, mk({0: 1, 2: 2}), ctx.var("x3"))
+    expected = reference_w_mul(d, u) - reference_w_mul(u, d)
+    calls = {"Monomial.__mul__": 0, "w_mul": 0}
+    original_mul = Monomial.__mul__
+
+    def counted_mul(self, other):
+        calls["Monomial.__mul__"] += 1
+        return original_mul(self, other)
+
+    def counted_w_mul(x, y):
+        calls["w_mul"] += 1
+        return w_mul(x, y)
+
+    monkeypatch.setattr(Monomial, "__mul__", counted_mul)
+    monkeypatch.setattr("weyltype.operators.w_mul", counted_w_mul)
+    assert lie_bracket(u, v).is_zero()
+    assert calls["Monomial.__mul__"] == 0
+    assert lie_bracket(d, u) == expected
+    assert calls["w_mul"] == 0

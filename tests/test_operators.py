@@ -3,7 +3,9 @@ import random
 import pytest
 
 from weyltype import (
+    MAX_EXPONENT,
     MINUS_INFINITY,
+    ExponentCapError,
     MultiIndex,
     UsageError,
     act,
@@ -204,3 +206,12 @@ def test_constants_killed_by_derivations_are_central(weyl_f2):
     for _ in range(30):
         x = random_weyl(rng, ctx, bounds)
         assert lie_bracket(u, x).is_zero()
+
+
+def test_power_exponent_is_capped(weyl_q):
+    d = wderivation(weyl_q, "d1")
+    assert d**3 == w_mul(d, w_mul(d, d))
+    with pytest.raises(ExponentCapError, match="exceeds the cap"):
+        d ** (MAX_EXPONENT + 1)
+    with pytest.raises(UsageError, match="negative"):
+        d**-1
