@@ -14,9 +14,9 @@ def main(argv: list[str]) -> int:
     names = argv or bundled_scenario_names()
     any_mismatch = False
     for name in names:
-        started = time.time()
+        started = time.perf_counter()
         report = build_report(load_bundled(name))
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         print(f"{name} ({report['field']}, {elapsed:.2f}s)")
         print(f"  derivation kernel: {', '.join(report['f1']['basis'])}")
         for entry in report["probes"]:

@@ -10,7 +10,8 @@ Commands (all take --scenario PATH):
 
 Exit codes: 0 success; 1 a probe verdict differs from the scenario's declared
 expectation (or a verify suite found a violation); 2 usage or validation
-error.
+error; 3 internal error (a failed self-check or any unexpected exception),
+reported as one `internal error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .checks import SampleBounds, run_all_checks
-from .errors import WeylTypeError
+from .errors import InternalError, WeylTypeError
 from .operators import format_weyl, lie_bracket
 from .parser import evaluate_text
 from .reports import build_report, report_bytes
@@ -29,6 +30,7 @@ from .scenario import Scenario, load_scenario
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -164,12 +166,19 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         return _COMMANDS[args.command](args, scenario)
-    except WeylTypeError as exc:
+    except InternalError as exc:
+        return _internal_error(exc)
+    except (WeylTypeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: keep exit 1 for verdicts
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    message = " ".join(f"{type(exc).__name__}: {exc}".split())
+    print(f"internal error: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over the rationals and over prime residue fields.
 
-Every scalar is an immutable value in canonical form: rationals are kept in
-lowest terms with a positive denominator, prime residues in [0, p).  There is
-no floating point anywhere in this package.
+Every scalar is an immutable value in canonical form.  An integral rational
+is a plain ``int``; any other rational is a ``Fraction`` in lowest terms with
+a positive denominator.  Keeping integers unboxed matters because the
+binomials, derivative images and closure elements of most scenarios are
+integers, and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.
+Prime residues are ``int``s in [0, p).  There is no floating point anywhere in
+this package.
 """
 
 from __future__ import annotations
@@ -72,12 +76,12 @@ class FieldSpec:
 
     def from_int(self, n: int) -> "Scalar":
         if self.kind == RATIONAL_KIND:
-            return Scalar(self, Fraction(n))
+            return Scalar(self, n)
         return Scalar(self, n % self.p)  # type: ignore[operator]
 
     def from_fraction(self, q: Fraction) -> "Scalar":
         if self.kind == RATIONAL_KIND:
-            return Scalar(self, q)
+            return Scalar(self, _canonical(q))
         num = self.from_int(q.numerator)
         return num * self.from_int(q.denominator).inverse()
 
@@ -110,16 +114,33 @@ class FieldSpec:
 RATIONAL = FieldSpec(RATIONAL_KIND)
 
 
-@dataclass(frozen=True, slots=True)
 class Scalar:
-    """An element of a FieldSpec's field, always stored in canonical form."""
+    """An element of a FieldSpec's field, always stored in canonical form.
 
-    spec: FieldSpec
-    value: object  # Fraction for rational, int residue for prime
+    A rational value is an ``int`` when it is integral and a ``Fraction`` in
+    lowest terms otherwise; a prime residue is an ``int`` in [0, p).  A Scalar
+    is never mutated after construction: coefficient dictionaries and the
+    derivative caches share Scalar objects, so changing one in place would
+    change every element holding it.
+    """
+
+    __slots__ = ("spec", "value")
+
+    def __init__(self, spec: FieldSpec, value):
+        self.spec = spec
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.value == other.value and self.spec == other.spec
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.value))
 
     def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.spec != self.spec:
+        if other.__class__ is Scalar:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise UsageError("mixed field specs in scalar arithmetic")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
@@ -136,16 +157,21 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.spec.kind == RATIONAL_KIND:
-            return Scalar(self.spec, self.value + o.value)
-        return Scalar(self.spec, (self.value + o.value) % self.spec.p)
+        spec = self.spec
+        v = self.value + o.value
+        if spec.p is None:  # rationals
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
+            return Scalar(spec, v)
+        return Scalar(spec, v % spec.p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.spec.kind == RATIONAL_KIND:
-            return Scalar(self.spec, -self.value)
-        return Scalar(self.spec, (-self.value) % self.spec.p)
+        spec = self.spec
+        if spec.p is None:
+            return Scalar(spec, -self.value)
+        return Scalar(spec, (-self.value) % spec.p)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -163,18 +189,26 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.spec.kind == RATIONAL_KIND:
-            return Scalar(self.spec, self.value * o.value)
-        return Scalar(self.spec, (self.value * o.value) % self.spec.p)
+        spec = self.spec
+        v = self.value * o.value
+        if spec.p is None:
+            if v.__class__ is not int and v.denominator == 1:
+                v = v.numerator
+            return Scalar(spec, v)
+        return Scalar(spec, v % spec.p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar 0 has no inverse")
-        if self.spec.kind == RATIONAL_KIND:
-            return Scalar(self.spec, 1 / self.value)
-        return Scalar(self.spec, pow(self.value, -1, self.spec.p))
+        v = self.value
+        if self.spec.p is None:
+            if v.__class__ is int:
+                # Fraction(1, v), never 1 / v, which would be a float.
+                return Scalar(self.spec, v if v == 1 or v == -1 else Fraction(1, v))
+            return Scalar(self.spec, _canonical(Fraction(v.denominator, v.numerator)))
+        return Scalar(self.spec, pow(v, -1, self.spec.p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -197,6 +231,11 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self.value})"
+
+
+def _canonical(q: Fraction):
+    """A rational value in canonical form: an int when integral, else q."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def binom_scalar(n: int, k: int, spec: FieldSpec) -> Scalar:
@@ -225,7 +264,7 @@ def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return Scalar(spec, Fraction(num, den))
+        return Scalar(spec, _canonical(Fraction(num, den)))
     if not _RESIDUE_RE.match(text):
         raise UsageError(f"not a residue literal: {text!r}")
     n = int(text)
@@ -235,7 +274,5 @@ def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
 
 
 def format_scalar(s: Scalar) -> str:
-    if s.spec.kind == RATIONAL_KIND:
-        q: Fraction = s.value  # type: ignore[assignment]
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    # str gives "n" for an int and "n/d" for a non-integral Fraction.
     return str(s.value)

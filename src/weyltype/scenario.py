@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
 from .errors import ValidationError, WeylTypeError
-from .fields import FieldSpec, PRIME_KIND, RATIONAL_KIND
+from .fields import RATIONAL, FieldSpec, PRIME_KIND, RATIONAL_KIND
 from .linalg import RowReducer
 from .operators import WeylElement
 from .parser import evaluate_text
@@ -124,6 +124,14 @@ def _int(value, what: str, violations: list[str], default: int | None = 0) -> in
     return default
 
 
+def _bool(value, what: str, violations: list[str]) -> bool:
+    """value when it is a JSON boolean, else False, recording a violation."""
+    if isinstance(value, bool):
+        return value
+    violations.append(f"{what} must be true or false, not {value!r}")
+    return False
+
+
 def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError([f"a scenario must be a JSON object, not {type(data).__name__}"])
@@ -139,7 +147,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         try:
             kind = field_data.get("kind")
             if kind == RATIONAL_KIND:
-                spec = FieldSpec(RATIONAL_KIND)
+                spec = RATIONAL
             elif kind == PRIME_KIND:
                 p = _int(field_data.get("p"), "field p", violations, None)
                 if p is not None:
@@ -213,7 +221,8 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
     if not ctx.derivations:
         violations.append("at least one derivation is required")
 
-    if data.get("group_algebra", False):
+    group_algebra = _bool(data.get("group_algebra", False), "group_algebra", violations)
+    if group_algebra:
         _require(
             all(v.kind == LAURENT for v in ctx.variables),
             violations,
@@ -227,10 +236,9 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         if euler_rows and not violations:
             # Trivial integer kernel of the weight matrix <=> full column rank
             # over the rationals.
-            red = RowReducer(FieldSpec(RATIONAL_KIND))
-            rat = FieldSpec(RATIONAL_KIND)
+            red = RowReducer(RATIONAL)
             for row in euler_rows:
-                red.add({j: rat.from_int(w) for j, w in enumerate(row) if w})
+                red.add({j: RATIONAL.from_int(w) for j, w in enumerate(row) if w})
             _require(
                 red.rank == len(ctx.variables),
                 violations,
@@ -318,7 +326,8 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                 kind=kind,
                 seed_text=seed_text,
                 expect=expect,
-                restrict_to_f1=bool(pdata.get("restrict_to_f1", False)),
+                restrict_to_f1=_bool(pdata.get("restrict_to_f1", False),
+                                     f"probe {k} restrict_to_f1", violations),
             )
         )
 
@@ -334,7 +343,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         probes=probes,
         sample=sample,
         initial_variable_count=len(ctx.variables),
-        group_algebra=bool(data.get("group_algebra", False)),
+        group_algebra=group_algebra,
         seeds=seeds,
     )
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from weyltype import cli
 from weyltype.cli import main
-from weyltype.errors import ValidationError
+from weyltype.errors import InternalError, ValidationError
 from weyltype.scenario import (
     bundled_scenario_names,
     bundled_scenario_path,
@@ -113,16 +114,27 @@ def test_probe_matches_bundled_expected_report_bytes(capsys, name):
     assert out.encode("ascii") == expected.read_bytes()
 
 
+def _assert_matches_recorded_digest(capsys, name):
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    code, out, _ = run_cli(capsys, "probe", "--scenario", str(root / "scenarios" / f"{name}.json"))
+    expected = json.loads((root / "expected" / f"{name}.json").read_text())
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected["report_sha256"]
+    assert [p["verdict"] for p in json.loads(out)["probes"]] == expected["verdicts"]
+
+
 def test_probe_widened_window_matches_recorded_digest(capsys):
     # The benchmark's widened weyl_polynomial window (t in [0, 12], level 5)
     # makes 6,006 closure brackets, most of which cancel heavily; any change
     # to a bracket's value moves this report's digest.
-    root = Path(__file__).resolve().parent.parent / "perfbench"
-    code, out, _ = run_cli(capsys, "probe", "--scenario", str(root / "scenarios" / "closure_wide.json"))
-    expected = json.loads((root / "expected" / "closure_wide.json").read_text())
-    assert code == 0
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == expected["report_sha256"]
-    assert [p["verdict"] for p in json.loads(out)["probes"]] == expected["verdicts"]
+    _assert_matches_recorded_digest(capsys, "closure_wide")
+
+
+def test_probe_widened_action_window_matches_recorded_digest(capsys):
+    # The benchmark's widened shift_family window (x1..x3 in [0, 3], level 3)
+    # runs the lazy shift-family variables and the saturating nullspace; any
+    # change to an action image or to the constraint rows moves this digest.
+    _assert_matches_recorded_digest(capsys, "action_wide")
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
@@ -345,6 +357,46 @@ def test_integer_fields_accept_only_json_integers(capsys, tmp_path, overrides, f
     bad.write_text(json.dumps(_scenario_dict(**overrides)))
     err = _assert_usage_error(capsys, bad, "probe")
     assert f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1])
+@pytest.mark.parametrize("field", ["restrict_to_f1", "group_algebra"])
+def test_boolean_fields_accept_only_json_booleans(capsys, tmp_path, field, value):
+    # bool() would read "no" and "false" as true and 0/1 as booleans.
+    if field == "group_algebra":
+        data = _scenario_dict(group_algebra=value)
+        name = "group_algebra"
+    else:
+        data = _scenario_dict(probes=[{"kind": "theta_kernel", "restrict_to_f1": value}])
+        name = "probe 0 restrict_to_f1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert f"{name} must be true or false, not {value!r}" in err
+
+
+def test_boolean_fields_accept_json_false():
+    data = _scenario_dict(
+        group_algebra=False, probes=[{"kind": "theta_kernel", "restrict_to_f1": False}]
+    )
+    scenario = load_scenario_mapping(data)
+    assert scenario.group_algebra is False
+    assert scenario.probes[0].restrict_to_f1 is False
+
+
+@pytest.mark.parametrize(
+    "exc", [RuntimeError("boom\nsecond line"), InternalError("self-check failed")]
+)
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, s_weyl, exc):
+    def broken(args, scenario):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "normalize", broken)
+    code, out, err = run_cli(capsys, "normalize", "t", "--scenario", s_weyl)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert type(exc).__name__ in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr", ["t^2000000", "d1^-2000000"])

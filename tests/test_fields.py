@@ -4,8 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weyltype import FieldSpec, RATIONAL, Scalar, UsageError, binom_scalar, format_scalar, parse_scalar
+import random
+
+from weyltype import (
+    FieldSpec,
+    RATIONAL,
+    Scalar,
+    UsageError,
+    binom_scalar,
+    format_scalar,
+    parse_scalar,
+    w_mul,
+)
+from weyltype.checks import SampleBounds, random_weyl
 from weyltype.fields import MAX_MODULUS, is_prime
+from weyltype.parser import evaluate_text
 
 F5 = FieldSpec("prime", 5)
 
@@ -171,3 +184,96 @@ def test_is_prime_rejects_moduli_beyond_the_exact_range():
         is_prime(MAX_MODULUS)
     with pytest.raises(UsageError, match="too large"):
         FieldSpec("prime", 10**30)
+
+
+# Rational values are canonical: an int exactly when integral, otherwise a
+# Fraction in lowest terms; never a float.  Plain Fraction arithmetic is the
+# oracle.
+
+
+def assert_rational(s: Scalar, expected: Fraction):
+    assert s.spec == RATIONAL
+    assert s.value == expected
+    if expected.denominator == 1:
+        assert type(s.value) is int
+    else:
+        assert type(s.value) is Fraction
+        assert (s.value.numerator, s.value.denominator) == (expected.numerator, expected.denominator)
+
+
+fractions = st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=12)
+)
+
+
+@given(fractions, fractions, st.integers(min_value=-5, max_value=5))
+def test_rational_ops_match_fraction_oracle(a, b, n):
+    x, y = RATIONAL.from_fraction(a), RATIONAL.from_fraction(b)
+    assert_rational(x, a)
+    assert_rational(parse_scalar(str(a), RATIONAL), a)
+    assert_rational(RATIONAL.scalar(str(a)), a)
+    assert_rational(x + y, a + b)
+    assert_rational(x - y, a - b)
+    assert_rational(x * y, a * b)
+    assert_rational(-x, -a)
+    assert_rational(x + n, a + n)
+    assert_rational(n + x, a + n)
+    assert_rational(n - x, n - a)
+    assert_rational(x * n, a * n)
+    assert_rational(n * x, a * n)
+    if b:
+        assert_rational(y.inverse(), 1 / b)
+        assert_rational(x / y, a / b)
+    if n:
+        assert_rational(x / n, a / n)
+    assert format_scalar(x) == (str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}")
+
+
+@given(st.integers(min_value=-30, max_value=30).filter(bool))
+def test_rational_inverse_of_integer_is_never_a_float(n):
+    assert_rational(RATIONAL.from_int(n).inverse(), Fraction(1, n))
+
+
+@given(st.one_of(rationals, residues), st.one_of(rationals, residues))
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (a.spec == b.spec and a.value == b.value)
+
+
+def test_equality_across_representations_and_fields():
+    assert RATIONAL.from_fraction(Fraction(6, 3)) == RATIONAL.from_int(2)
+    assert hash(RATIONAL.from_fraction(Fraction(6, 3))) == hash(RATIONAL.from_int(2))
+    assert RATIONAL.from_int(2) == FieldSpec("rational").from_int(2)
+    assert RATIONAL.from_int(3) != F5.from_int(3)
+    assert RATIONAL.zero() != F5.zero()
+    assert RATIONAL.from_int(3) != 3
+    assert len({RATIONAL.from_int(3), F5.from_int(3), RATIONAL.scalar("6/2")}) == 2
+
+
+def test_integral_rationals_are_plain_ints():
+    assert type(RATIONAL.from_int(3).value) is int
+    assert type(RATIONAL.scalar(Fraction(8, 4)).value) is int
+    assert type(parse_scalar("-4/2", RATIONAL).value) is int
+    assert type((RATIONAL.scalar("1/2") + RATIONAL.scalar("1/2")).value) is int
+    assert type(RATIONAL.scalar("-1/3").inverse().value) is int
+    assert type(binom_scalar(7, 3, RATIONAL).value) is int
+
+
+def test_w_mul_keeps_integral_coefficients_as_ints(weyl_q):
+    x = evaluate_text("t^3*d1^2 + 2*t*d1 - 5", weyl_q)
+    y = evaluate_text("d1^3*t^4 + 7*t^2", weyl_q)
+    for product in (w_mul(x, y), w_mul(y, x)):
+        assert product.terms
+        for u in product.terms.values():
+            assert all(type(c.value) is int for _, c in u.sorted_terms())
+
+
+def test_w_mul_coefficients_are_canonical_on_samples(weyl_q):
+    rng = random.Random("canonical")
+    bounds = SampleBounds(max_degree=4, max_level=4, max_terms=3, n_variables=1)
+    for _ in range(40):
+        product = w_mul(random_weyl(rng, weyl_q, bounds), random_weyl(rng, weyl_q, bounds))
+        for u in product.terms.values():
+            for _, c in u.sorted_terms():
+                assert_rational(c, Fraction(c.value))
