@@ -56,9 +56,7 @@ from .probes import (
     d_simplicity_probe,
     equal_mod_f1,
     lie_ideal_closure_probe,
-    p_power_derivation,
     theta_kernel,
-    wronskian_witness,
 )
 from .scenario import Scenario, load_bundled, load_scenario, bundled_scenario_names
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .checks import SampleBounds, run_all_checks
 from .errors import InternalError, WeylTypeError
 from .operators import format_weyl, lie_bracket
 from .parser import evaluate_text
 from .reports import build_report, report_bytes
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, parse_margin
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -109,10 +108,7 @@ def _cmd_bracket(args, scenario: Scenario) -> int:
 
 def _cmd_probe(args, scenario: Scenario) -> int:
     if args.margin is not None:
-        margin = Fraction(args.margin)
-        if not (0 <= margin < 1):
-            raise WeylTypeError("margin must satisfy 0 <= margin < 1")
-        scenario.margin = margin
+        scenario.margin = parse_margin(args.margin)
     report = build_report(scenario)
     if args.text:
         print(f"scenario {report['scenario']} over {report['field']}")

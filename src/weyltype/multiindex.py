@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .errors import UsageError
-from .fields import FieldSpec, Scalar, binom_scalar
+from .fields import FieldSpec, Scalar, binom_scalar, is_prime
 
 
 class _MinusInfinity:
@@ -169,11 +169,6 @@ def compare(a: MultiIndex, b: MultiIndex) -> int:
     return 0
 
 
-def level(alpha: MultiIndex):
-    """Exponent sum; callers treat the zero element separately as -inf."""
-    return alpha.level()
-
-
 def lower_set(alpha: MultiIndex) -> list[MultiIndex]:
     """All componentwise-smaller multi-indices, ascending in the graded order."""
     idxs = alpha.supp()
@@ -212,7 +207,7 @@ def p_adic_factor(alpha: MultiIndex, p: int) -> list[PAdicFactor]:
     index-th generator p^s times; recomposing the factors multiplicatively
     reproduces the original basis monomial exactly.
     """
-    if not is_prime_int(p):
+    if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     out = []
     for i, e in alpha.entries:
@@ -224,9 +219,3 @@ def p_adic_factor(alpha: MultiIndex, p: int) -> list[PAdicFactor]:
             e //= p
             s += 1
     return out
-
-
-def is_prime_int(p: int) -> bool:
-    from .fields import is_prime
-
-    return is_prime(p)

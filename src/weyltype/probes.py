@@ -16,14 +16,12 @@ run concurrently.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coefficients import (
     AElement,
     Context,
-    Derivation,
     LAURENT,
     Monomial,
     ONE_MONOMIAL,
@@ -31,7 +29,7 @@ from .coefficients import (
     format_monomial,
     monomial_sort_key,
 )
-from .errors import BasisCapError, InternalError, UsageError, ValidationError, WindowError
+from .errors import BasisCapError, UsageError, ValidationError, WindowError
 from .linalg import RowReducer, nullspace
 from .multiindex import MultiIndex, ZERO_INDEX
 from .operators import (
@@ -367,6 +365,59 @@ def theta_kernel(
 # -- ideal-closure probes ------------------------------------------------------
 
 
+def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, central=None):
+    """Breadth-first closure of the seed inside a window, with discard semantics.
+
+    `labels` enumerate the window basis and `coords(z, index)` gives an
+    element's coordinates over it, or None when the element leaves the window.
+    Each generator is a `(name, step)` pair: `step(elem)` returns the
+    `(op, result)` pairs of one closure step, in a fixed order.  Results that
+    are zero or leave the window are dropped, never projected.  The walk stops
+    as soon as the `stop` label enters the span, or when a round accepts
+    nothing.  A seed lying in `central` (a SubspaceBasis) is refused.
+
+    Returns the reducer holding the span, the label index, the accepted
+    steps and whether `stop` was reached.
+    """
+    if seed.is_zero():
+        raise UsageError("seed must be nonzero")
+    index = {lab: j for j, lab in enumerate(labels)}
+    seed_vec = coords(seed, index)
+    if seed_vec is None:
+        raise UsageError("seed does not fit inside the window")
+    if central is not None and seed.is_a_only():
+        avec = a_coords(seed.a_part(), central.index)
+        if avec is not None and central.contains(avec):
+            raise UsageError("seed is central (inside the derivation kernel)")
+
+    red = RowReducer(ctx.spec)
+    red.add(seed_vec)
+    accepted = [seed]
+    steps: list[ClosureStep] = []
+    stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
+    if stop_vec is not None and red.contains(stop_vec):
+        return red, index, steps, True
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for pi in frontier:
+            for gname, step in gens:
+                for op, z in step(accepted[pi]):
+                    if z.is_zero():
+                        continue
+                    vec = coords(z, index)
+                    if vec is None:
+                        continue  # discard: the step left the window
+                    if red.add(vec):
+                        accepted.append(z)
+                        steps.append(ClosureStep(op, gname, pi, z))
+                        next_frontier.append(len(accepted) - 1)
+                        if stop_vec is not None and red.contains(stop_vec):
+                            return red, index, steps, True
+        frontier = next_frontier
+    return red, index, steps, False
+
+
 def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVerdict:
     """Closure of the seed under window-monomial multiplication and all
     derivations, with discard semantics.
@@ -374,53 +425,23 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
     Reaching the identity certifies that the derivation-stable ideal
     generated by the seed is the whole coefficient algebra.
     """
-    if seed.is_zero():
-        raise UsageError("seed must be nonzero")
     labels = window.a_basis(ctx)
-    index = {m: j for j, m in enumerate(labels)}
-    seed_vec = a_coords(seed, index)
-    if seed_vec is None:
-        raise UsageError("seed does not fit inside the window")
-    one_vec = {index[ONE_MONOMIAL]: ctx.spec.one()}
-
-    red = RowReducer(ctx.spec)
-    red.add(seed_vec)
-    accepted: list[AElement] = [seed]
-    steps: list[ClosureStep] = []
-    gens: list[tuple[str, str, object]] = []
-    for m in labels:
-        if not m.is_one():
-            gens.append(("mul", format_monomial(ctx, m), _a_element(ctx, m)))
-    for d in ctx.derivations:
-        gens.append(("derive", d.name, d))
-
-    reached = red.contains(one_vec)
-    frontier = [0]
-    while frontier and not reached:
-        next_frontier = []
-        for pi in frontier:
-            elem = accepted[pi]
-            for op, gname, g in gens:
-                z = elem * g if op == "mul" else ctx.apply_derivation(g, elem)
-                if z.is_zero():
-                    continue
-                vec = a_coords(z, index)
-                if vec is None:
-                    continue  # discard: the step left the window
-                if red.add(vec):
-                    accepted.append(z)
-                    steps.append(ClosureStep(op, gname, pi, z))
-                    next_frontier.append(len(accepted) - 1)
-                    if red.contains(one_vec):
-                        reached = True
-                        break
-            if reached:
-                break
-        frontier = next_frontier
-    coverage = Fraction(red.rank, len(labels))
-    witness = [a_from_coords(ctx, labels, vec) for vec in red.vectors()]
-    kind = REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE
-    return ProbeVerdict(kind=kind, coverage=coverage, witness=witness, steps=steps)
+    gens = [
+        (format_monomial(ctx, m), lambda e, g=_a_element(ctx, m): (("mul", e * g),))
+        for m in labels
+        if not m.is_one()
+    ]
+    gens += [
+        (d.name, lambda e, d=d: (("derive", ctx.apply_derivation(d, e)),))
+        for d in ctx.derivations
+    ]
+    red, _, steps, reached = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
+    return ProbeVerdict(
+        kind=REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE,
+        coverage=Fraction(red.rank, len(labels)),
+        witness=[a_from_coords(ctx, labels, vec) for vec in red.vectors()],
+        steps=steps,
+    )
 
 
 def _window_generators(ctx: Context, window: Window) -> list[tuple[str, WeylElement]]:
@@ -439,50 +460,20 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
     Reaching the identity certifies that the two-sided ideal generated by
     the seed is the whole operator algebra.
     """
-    if seed.is_zero():
-        raise UsageError("seed must be nonzero")
     labels = window.ad_basis(ctx)
-    index = {lab: j for j, lab in enumerate(labels)}
-    seed_vec = weyl_coords(seed, index)
-    if seed_vec is None:
-        raise UsageError("seed does not fit inside the window")
-    one_vec = {index[(ZERO_INDEX, ONE_MONOMIAL)]: ctx.spec.one()}
-
-    red = RowReducer(ctx.spec)
-    red.add(seed_vec)
-    accepted: list[WeylElement] = [seed]
-    steps: list[ClosureStep] = []
-    gens = _window_generators(ctx, window)
-
-    reached = red.contains(one_vec)
-    frontier = [0]
-    while frontier and not reached:
-        next_frontier = []
-        for pi in frontier:
-            elem = accepted[pi]
-            for gname, g in gens:
-                for op, z in (("lmul", w_mul(g, elem)), ("rmul", w_mul(elem, g))):
-                    if z.is_zero():
-                        continue
-                    vec = weyl_coords(z, index)
-                    if vec is None:
-                        continue
-                    if red.add(vec):
-                        accepted.append(z)
-                        steps.append(ClosureStep(op, gname, pi, z))
-                        next_frontier.append(len(accepted) - 1)
-                        if red.contains(one_vec):
-                            reached = True
-                            break
-                if reached:
-                    break
-            if reached:
-                break
-        frontier = next_frontier
-    coverage = Fraction(red.rank, len(labels))
-    witness = [weyl_from_coords(ctx, labels, vec) for vec in red.vectors()]
-    kind = REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE
-    return ProbeVerdict(kind=kind, coverage=coverage, witness=witness, steps=steps)
+    # Both products are computed before either is looked at.
+    gens = [
+        (name, lambda e, g=g: (("lmul", w_mul(g, e)), ("rmul", w_mul(e, g))))
+        for name, g in _window_generators(ctx, window)
+    ]
+    stop = (ZERO_INDEX, ONE_MONOMIAL)
+    red, _, steps, reached = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
+    return ProbeVerdict(
+        kind=REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE,
+        coverage=Fraction(red.rank, len(labels)),
+        witness=[weyl_from_coords(ctx, labels, vec) for vec in red.vectors()],
+        steps=steps,
+    )
 
 
 def lie_ideal_closure_probe(
@@ -499,41 +490,12 @@ def lie_ideal_closure_probe(
     the verdict is positive only if every interior basis monomial lies in
     the closure span plus the central kernel.
     """
-    if seed.is_zero():
-        raise UsageError("seed must be nonzero")
     labels = window.ad_basis(ctx)
-    index = {lab: j for j, lab in enumerate(labels)}
-    seed_vec = weyl_coords(seed, index)
-    if seed_vec is None:
-        raise UsageError("seed does not fit inside the window")
-    if seed.is_a_only():
-        avec = a_coords(seed.a_part(), f1.index)
-        if avec is not None and f1.contains(avec):
-            raise UsageError("seed is central (inside the derivation kernel)")
-
-    red = RowReducer(ctx.spec)
-    red.add(seed_vec)
-    accepted: list[WeylElement] = [seed]
-    steps: list[ClosureStep] = []
-    gens = _window_generators(ctx, window)
-
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for pi in frontier:
-            elem = accepted[pi]
-            for gname, g in gens:
-                z = lie_bracket(elem, g)
-                if z.is_zero():
-                    continue
-                vec = weyl_coords(z, index)
-                if vec is None:
-                    continue
-                if red.add(vec):
-                    accepted.append(z)
-                    steps.append(ClosureStep("bracket", gname, pi, z))
-                    next_frontier.append(len(accepted) - 1)
-        frontier = next_frontier
+    gens = [
+        (name, lambda e, g=g: (("bracket", lie_bracket(e, g)),))
+        for name, g in _window_generators(ctx, window)
+    ]
+    red, index, steps, _ = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
 
     combined = red.copy()
     for vec in f1.vectors():
@@ -561,92 +523,3 @@ def lie_ideal_closure_probe(
     return ProbeVerdict(
         kind=kind, coverage=coverage, witness=witness, unreached=unreached, steps=steps
     )
-
-
-# -- characteristic-p machinery ------------------------------------------------
-
-
-def p_power_derivation(d: Derivation, p: int, ctx: Context, trials: int = 8) -> Derivation:
-    """The derivation acting as the p-fold iterate of `d`.
-
-    Only defined in characteristic p, where iterating a derivation p times
-    is again a derivation.  Shift-rule coverage is carried along by scaling
-    the shift offset; explicitly covered variables get their iterated image.
-    The construction is cross-checked before returning: the new derivation
-    must satisfy the Leibniz identity and agree with p-fold application on
-    random elements.
-    """
-    if ctx.spec.characteristic() != p:
-        raise UsageError(f"field characteristic is not {p}")
-    name = f"{d.name}^{p}"
-    images: dict[int, AElement] = {}
-    for var in list(ctx.variables):
-        if var.index in d.images:
-            u = ctx.var(var.name)
-            for _ in range(p):
-                u = ctx.apply_derivation(d, u)
-            images[var.index] = u
-    new_d = Derivation(
-        name=name,
-        images=images,
-        shift_prefix=d.shift_prefix,
-        shift_offset=d.shift_offset * p,
-    )
-
-    rng = random.Random(90121)
-    nvars = min(3, len(ctx.variables))
-    def small_element() -> AElement:
-        total = ctx.zero()
-        for _ in range(rng.randint(1, 2)):
-            var = ctx.variables[rng.randrange(nvars)]
-            lo = -2 if var.kind == LAURENT else 0
-            term = ctx.monomial({var.name: rng.randint(lo, 2)}, rng.randint(1, 3))
-            total = total + term
-        return total
-
-    for _ in range(trials):
-        u, v = small_element(), small_element()
-        du = ctx.apply_derivation(new_d, u)
-        dv = ctx.apply_derivation(new_d, v)
-        if ctx.apply_derivation(new_d, u * v) != du * v + u * dv:
-            raise InternalError(f"Leibniz identity failed for {name}")
-        iterated = u
-        for _ in range(p):
-            iterated = ctx.apply_derivation(d, iterated)
-        if du != iterated:
-            raise InternalError(f"{name} disagrees with {p}-fold application")
-    return new_d
-
-
-def wronskian_witness(
-    derivations: list[Derivation], candidates: list[AElement], ctx: Context
-) -> tuple[list[AElement], AElement] | None:
-    """First candidate subset whose derivative matrix has nonzero determinant.
-
-    Searches subsets in deterministic (input) order; the determinant is
-    computed by exact cofactor expansion over the coefficient algebra.
-    """
-    n = len(derivations)
-    if n == 0:
-        raise UsageError("need at least one derivation")
-    for a in candidates:
-        if a.is_zero():
-            raise UsageError("candidates must be nonzero")
-    for combo in itertools.combinations(candidates, n):
-        matrix = [[ctx.apply_derivation(ds, ar) for ar in combo] for ds in derivations]
-        det = _determinant(ctx, matrix)
-        if not det.is_zero():
-            return list(combo), det
-    return None
-
-
-def _determinant(ctx: Context, matrix: list[list[AElement]]) -> AElement:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = ctx.zero()
-    for col in range(n):
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = matrix[0][col] * _determinant(ctx, minor)
-        total = total + (term if col % 2 == 0 else -term)
-    return total

@@ -13,7 +13,7 @@ Schema (all keys lowercase):
     variable_cap    int, optional (lazy shift-variable hard cap, default 64)
     window          {"max_level": int, "bounds": {var: [lo, hi], ...}}
     basis_cap       int, optional (default 5000)
-    margin          exact fraction string, optional (default "1/2")
+    margin          exact fraction string in [0, 1), optional (default "1/2")
     group_algebra   bool, optional; when true the scenario models a group
                     algebra on Laurent variables and every derivation must be
                     an euler_weights derivation whose integer weight matrix
@@ -38,7 +38,7 @@ from importlib import resources
 from pathlib import Path
 
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
-from .errors import ValidationError, WeylTypeError
+from .errors import UsageError, ValidationError, WeylTypeError
 from .fields import RATIONAL, FieldSpec, PRIME_KIND, RATIONAL_KIND
 from .linalg import RowReducer
 from .operators import WeylElement
@@ -130,6 +130,26 @@ def _bool(value, what: str, violations: list[str]) -> bool:
         return value
     violations.append(f"{what} must be true or false, not {value!r}")
     return False
+
+
+def parse_margin(text) -> Fraction:
+    """The interior margin written as an exact fraction string such as "1/2"
+    or "0.25"; UsageError unless it is one and 0 <= margin < 1.
+
+    Numbers are refused: a JSON 0.1 is a binary float, not 1/10.  Exponent
+    notation is refused too, since "1e-999999999" would build a huge integer.
+    """
+    if not isinstance(text, str):
+        raise UsageError(f"margin must be a fraction string such as \"1/2\", not {text!r}")
+    try:
+        if "e" in text.lower():
+            raise ValueError(text)
+        margin = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed margin {text!r}") from None
+    if not (0 <= margin < 1):
+        raise UsageError("margin must satisfy 0 <= margin < 1")
+    return margin
 
 
 def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
@@ -278,11 +298,9 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
             violations.append(f"window: {exc}")
 
     try:
-        margin = Fraction(data.get("margin", "1/2"))
-        if not (0 <= margin < 1):
-            violations.append("margin must satisfy 0 <= margin < 1")
-    except (TypeError, ValueError, ZeroDivisionError):
-        violations.append(f"malformed margin {data.get('margin')!r}")
+        margin = parse_margin(data.get("margin", "1/2"))
+    except UsageError as exc:
+        violations.append(str(exc))
         margin = DEFAULT_MARGIN
 
     sdata = _get(data, "sample", dict, {}, violations)

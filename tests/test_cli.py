@@ -279,6 +279,24 @@ def test_bad_margin_rejected():
         load_scenario_mapping(data)
 
 
+@pytest.mark.parametrize("margin", [0.1, False])
+def test_margin_must_be_a_fraction_string(capsys, tmp_path, margin):
+    # Fraction() would read the float 0.1 as 3602879701896397/36028797018963968
+    # and false as 0/1.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(margin=margin)))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert "margin must be a fraction string" in err
+
+
+@pytest.mark.parametrize("margin", ["1/0", "1e-5", "half"])
+def test_margin_override_is_validated_like_the_file(capsys, s_weyl, margin):
+    # Fraction("1/0") raises ZeroDivisionError with the bare message
+    # "Fraction(1, 0)", which names no option.
+    err = _assert_usage_error(capsys, s_weyl, "probe", "--margin", margin)
+    assert f"malformed margin {margin!r}" in err
+
+
 def test_composite_field_rejected():
     data = _scenario_dict(field={"kind": "prime", "p": 6})
     with pytest.raises(ValidationError, match="prime"):
