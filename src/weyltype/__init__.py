@@ -37,7 +37,6 @@ from .operators import (
     format_weyl,
     leading,
     lie_bracket,
-    split_constant,
     support,
     w_mul,
     wbasis,
@@ -54,7 +53,6 @@ from .probes import (
     assoc_ideal_closure_probe,
     compute_f1,
     d_simplicity_probe,
-    equal_mod_f1,
     lie_ideal_closure_probe,
     theta_kernel,
 )

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .coefficients import AElement, Context, LAURENT
+from .errors import UsageError
 from .fields import RATIONAL_KIND, Scalar
 from .multiindex import MultiIndex
 from .operators import (
@@ -216,6 +217,8 @@ ALL_SUITES = (
 
 
 def run_all_checks(ctx: Context, trials: int, seed: int, bounds: SampleBounds) -> list[CheckResult]:
+    if trials < 0:
+        raise UsageError(f"trials must be nonnegative, got {trials}")
     results = []
     for suite in ALL_SUITES:
         rng = random.Random(f"{seed}:{suite.__name__}")

@@ -20,24 +20,37 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   per context on (gamma, m).  Each entry is one derivation applied to the
   entry at gamma - e_last, so a derivative is never recomputed and the
   derivations are applied in declaration order.
-- w_mul walks gamma <= alpha depth first, generating each gamma once from
-  gamma - e_last and carrying the integer C(alpha, gamma) along.  Where
-  d^gamma(v) vanishes so does every derivative above it, and the subtree
-  is pruned.  A binomial that is zero in characteristic p skips its term
-  but not the subtree, since deeper gammas can still contribute.
-- Terms accumulate into one {monomial: scalar} bucket per output index,
-  and each bucket becomes one coefficient element at the end.
-- lie_bracket runs the same walk twice into one set of buckets, x*y with
-  sign +1 and then y*x with sign -1, and skips gamma = 0 in both.  The
-  gamma = 0 term of (u, alpha)(v, beta) is u*v at alpha + beta, and that
-  of (v, beta)(u, alpha) is v*u there; A is commutative, so they cancel.
-  A skipped term applies no derivation, so lazily created variables still
-  appear in the order the two products would create them.
+- w_mul and lie_bracket share one walk over the gammas of every term pair,
+  generating each gamma once from gamma - e_last and carrying the integer
+  C(alpha, gamma) along.  Where d^gamma(v) vanishes so does every
+  derivative above it, and the subtree is pruned.  A binomial that is zero
+  in characteristic p skips its term but not the subtree, since deeper
+  gammas can still contribute.
+- The walk is level-synchronous: each step moves every started term pair
+  one gamma level deeper.  Terms accumulate into one {monomial: scalar}
+  bucket per output index.
+- lie_bracket walks the pairs of x*y with sign +1 and those of y*x with
+  sign -1 together and skips gamma = 0 in both.  The gamma = 0 term of
+  (u, alpha)(v, beta) is u*v at alpha + beta, and that of (v, beta)(u, alpha)
+  is v*u there; A is commutative, so they cancel.
+- Without a window guard, every pair starts at once and the walk runs to
+  the end.  With a guard (max_level, monomials), a pair with
+  |alpha| + |beta| = s starts at output level s, so step by step the walk
+  fills output levels from the top down, each final when its step ends.  It
+  stops after the first finished level with a nonzero term outside the
+  window (a level above max_level, or a monomial not in the set) and
+  returns that level alone.  A finished level is final, so that element is
+  a nonzero piece of the true product that already leaves the window, and a
+  closure probe discards it exactly as it would the full product.  A
+  product that fits the window is always returned whole.  In a bracket the
+  top level of x*y - y*x cancels, and the next one down is the Poisson
+  bracket of the two principal symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .coefficients import (
     AElement,
@@ -183,72 +196,109 @@ def apply_multi(ctx: Context, gamma: MultiIndex, a: AElement) -> AElement:
     return AElement(ctx, out)
 
 
-def _accumulate(
-    out: dict[MultiIndex, dict[Monomial, Scalar]],
-    x: WeylElement,
-    y: WeylElement,
-    sign: int,
-    skip_gamma_zero: bool,
-) -> None:
-    """Add sign * x*y into the per-index buckets of `out`.
+def _leaves_window(level: int, buckets: dict, guard: tuple[int, frozenset]) -> bool:
+    """Whether a finished level holds a nonzero term outside the guarded window."""
+    max_level, inside = guard
+    for bucket in buckets.values():
+        for m, c in bucket.items():
+            if c and (level > max_level or m not in inside):
+                return True
+    return False
 
-    With skip_gamma_zero the gamma = 0 terms u*v at alpha + beta are left
-    out; lie_bracket does so because they cancel between x*y and y*x.
+
+def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylElement:
+    """Sum sign * x*y over the (x, y, sign) in `products`, one gamma level per step.
+
+    Each step moves every started term pair one gamma level deeper and adds
+    its terms u * C(alpha, gamma) * d^gamma(v) at alpha + beta - gamma.  With
+    skip_gamma_zero the gamma = 0 terms u*v are left out, since they cancel
+    in a bracket.  The guard, if any, schedules the pairs by output level and
+    may stop the walk early (see the module docstring).
     """
-    ctx = x.ctx
     spec = ctx.spec
-    for alpha, u in x.terms.items():
-        uterms = u.terms.items()
-        for beta, v in y.terms.items():
-            top = alpha.add(beta)
+    # One entry per gamma of this step: (alpha, u, v, alpha + beta, gamma,
+    # sign * C(alpha, gamma)).
+    pairs = []
+    for x, y, sign in products:
+        for alpha, u in x.terms.items():
+            uterms = u.terms.items()
+            for beta, v in y.terms.items():
+                pairs.append((alpha.entries, uterms, v, alpha.add(beta), ZERO_INDEX, sign))
+    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
+    if guard is None:
+        active, waiting = pairs, []
+    else:
+        # Highest |alpha| + |beta| first; the stable sort keeps pair order.
+        active = []
+        waiting = sorted(((p[3].level(), p) for p in pairs), key=itemgetter(0), reverse=True)
+    nxt = level = 0
+    while active or nxt < len(waiting):
+        if guard is None:
+            finished = out
+        else:
+            level = level - 1 if active else waiting[nxt][0]
+            while nxt < len(waiting) and waiting[nxt][0] == level:
+                active.append(waiting[nxt][1])
+                nxt += 1
+            finished = {}
+        deeper = []
+        for aentries, uterms, v, top, gamma, binom in active:
+            entries = gamma.entries
+            if entries or not skip_gamma_zero:
+                dv = apply_multi(ctx, gamma, v)
+                if not dv.terms:
+                    continue
+                c = spec.from_int(binom)
+                if c:
+                    bucket = finished.setdefault(top.sub(gamma), {})
+                    for dm, dc in dv.terms.items():
+                        w = dc * c
+                        for um, uc in uterms:
+                            m = um * dm
+                            t = uc * w
+                            cur = bucket.get(m)
+                            bucket[m] = t if cur is None else cur + t
             # A child raises the last nonzero entry of gamma or opens a later
             # one, so each gamma is generated once, from gamma - e_last.
-            stack = [(ZERO_INDEX, sign)]  # (gamma, sign * C(alpha, gamma) over Z)
-            while stack:
-                gamma, binom = stack.pop()
-                if gamma.entries or not skip_gamma_zero:
-                    dv = apply_multi(ctx, gamma, v)
-                    if not dv.terms:
-                        continue
-                    c = spec.from_int(binom)
-                    if c:
-                        bucket = out.setdefault(top.sub(gamma), {})
-                        for dm, dc in dv.terms.items():
-                            w = dc * c
-                            for um, uc in uterms:
-                                m = um * dm
-                                t = uc * w
-                                cur = bucket.get(m)
-                                bucket[m] = t if cur is None else cur + t
-                entries = gamma.entries
-                last, g = entries[-1] if entries else (-1, 0)
-                for i, a in alpha.entries:
-                    if i == last and g < a:
-                        child = MultiIndex(entries[:-1] + ((i, g + 1),))
-                        stack.append((child, binom * (a - g) // (g + 1)))
-                    elif i > last:
-                        stack.append((MultiIndex(entries + ((i, 1),)), binom * a))
+            last, g = entries[-1] if entries else (-1, 0)
+            for i, a in aentries:
+                if i == last and g < a:
+                    child = MultiIndex(entries[:-1] + ((i, g + 1),))
+                    deeper.append((aentries, uterms, v, top, child, binom * (a - g) // (g + 1)))
+                elif i > last:
+                    child = MultiIndex(entries + ((i, 1),))
+                    deeper.append((aentries, uterms, v, top, child, binom * a))
+        active = deeper
+        if guard is not None:
+            if _leaves_window(level, finished, guard):
+                return _from_buckets(ctx, finished)
+            out.update(finished)  # output levels are disjoint
+    return _from_buckets(ctx, out)
 
 
 def _from_buckets(ctx: Context, out: dict[MultiIndex, dict[Monomial, Scalar]]) -> WeylElement:
     return WeylElement(ctx, {idx: AElement(ctx, bucket) for idx, bucket in out.items()})
 
 
-def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Normal-ordering product; the result is again in normal form."""
+def w_mul(x: WeylElement, y: WeylElement, guard: tuple[int, frozenset] | None = None) -> WeylElement:
+    """Normal-ordering product; the result is again in normal form.
+
+    With a window guard (max_level, monomials) a product that leaves the
+    window may come back as its first finished out-of-window level only.
+    """
     x._check(y)
-    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
-    _accumulate(out, x, y, 1, False)
-    return _from_buckets(x.ctx, out)
+    return _walk(x.ctx, ((x, y, 1),), False, guard)
 
 
-def lie_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Commutator x*y - y*x, accumulated in one pass without its gamma = 0 terms."""
+def lie_bracket(
+    x: WeylElement, y: WeylElement, guard: tuple[int, frozenset] | None = None
+) -> WeylElement:
+    """Commutator x*y - y*x, accumulated in one walk without its gamma = 0 terms.
+
+    The guard works as in w_mul.
+    """
     x._check(y)
-    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
-    _accumulate(out, x, y, 1, True)
-    _accumulate(out, y, x, -1, True)
-    return _from_buckets(x.ctx, out)
+    return _walk(x.ctx, ((x, y, 1), (y, x, -1)), True, guard)
 
 
 def act(x: WeylElement, a: AElement) -> AElement:
@@ -284,13 +334,6 @@ def leading(x: WeylElement) -> LeadingData:
 
 def support(x: WeylElement) -> set[MultiIndex]:
     return set(x.terms)
-
-
-def split_constant(y: WeylElement) -> tuple[WeylElement, AElement]:
-    """Split off the zero-index coefficient: y = y_star + y0."""
-    y0 = y.a_part()
-    y_star = WeylElement(y.ctx, {a: u for a, u in y.terms.items() if not a.is_zero()})
-    return y_star, y0
 
 
 # -- printing ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from .coefficients import (
     format_monomial,
     monomial_sort_key,
 )
-from .errors import BasisCapError, UsageError, ValidationError, WindowError
+from .errors import BasisCapError, UsageError, ValidationError
 from .linalg import RowReducer, nullspace
 from .multiindex import MultiIndex, ZERO_INDEX
 from .operators import (
@@ -114,6 +114,12 @@ class Window:
         return all(
             a.level() <= self.max_level and self.a_inside(u) for a, u in x.terms.items()
         )
+
+    def guard(self, ctx: Context) -> tuple[int, frozenset]:
+        """The (max_level, monomials) guard that lets w_mul and lie_bracket stop
+        early on a product that leaves the window; it agrees with weyl_coords
+        over ad_basis, so a variable created after the window falls outside."""
+        return self.max_level, frozenset(self.a_basis(ctx))
 
     def a_basis_size(self) -> int:
         n = 1
@@ -284,19 +290,6 @@ def compute_f1(ctx: Context, window: Window) -> SubspaceBasis:
     return SubspaceBasis.from_vectors(labels, kernel, ctx.spec)
 
 
-def equal_mod_f1(x: WeylElement, y: WeylElement, f1: SubspaceBasis) -> bool:
-    """Whether two operators agree in the quotient by the central kernel."""
-    diff = x - y
-    if diff.is_zero():
-        return True
-    if not diff.is_a_only():
-        return False
-    vec = a_coords(diff.a_part(), f1.index)
-    if vec is None:
-        raise WindowError("difference leaves the window; widen it to decide")
-    return f1.contains(vec)
-
-
 # -- faithfulness -------------------------------------------------------------
 
 
@@ -461,9 +454,10 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
     the seed is the whole operator algebra.
     """
     labels = window.ad_basis(ctx)
+    guard = window.guard(ctx)
     # Both products are computed before either is looked at.
     gens = [
-        (name, lambda e, g=g: (("lmul", w_mul(g, e)), ("rmul", w_mul(e, g))))
+        (name, lambda e, g=g: (("lmul", w_mul(g, e, guard)), ("rmul", w_mul(e, g, guard))))
         for name, g in _window_generators(ctx, window)
     ]
     stop = (ZERO_INDEX, ONE_MONOMIAL)
@@ -491,8 +485,9 @@ def lie_ideal_closure_probe(
     the closure span plus the central kernel.
     """
     labels = window.ad_basis(ctx)
+    guard = window.guard(ctx)
     gens = [
-        (name, lambda e, g=g: (("bracket", lie_bracket(e, g)),))
+        (name, lambda e, g=g: (("bracket", lie_bracket(e, g, guard)),))
         for name, g in _window_generators(ctx, window)
     ]
     red, index, steps, _ = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)

@@ -188,6 +188,13 @@ def test_verify_zero_trials_vacuous(capsys, s_weyl):
     assert code == 0
 
 
+def test_verify_refuses_negative_trials(capsys, s_weyl):
+    code, out, err = run_cli(capsys, "verify", "--scenario", s_weyl, "--trials", "-3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: trials must be nonnegative, got -3"]
+
+
 def test_missing_scenario_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "probe", "--scenario", "/nonexistent.json")
     assert code == 2

@@ -21,6 +21,7 @@ from weyltype import (
     RATIONAL,
     WeylElement,
     Monomial,
+    Window,
     act,
     apply_multi,
     binom_product,
@@ -30,8 +31,10 @@ from weyltype import (
     wbasis,
     wfrom_a,
 )
+from weyltype.coefficients import LAURENT
 from weyltype.checks import SampleBounds, random_a, random_multi_index, random_weyl
 from weyltype.parser import evaluate_text
+from weyltype.probes import weyl_coords
 
 mk = MultiIndex.make
 
@@ -220,3 +223,50 @@ def test_bracket_of_coefficients_multiplies_no_monomials(mixed_ctx, monkeypatch)
     assert calls["Monomial.__mul__"] == 0
     assert lie_bracket(d, u) == expected
     assert calls["w_mul"] == 0
+
+
+# A window guard lets a product stop at its first finished level that leaves
+# the window.  Whatever fits the window must come back whole, and whatever
+# does not must come back as a nonzero element that the closure probes'
+# coordinate map refuses, so a guarded step is discarded exactly when the
+# full product would be.
+
+
+def _random_window(rng, ctx):
+    bounds = {}
+    for var in ctx.variables:
+        lo = -rng.randint(0, 2) if var.kind == LAURENT else 0
+        bounds[var.name] = (lo, rng.randint(0, 3))
+    return Window.for_context(ctx, bounds, max_level=rng.randint(0, 3), basis_cap=20_000)
+
+
+@pytest.mark.parametrize("fixture_name", CONTEXTS)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False))
+def test_guarded_products_agree_with_the_window(fixture_name, request, rng):
+    ctx = request.getfixturevalue(fixture_name)
+    window = _random_window(rng, ctx)
+    index = {lab: j for j, lab in enumerate(window.ad_basis(ctx))}
+    guard = window.guard(ctx)
+    bounds = SampleBounds(max_degree=2, max_level=2, max_terms=3, n_variables=min(3, len(ctx.variables)))
+    x = random_weyl(rng, ctx, bounds)
+    y = random_weyl(rng, ctx, bounds)
+    for product in (w_mul, lie_bracket):
+        full = product(x, y)
+        guarded = product(x, y, guard)
+        if weyl_coords(full, index) is not None:
+            assert guarded == full
+        else:
+            assert not guarded.is_zero()
+            assert weyl_coords(guarded, index) is None
+
+
+def test_guard_skips_terms_that_cancel(weyl_q):
+    # In (d1 + t)(t^4*d1 - 4*t^3 - t^5) the level-1 terms cancel, t^5 among
+    # them; level 2 fits the window and the walk must go on to level 0.
+    ctx = weyl_q
+    window = Window.for_context(ctx, {"t": (0, 4)}, max_level=2)
+    x = evaluate_text("d1 + t", ctx)
+    y = evaluate_text("t^4*d1 - 4*t^3 - t^5", ctx)
+    assert w_mul(x, y) == evaluate_text("t^4*d1^2 - t^6 - 9*t^4 - 12*t^2", ctx)
+    assert w_mul(x, y, window.guard(ctx)) == evaluate_text("-t^6 - 9*t^4 - 12*t^2", ctx)

