@@ -2,9 +2,13 @@
 coefficient algebra and a family of commuting derivations, with normal-ordered
 multiplication, the induced Lie bracket, the natural action on coefficients,
 and truncated-window probes for simplicity-style structure questions.
+
+The names below are the library surface: a context, expressions and the
+product, the window probes, and the exceptions.  Everything else is imported
+from its own module (`weyltype.operators`, `weyltype.scenario`, ...).
 """
 
-from .coefficients import AElement, Context, Derivation, Monomial, VariableSpec
+from .coefficients import Context
 from .errors import (
     BasisCapError,
     EvalError,
@@ -17,38 +21,11 @@ from .errors import (
     WeylTypeError,
     WindowError,
 )
-from .fields import RATIONAL, FieldSpec, Scalar, binom_scalar, format_scalar, parse_scalar
-from .multiindex import (
-    MINUS_INFINITY,
-    MultiIndex,
-    PAdicFactor,
-    binom_product,
-    compare,
-    lower_set,
-    p_adic_factor,
-)
-from .operators import (
-    MAX_EXPONENT,
-    LeadingData,
-    WeylElement,
-    act,
-    apply_multi,
-    format_multi_index,
-    format_weyl,
-    leading,
-    lie_bracket,
-    support,
-    w_mul,
-    wbasis,
-    wderivation,
-    wfrom_a,
-    widentity,
-    wzero,
-)
-from .parser import evaluate, evaluate_text, parse, parse_text, tokenize
+from .fields import RATIONAL, FieldSpec
+from .multiindex import MultiIndex, p_adic_factor
+from .operators import w_mul, wbasis, widentity
+from .parser import evaluate_text
 from .probes import (
-    ProbeVerdict,
-    SubspaceBasis,
     Window,
     assoc_ideal_closure_probe,
     compute_f1,
@@ -56,6 +33,14 @@ from .probes import (
     lie_ideal_closure_probe,
     theta_kernel,
 )
-from .scenario import Scenario, load_bundled, load_scenario, bundled_scenario_names
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "Context", "FieldSpec", "RATIONAL", "MultiIndex", "p_adic_factor",
+    "evaluate_text", "w_mul", "wbasis", "widentity",
+    "Window", "compute_f1", "theta_kernel", "d_simplicity_probe",
+    "assoc_ideal_closure_probe", "lie_ideal_closure_probe",
+    "WeylTypeError", "UsageError", "ValidationError", "ParseError", "EvalError",
+    "BasisCapError", "ExponentCapError", "VariableCapError", "WindowError", "InternalError",
+]

@@ -26,6 +26,10 @@ from .operators import (
     wfrom_a,
 )
 
+# All work is bounded: the mixed_flavors suites take about 9 ms a trial on
+# a 2-vCPU host, so a capped run ends within a few minutes.
+MAX_TRIALS = 10_000
+
 
 @dataclass(frozen=True)
 class SampleBounds:
@@ -219,6 +223,8 @@ ALL_SUITES = (
 def run_all_checks(ctx: Context, trials: int, seed: int, bounds: SampleBounds) -> list[CheckResult]:
     if trials < 0:
         raise UsageError(f"trials must be nonnegative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise UsageError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     results = []
     for suite in ALL_SUITES:
         rng = random.Random(f"{seed}:{suite.__name__}")

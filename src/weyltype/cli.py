@@ -2,11 +2,17 @@
 
 Commands (all take --scenario PATH):
 
-    normalize EXPR       print the canonical normal form of an expression
-    act OP ELEM          apply an operator expression to a coefficient element
-    bracket X Y          commutator of two expressions, normal form
-    probe                run the scenario's probes, emit a JSON report
-    verify               run the randomized identity suites
+    normalize EXPR [--json]      print the canonical normal form of an expression
+    act OP ELEM [--json]         apply an operator expression to a coefficient element
+    bracket X Y [--json]         commutator of two expressions, normal form
+    probe [--text] [--margin F]  run the scenario's probes, emit a JSON report
+                                 (--text: one summary line per probe instead)
+    verify [--trials N] [--seed S]
+                                 run the randomized identity suites; N is at
+                                 most checks.MAX_TRIALS (10,000)
+
+--json prints the result as a one-key JSON object.  --json and --text exist
+only on the commands shown with them; anywhere else they are a usage error.
 
 Exit codes: 0 success; 1 a probe verdict differs from the scenario's declared
 expectation (or a verify suite found a violation); 2 usage or validation
@@ -17,11 +23,13 @@ reported as one `internal error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from .checks import SampleBounds, run_all_checks
+from .checks import run_all_checks
+from .coefficients import format_a_element
 from .errors import InternalError, WeylTypeError
-from .operators import format_weyl, lie_bracket
+from .operators import act, format_weyl, lie_bracket
 from .parser import evaluate_text
 from .reports import build_report, report_bytes
 from .scenario import Scenario, load_scenario, parse_margin
@@ -40,31 +48,26 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, about, *positionals):
+        p = sub.add_parser(name, help=about)
+        for positional in positionals:
+            p.add_argument(positional)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--text", action="store_true", help="plain text output")
+        return p
 
-    p_norm = sub.add_parser("normalize", help="normal form of an expression")
-    p_norm.add_argument("expression")
-    add_common(p_norm)
+    for name, about, *positionals in (
+        ("normalize", "normal form of an expression", "expression"),
+        ("act", "apply an operator to a coefficient element", "operator", "element"),
+        ("bracket", "commutator of two expressions", "x", "y"),
+    ):
+        command(name, about, *positionals).add_argument(
+            "--json", action="store_true", help="JSON output")
 
-    p_act = sub.add_parser("act", help="apply an operator to a coefficient element")
-    p_act.add_argument("operator")
-    p_act.add_argument("element")
-    add_common(p_act)
-
-    p_br = sub.add_parser("bracket", help="commutator of two expressions")
-    p_br.add_argument("x")
-    p_br.add_argument("y")
-    add_common(p_br)
-
-    p_probe = sub.add_parser("probe", help="run the scenario's probes")
-    add_common(p_probe)
+    p_probe = command("probe", "run the scenario's probes")
+    p_probe.add_argument("--text", action="store_true", help="plain text summary")
     p_probe.add_argument("--margin", help="override the interior margin fraction")
 
-    p_verify = sub.add_parser("verify", help="run the randomized identity suites")
-    add_common(p_verify)
+    p_verify = command("verify", "run the randomized identity suites")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     return ap
@@ -72,8 +75,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 def _emit_value(args, key: str, value: str) -> None:
     if args.json:
-        import json
-
         print(json.dumps({key: value}))
     else:
         print(value)
@@ -86,15 +87,11 @@ def _cmd_normalize(args, scenario: Scenario) -> int:
 
 
 def _cmd_act(args, scenario: Scenario) -> int:
-    from .operators import act
-
     op = evaluate_text(args.operator, scenario.ctx)
     elem = evaluate_text(args.element, scenario.ctx)
     if not elem.is_a_only():
         raise WeylTypeError("the element argument must not contain derivations")
     result = act(op, elem.a_part())
-    from .coefficients import format_a_element
-
     _emit_value(args, "result", format_a_element(result))
     return EXIT_OK
 
@@ -130,13 +127,7 @@ def _cmd_probe(args, scenario: Scenario) -> int:
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:
-    bounds = SampleBounds(
-        max_degree=scenario.sample.max_degree,
-        max_level=scenario.sample.max_level,
-        max_terms=scenario.sample.max_terms,
-        n_variables=scenario.initial_variable_count,
-    )
-    results = run_all_checks(scenario.ctx, args.trials, args.seed, bounds)
+    results = run_all_checks(scenario.ctx, args.trials, args.seed, scenario.sample)
     failed = False
     for r in results:
         status = "pass" if r.passed else "FAIL"

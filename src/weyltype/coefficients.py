@@ -84,14 +84,13 @@ class Derivation:
     """A derivation of the coefficient algebra, given by generator images.
 
     Either an explicit image per covered variable, or a shift rule sending
-    the k-th variable of a named family to the (k + shift_offset)-th one, or
-    both (explicit images for variables outside the family).
+    the k-th variable of a named family to the (k + 1)-th one, or both
+    (explicit images for variables outside the family).
     """
 
     name: str
     images: dict[int, "AElement"] = field(default_factory=dict)
     shift_prefix: str | None = None
-    shift_offset: int = 1
 
     def shift_target(self, var: VariableSpec) -> int | None:
         """Family position this derivation shifts `var` to, if covered by the rule."""
@@ -100,7 +99,7 @@ class Derivation:
         m = _SHIFT_NAME_RE.match(var.name)
         if not m or m.group(1) != self.shift_prefix:
             return None
-        return int(m.group(2)) + self.shift_offset
+        return int(m.group(2)) + 1
 
     def covers(self, var: VariableSpec) -> bool:
         return var.index in self.images or self.shift_target(var) is not None
@@ -146,7 +145,6 @@ class Context:
         name: str,
         images: dict[str, "AElement"] | None = None,
         shift_prefix: str | None = None,
-        shift_offset: int = 1,
     ) -> Derivation:
         if self._frozen:
             raise UsageError("context is frozen; cannot add derivations")
@@ -158,12 +156,7 @@ class Context:
             if not isinstance(u, AElement) or u.ctx is not self:
                 raise UsageError(f"image of {var_name!r} is not an element of this algebra")
             image_by_index[var.index] = u
-        d = Derivation(
-            name=name,
-            images=image_by_index,
-            shift_prefix=shift_prefix,
-            shift_offset=shift_offset,
-        )
+        d = Derivation(name=name, images=image_by_index, shift_prefix=shift_prefix)
         self.derivations.append(d)
         self._der_by_name[name] = d
         return d
@@ -222,10 +215,6 @@ class Context:
 
     def one(self) -> "AElement":
         return AElement(self, {ONE_MONOMIAL: self.spec.one()})
-
-    def constant(self, value) -> "AElement":
-        c = self.scalar(value)
-        return AElement(self, {ONE_MONOMIAL: c} if c else {})
 
     def var(self, name: str, exponent: int = 1) -> "AElement":
         return self.monomial({name: exponent})
@@ -317,13 +306,13 @@ class Context:
             cache[(g, m)] = out
         return out
 
-    def check_commuting(self, d1: Derivation, d2: Derivation, variables=None) -> bool:
+    def check_commuting(self, d1: Derivation, d2: Derivation) -> bool:
         """True iff the commutator vanishes on every generator.
 
         The commutator of two derivations is again a derivation, so vanishing
         on generators forces vanishing on the whole generated subalgebra.
         """
-        for var in list(variables if variables is not None else self.variables):
+        for var in list(self.variables):
             x = self.var(var.name)
             lhs = self.apply_derivation(d1, self.apply_derivation(d2, x))
             rhs = self.apply_derivation(d2, self.apply_derivation(d1, x))

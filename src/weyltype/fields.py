@@ -71,9 +71,6 @@ class FieldSpec:
         else:
             raise UsageError(f"unknown field kind {self.kind!r}")
 
-    def characteristic(self) -> int:
-        return 0 if self.kind == RATIONAL_KIND else int(self.p)  # type: ignore[arg-type]
-
     def from_int(self, n: int) -> "Scalar":
         if self.kind == RATIONAL_KIND:
             return Scalar(self, n)

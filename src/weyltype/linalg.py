@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from .fields import FieldSpec, Scalar
 
-SparseVec = "dict[int, Scalar]"
-
 
 def axpy_into(target: dict, c: Scalar, row: dict) -> None:
     """target -= c * row, dropping entries that cancel to zero."""

@@ -58,7 +58,6 @@ from .coefficients import (
     Monomial,
     _signed_monomial_term,
     format_a_element,
-    format_monomial,
     join_signed,
 )
 from .errors import ExponentCapError, UsageError
@@ -362,15 +361,7 @@ def format_weyl(x: WeylElement) -> str:
         if single is None:
             parts.append((False, f"({format_a_element(u)})*{dpart}"))
         else:
-            m, c = single
-            negative = c.is_negative()
-            mag = c.abs()
-            pieces = []
-            if not mag.is_one():
-                pieces.append(str(mag))
-            if not m.is_one():
-                pieces.append(format_monomial(ctx, m))
-            pieces.append(dpart)
-            parts.append((negative, "*".join(pieces)))
+            negative, text = _signed_monomial_term(ctx, *single)
+            parts.append((negative, dpart if text == "1" else f"{text}*{dpart}"))
     return join_signed(parts)
 

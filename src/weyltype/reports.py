@@ -28,11 +28,10 @@ def fraction_text(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def run_probe(scenario: Scenario, k: int, request: ProbeRequest, f1) -> ProbeVerdict:
-    ctx, window = scenario.ctx, scenario.window
+def run_probe(scenario: Scenario, request: ProbeRequest, f1) -> ProbeVerdict:
+    ctx, window, seed = scenario.ctx, scenario.window, request.seed
     if request.kind == "theta_kernel":
         return theta_kernel(ctx, window, restrict_to_f1=request.restrict_to_f1, f1=f1)
-    seed = scenario.seeds[k]
     if request.kind == "d_simplicity":
         return d_simplicity_probe(ctx, seed.a_part(), window)
     if request.kind == "assoc_closure":
@@ -74,8 +73,8 @@ def build_report(scenario: Scenario) -> dict:
         "probes": [],
     }
     all_expected = True
-    for k, request in enumerate(scenario.probes):
-        verdict = run_probe(scenario, k, request, f1)
+    for request in scenario.probes:
+        verdict = run_probe(scenario, request, f1)
         entry: dict = {
             "kind": request.kind,
             "verdict": verdict.kind,

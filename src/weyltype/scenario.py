@@ -32,11 +32,12 @@ package's own parser, so one grammar serves both the CLI and configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from .checks import SampleBounds
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
 from .errors import UsageError, ValidationError, WeylTypeError
 from .fields import RATIONAL, FieldSpec, PRIME_KIND, RATIONAL_KIND
@@ -65,18 +66,12 @@ VERDICT_KINDS = (
 
 
 @dataclass(frozen=True)
-class SampleConfig:
-    max_degree: int = 4
-    max_level: int = 3
-    max_terms: int = 3
-
-
-@dataclass(frozen=True)
 class ProbeRequest:
     kind: str
     seed_text: str | None = None
     expect: str | None = None
     restrict_to_f1: bool = False
+    seed: WeylElement | None = None  # seed_text evaluated; None for theta_kernel
 
 
 @dataclass
@@ -87,10 +82,14 @@ class Scenario:
     window: Window
     margin: Fraction
     probes: list[ProbeRequest]
-    sample: SampleConfig
-    initial_variable_count: int
+    sample: SampleBounds
     group_algebra: bool = False
-    seeds: dict[int, WeylElement] = field(default_factory=dict)
+
+    @property
+    def initial_variable_count(self) -> int:
+        """Variables declared by the scenario or created while loading it;
+        the randomized suites sample only these."""
+        return self.sample.n_variables
 
 
 def _require(cond: bool, violations: list[str], message: str):
@@ -304,14 +303,11 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         margin = DEFAULT_MARGIN
 
     sdata = _get(data, "sample", dict, {}, violations)
-    sample = SampleConfig(
-        max_degree=_int(sdata.get("max_degree", 4), "sample max_degree", violations),
-        max_level=_int(sdata.get("max_level", 3), "sample max_level", violations),
-        max_terms=_int(sdata.get("max_terms", 3), "sample max_terms", violations),
-    )
+    default = SampleBounds()
+    sample = {key: _int(sdata.get(key, getattr(default, key)), f"sample {key}", violations)
+              for key in ("max_degree", "max_level", "max_terms")}
 
     probes: list[ProbeRequest] = []
-    seeds: dict[int, WeylElement] = {}
     for k, pdata in enumerate(_get(data, "probes", list, [], violations)):
         if not _typed(pdata, dict, f"probe {k}", violations):
             continue
@@ -323,6 +319,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         if expect is not None and expect not in VERDICT_KINDS:
             violations.append(f"probe {k}: unknown expected verdict {expect!r}")
         seed_text = pdata.get("seed")
+        seed = None
         if kind == "theta_kernel":
             if seed_text is not None:
                 violations.append(f"probe {k}: theta_kernel takes no seed")
@@ -335,8 +332,6 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                     violations.append(f"probe {k}: d_simplicity seed must be coefficient-only")
                 elif seed.is_zero():
                     violations.append(f"probe {k}: seed evaluates to zero")
-                else:
-                    seeds[k] = seed
             except WeylTypeError as exc:
                 violations.append(f"probe {k}: seed {seed_text!r}: {exc}")
         probes.append(
@@ -346,6 +341,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                 expect=expect,
                 restrict_to_f1=_bool(pdata.get("restrict_to_f1", False),
                                      f"probe {k} restrict_to_f1", violations),
+                seed=seed,
             )
         )
 
@@ -359,10 +355,8 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         window=window,
         margin=margin,
         probes=probes,
-        sample=sample,
-        initial_variable_count=len(ctx.variables),
+        sample=SampleBounds(**sample, n_variables=len(ctx.variables)),
         group_algebra=group_algebra,
-        seeds=seeds,
     )
 
 

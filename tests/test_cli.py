@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from weyltype import cli
+from weyltype.checks import MAX_TRIALS, SampleBounds
 from weyltype.cli import main
 from weyltype.errors import InternalError, ValidationError
+from weyltype.parser import evaluate_text
 from weyltype.scenario import (
     bundled_scenario_names,
     bundled_scenario_path,
@@ -195,6 +197,36 @@ def test_verify_refuses_negative_trials(capsys, s_weyl):
     assert err.splitlines() == ["error: trials must be nonnegative, got -3"]
 
 
+@pytest.mark.parametrize("trials", ["10001", "1000000000"])
+def test_verify_caps_trials(capsys, trials):
+    # mixed_flavors takes about 9 ms a trial, so a billion trials would run for months.
+    path = str(bundled_scenario_path("mixed_flavors"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--scenario", path, "--trials", trials)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: trials must be at most {MAX_TRIALS}, got {trials}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "t", "--text"),
+    ("act", "d1", "t", "--text"),
+    ("bracket", "d1", "t", "--text"),
+    ("probe", "--json"),
+    ("verify", "--text"),
+    ("verify", "--json"),
+    ("verify", "--text", "--json"),
+])
+def test_output_flags_exist_only_where_they_act(capsys, s_weyl, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scenario", s_weyl])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_missing_scenario_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "probe", "--scenario", "/nonexistent.json")
     assert code == 2
@@ -212,6 +244,25 @@ def _scenario_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def test_loader_builds_the_sample_bounds_verify_runs():
+    scenario = load_scenario_mapping(_scenario_dict(sample={"max_degree": 2, "max_terms": 5}))
+    assert scenario.sample == SampleBounds(max_degree=2, max_level=3, max_terms=5, n_variables=1)
+    for name in ALL_SCENARIOS:
+        scenario = load_bundled(name)
+        assert isinstance(scenario.sample, SampleBounds)
+        assert scenario.sample.n_variables == scenario.initial_variable_count
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_probe_requests_carry_their_evaluated_seeds(name):
+    scenario = load_bundled(name)
+    for request in scenario.probes:
+        if request.kind == "theta_kernel":
+            assert request.seed is None
+        else:
+            assert request.seed == evaluate_text(request.seed_text, scenario.ctx)
 
 
 def test_noncommuting_derivations_fail_validation_before_probes():

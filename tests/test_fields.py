@@ -6,16 +6,8 @@ from hypothesis import strategies as st
 
 import random
 
-from weyltype import (
-    FieldSpec,
-    RATIONAL,
-    Scalar,
-    UsageError,
-    binom_scalar,
-    format_scalar,
-    parse_scalar,
-    w_mul,
-)
+from weyltype import FieldSpec, RATIONAL, UsageError, w_mul
+from weyltype.fields import Scalar, binom_scalar, format_scalar, parse_scalar
 from weyltype.checks import SampleBounds, random_weyl
 from weyltype.fields import MAX_MODULUS, is_prime
 from weyltype.parser import evaluate_text

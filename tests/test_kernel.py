@@ -14,24 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weyltype import (
-    Context,
-    FieldSpec,
-    MultiIndex,
-    RATIONAL,
-    WeylElement,
-    Monomial,
-    Window,
-    act,
-    apply_multi,
-    binom_product,
-    lie_bracket,
-    lower_set,
-    w_mul,
-    wbasis,
-    wfrom_a,
-)
-from weyltype.coefficients import LAURENT
+from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, w_mul, wbasis
+from weyltype.coefficients import LAURENT, Monomial
+from weyltype.multiindex import binom_product, lower_set
+from weyltype.operators import WeylElement, act, apply_multi, lie_bracket, wfrom_a
 from weyltype.checks import SampleBounds, random_a, random_multi_index, random_weyl
 from weyltype.parser import evaluate_text
 from weyltype.probes import weyl_coords

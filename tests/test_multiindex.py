@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weyltype import (
-    FieldSpec,
+import weyltype
+from weyltype import FieldSpec, MultiIndex, RATIONAL, UsageError, p_adic_factor
+from weyltype.multiindex import (
     MINUS_INFINITY,
-    MultiIndex,
-    RATIONAL,
-    UsageError,
+    ZERO_INDEX,
+    PAdicFactor,
     binom_product,
     compare,
     lower_set,
-    p_adic_factor,
 )
-import weyltype
-from weyltype.multiindex import PAdicFactor, ZERO_INDEX
 
 F5 = FieldSpec("prime", 5)
 

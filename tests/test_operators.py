@@ -2,27 +2,22 @@ import random
 
 import pytest
 
-from weyltype import (
+from weyltype import ExponentCapError, MultiIndex, UsageError, w_mul, wbasis, widentity
+from weyltype.multiindex import MINUS_INFINITY
+from weyltype.operators import (
     MAX_EXPONENT,
-    MINUS_INFINITY,
-    ExponentCapError,
-    MultiIndex,
-    UsageError,
     WeylElement,
     act,
     apply_multi,
+    format_weyl,
     leading,
     lie_bracket,
     support,
-    w_mul,
-    wbasis,
     wderivation,
     wfrom_a,
-    widentity,
     wzero,
 )
 from weyltype.checks import SampleBounds, random_a, random_weyl
-from weyltype.operators import format_weyl
 
 mk = MultiIndex.make
 

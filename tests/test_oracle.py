@@ -12,7 +12,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from weyltype import RATIONAL, Context, act, lie_bracket, w_mul  # noqa: E402
+from weyltype import RATIONAL, Context, w_mul  # noqa: E402
+from weyltype.operators import act, lie_bracket  # noqa: E402
 from weyltype.checks import SampleBounds, random_a, random_weyl  # noqa: E402
 from weyltype.coefficients import LAURENT, POLYNOMIAL  # noqa: E402
 

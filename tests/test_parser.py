@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from weyltype import EvalError, ParseError, act, evaluate_text, w_mul, wderivation, wfrom_a, widentity
+from weyltype import EvalError, ParseError, evaluate_text, w_mul, widentity
+from weyltype.operators import act, wderivation, wfrom_a
 from weyltype.checks import SampleBounds, random_a, random_weyl
 from weyltype.operators import format_weyl
 from weyltype.parser import (

@@ -14,23 +14,19 @@ from weyltype import (
     ValidationError,
     WindowError,
     Window,
-    act,
     assoc_ideal_closure_probe,
     compute_f1,
     d_simplicity_probe,
     evaluate_text,
-    lie_bracket,
     lie_ideal_closure_probe,
     theta_kernel,
     w_mul,
     wbasis,
-    wderivation,
-    wfrom_a,
     widentity,
 )
 from weyltype import operators, probes
 from weyltype.linalg import RowReducer
-from weyltype.operators import format_weyl
+from weyltype.operators import act, format_weyl, lie_bracket, wderivation, wfrom_a
 from weyltype.probes import (
     KERNEL_NONZERO,
     KERNEL_ZERO,
@@ -504,7 +500,7 @@ def _step_chains(scenario) -> dict[int, str]:
     out = {}
     for k, request in enumerate(scenario.probes):
         if request.kind != "theta_kernel":
-            steps = run_probe(scenario, k, request, f1).steps
+            steps = run_probe(scenario, request, f1).steps
             text = "".join(f"{s.op} {s.generator} {s.parent}\n" for s in steps)
             out[k] = hashlib.sha256(text.encode()).hexdigest()
     return out
@@ -531,7 +527,7 @@ def test_guard_bounds_the_lie_closure_work(monkeypatch):
     # outside it; computed in full, this probe makes 27,235 apply_multi calls.
     scenario = load_scenario(PERFBENCH / "scenarios" / "closure_wide.json")
     f1 = compute_f1(scenario.ctx, scenario.window)
-    (k, request), = [(k, r) for k, r in enumerate(scenario.probes) if r.kind == "lie_closure"]
+    request, = [r for r in scenario.probes if r.kind == "lie_closure"]
     calls = [0]
     original = operators.apply_multi
 
@@ -540,7 +536,7 @@ def test_guard_bounds_the_lie_closure_work(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(operators, "apply_multi", counted)
-    run_probe(scenario, k, request, f1)
+    run_probe(scenario, request, f1)
     assert 0 < calls[0] <= 18_000
 
 
