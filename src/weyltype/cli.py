@@ -40,8 +40,16 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints a usage error as one `error: <message>` line and exits 2, like
+    every other usage error; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {' '.join(message.split())}\n")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="weyltype",
         description="Exact computer algebra for operator algebras built from "
         "commuting derivations, with truncated-window structure probes.",

@@ -2,10 +2,12 @@
 Laurent arithmetic over an exact field, plus derivations given by images on
 generators and extended by the Leibniz rule.
 
-A Context owns the field, the declared variables, and the registered
-derivations.  Contexts are frozen after validation; the only mutation ever
-allowed afterwards is the lazy, append-only registration of new variables by
-a shift-rule derivation (bounded by a hard cap).
+A Context owns the field, the declared variables, the registered
+derivations and one derivative cache.  Contexts are frozen after validation;
+the only mutation ever allowed afterwards is the lazy, append-only
+registration of new variables by a shift-rule derivation (bounded by a hard
+cap), and the cache only gains entries.  Images and cache entries are raw
+{Monomial: Scalar} dicts, so refcounting alone frees a dropped Context.
 """
 
 from __future__ import annotations
@@ -85,11 +87,13 @@ class Derivation:
 
     Either an explicit image per covered variable, or a shift rule sending
     the k-th variable of a named family to the (k + 1)-th one, or both
-    (explicit images for variables outside the family).
+    (explicit images, raw term dicts, for variables outside the family).
+    `index` is its position in the owning context's declaration order.
     """
 
     name: str
-    images: dict[int, "AElement"] = field(default_factory=dict)
+    index: int
+    images: dict[int, dict[Monomial, Scalar]] = field(default_factory=dict)
     shift_prefix: str | None = None
 
     def shift_target(self, var: VariableSpec) -> int | None:
@@ -116,8 +120,8 @@ class Context:
         self._by_name: dict[str, VariableSpec] = {}
         self._der_by_name: dict[str, Derivation] = {}
         self._frozen = False
-        self._dcache: dict[tuple[str, Monomial], "AElement"] = {}
-        self._mdcache: dict[tuple[MultiIndex, Monomial], "AElement"] = {}
+        # (gamma, m) -> raw terms of d^gamma(m); |gamma| = 1 holds d_i(m).
+        self._dcache: dict[tuple[MultiIndex, Monomial], dict[Monomial, Scalar]] = {}
 
     # -- declaration ------------------------------------------------------
 
@@ -150,13 +154,13 @@ class Context:
             raise UsageError("context is frozen; cannot add derivations")
         if name in self._der_by_name or name in self._by_name:
             raise UsageError(f"name {name!r} already in use")
-        image_by_index: dict[int, AElement] = {}
+        image_by_index: dict[int, dict[Monomial, Scalar]] = {}
         for var_name, u in (images or {}).items():
             var = self.variable(var_name)
             if not isinstance(u, AElement) or u.ctx is not self:
                 raise UsageError(f"image of {var_name!r} is not an element of this algebra")
-            image_by_index[var.index] = u
-        d = Derivation(name=name, images=image_by_index, shift_prefix=shift_prefix)
+            image_by_index[var.index] = u.terms
+        d = Derivation(name, len(self.derivations), image_by_index, shift_prefix)
         self.derivations.append(d)
         self._der_by_name[name] = d
         return d
@@ -200,9 +204,8 @@ class Context:
         return d
 
     def derivation_index(self, d: Derivation) -> int:
-        for i, known in enumerate(self.derivations):
-            if known is d:
-                return i
+        if d.index < len(self.derivations) and self.derivations[d.index] is d:
+            return d.index
         raise UsageError(f"derivation {d.name!r} is not registered in this context")
 
     # -- element factories --------------------------------------------------
@@ -236,29 +239,20 @@ class Context:
     def _image(self, d: Derivation, var: VariableSpec) -> "AElement":
         explicit = d.images.get(var.index)
         if explicit is not None:
-            return explicit
+            return AElement(self, explicit)
         target = d.shift_target(var)
         if target is None:
             raise UsageError(f"derivation {d.name} does not cover variable {var.name}")
-        target_name = f"{d.shift_prefix}{target}"
-        if target_name not in self._by_name:
-            # The shift family auto-extends; intermediate members are created
-            # too so family positions always match declaration order.
-            base = _SHIFT_NAME_RE.match(var.name)
-            pos = int(base.group(2)) + 1  # type: ignore[union-attr]
-            while f"{d.shift_prefix}{pos}" in self._by_name:
-                pos += 1
-            while pos <= target:
-                self._register_variable(f"{d.shift_prefix}{pos}", POLYNOMIAL)
-                pos += 1
-        return self.var(target_name)
+        # The shift family grows on demand; target is always var's position + 1.
+        name = f"{d.shift_prefix}{target}"
+        if name not in self._by_name:
+            self._register_variable(name, POLYNOMIAL)
+        return self.var(name)
 
-    def _monomial_derivative(self, d: Derivation, m: Monomial) -> "AElement":
-        cached = None
-        key = None
-        if d is self._der_by_name.get(d.name):
-            key = (d.name, m)
-            cached = self._dcache.get(key)
+    def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, Scalar]:
+        """Raw terms of d(m), cached under (e_d, m); do not mutate them."""
+        key = (MultiIndex.single(d.index), m)
+        cached = self._dcache.get(key)
         if cached is not None:
             return cached
         total = self.zero()
@@ -268,29 +262,31 @@ class Context:
             rest[i] = e - 1
             factor = AElement(self, {Monomial.make(rest): self.spec.from_int(e)})
             total = total + factor * self._image(d, var)
-        if key is not None:
-            self._dcache[key] = total
-        return total
+        self._dcache[key] = total.terms
+        return total.terms
 
     def apply_derivation(self, d: Derivation, u: "AElement") -> "AElement":
         """Leibniz-linear extension of the generator images to all of A."""
         if u.ctx is not self:
             raise UsageError("element belongs to a different context")
+        self.derivation_index(d)  # refuses a derivation of another context
         total = self.zero()
         for m, c in u.terms.items():
-            total = total + self._monomial_derivative(d, m) * c
+            terms = self._monomial_derivative(d, m)
+            total = total + AElement(self, {dm: dc * c for dm, dc in terms.items()})
         return total
 
-    def multi_derivative(self, gamma: MultiIndex, m: Monomial) -> "AElement":
-        """d^gamma(m) for one monomial, memoized per (gamma, m).
+    def multi_derivative(self, gamma: MultiIndex, m: Monomial) -> dict[Monomial, Scalar]:
+        """Raw terms of d^gamma(m) for one monomial, memoized per (gamma, m).
 
         Each entry is built from the entry at gamma - e_last by one
         apply_derivation of the last derivation in gamma, so the derivations
         are applied in declaration order, exactly as iterated application
         does, whether or not the context is frozen.  Once an entry is zero,
-        every entry above it along the chain is too.
+        every entry above it along the chain is too.  The caller must not
+        mutate the result.
         """
-        cache = self._mdcache
+        cache = self._dcache
         pending = []
         out = cache.get((gamma, m))
         while out is None and gamma.entries:
@@ -299,10 +295,11 @@ class Context:
             gamma = MultiIndex(tuple(head) + (((i, e - 1),) if e > 1 else ()))
             out = cache.get((gamma, m))
         if out is None:
-            out = AElement(self, {m: self.spec.one()})
+            out = {m: self.spec.one()}
         for g in reversed(pending):
             if out:
-                out = self.apply_derivation(self.derivations[g.entries[-1][0]], out)
+                d = self.derivations[g.entries[-1][0]]
+                out = self.apply_derivation(d, AElement(self, out)).terms
             cache[(g, m)] = out
         return out
 

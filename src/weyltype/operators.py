@@ -16,10 +16,12 @@ the coefficient algebra becomes an algebra homomorphism.
 
 Evaluation (w_mul, lie_bracket, act, apply_multi):
 
-- d^gamma(m) for a monomial m comes from Context.multi_derivative, memoized
-  per context on (gamma, m).  Each entry is one derivation applied to the
-  entry at gamma - e_last, so a derivative is never recomputed and the
-  derivations are applied in declaration order.
+- d^gamma(m) for a monomial m comes from Context.multi_derivative as raw
+  {monomial: scalar} terms, cached per context on (gamma, m) in the one
+  derivative cache whose |gamma| = 1 entries are the first derivatives.
+  Each entry is one derivation applied to the entry at gamma - e_last, so a
+  derivative is never recomputed and the derivations are applied in
+  declaration order.  apply_multi sums those terms into an AElement.
 - w_mul and lie_bracket share one walk over the gammas of every term pair,
   generating each gamma once from gamma - e_last and carrying the integer
   C(alpha, gamma) along.  Where d^gamma(v) vanishes so does every
@@ -188,7 +190,7 @@ def apply_multi(ctx: Context, gamma: MultiIndex, a: AElement) -> AElement:
         return a
     out: dict[Monomial, Scalar] = {}
     for m, c in a.terms.items():
-        for dm, dc in ctx.multi_derivative(gamma, m).terms.items():
+        for dm, dc in ctx.multi_derivative(gamma, m).items():
             t = dc * c
             cur = out.get(dm)
             out[dm] = t if cur is None else cur + t

@@ -16,6 +16,7 @@ run concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -143,8 +144,12 @@ class Window:
         return out
 
     def multi_indices(self, ctx: Context) -> list[MultiIndex]:
-        """All derivation multi-indices up to the level bound, ascending."""
+        """All derivation multi-indices up to the level bound, ascending; their
+        count is checked against the cap before any is listed."""
         n = len(ctx.derivations)
+        count = math.comb(self.max_level + n, n)
+        if count > self.basis_cap:
+            raise BasisCapError(f"window has {count} derivation multi-indices, cap {self.basis_cap}")
         out = []
         for total in range(self.max_level + 1):
             for combo in _compositions(total, n):

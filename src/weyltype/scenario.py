@@ -40,7 +40,7 @@ from pathlib import Path
 from .checks import SampleBounds
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
 from .errors import UsageError, ValidationError, WeylTypeError
-from .fields import RATIONAL, FieldSpec, PRIME_KIND, RATIONAL_KIND
+from .fields import RATIONAL, FieldSpec, RATIONAL_KIND
 from .linalg import RowReducer
 from .operators import WeylElement
 from .parser import evaluate_text
@@ -163,18 +163,12 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
     if not isinstance(field_data, dict):
         violations.append("missing or malformed 'field'")
     else:
-        try:
-            kind = field_data.get("kind")
-            if kind == RATIONAL_KIND:
-                spec = RATIONAL
-            elif kind == PRIME_KIND:
-                p = _int(field_data.get("p"), "field p", violations, None)
-                if p is not None:
-                    spec = FieldSpec(PRIME_KIND, p)
-            else:
-                violations.append(f"unknown field kind {kind!r}")
-        except WeylTypeError as exc:
-            violations.append(f"field: {exc}")
+        kind, p = field_data.get("kind"), field_data.get("p")
+        if p is None or _int(p, "field p", violations, None) is not None:
+            try:  # FieldSpec's own checks are the only ones
+                spec = RATIONAL if (kind, p) == (RATIONAL_KIND, None) else FieldSpec(kind, p)
+            except WeylTypeError as exc:
+                violations.append(f"field: {exc}")
     if spec is None:
         raise ValidationError(violations)
 
@@ -366,8 +360,12 @@ def load_scenario(path) -> Scenario:
         data = json.loads(p.read_text())
     except FileNotFoundError:
         raise ValidationError([f"scenario file not found: {p}"])
+    except OSError as exc:
+        raise ValidationError([f"cannot read scenario file {p}: {exc.strerror or exc}"])
     except json.JSONDecodeError as exc:
         raise ValidationError([f"scenario file is not valid JSON: {exc}"])
+    except RecursionError:
+        raise ValidationError([f"scenario file {p} nests too deeply"])
     return load_scenario_mapping(data, name_hint=p.stem)
 
 

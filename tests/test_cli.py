@@ -512,3 +512,56 @@ def test_large_prime_modulus_is_decided_quickly(tmp_path):
     proc = _run_module("normalize", "d1", "--scenario", str(huge))
     assert proc.returncode == 2
     assert "too large" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _assert_quick_usage_error(capsys, path, *argv):
+    start = time.perf_counter()
+    err = _assert_usage_error(capsys, path, *argv)
+    assert time.perf_counter() - start < 1.0
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--json"],
+    ["verify", "--trials", "abc"],
+    [],
+])
+def test_argparse_usage_errors_print_one_line(capsys, s_weyl, argv):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--scenario", s_weyl])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_directory_as_scenario_is_a_usage_error(capsys, tmp_path):
+    err = _assert_quick_usage_error(capsys, tmp_path, "probe")
+    assert "cannot read scenario file" in err
+
+
+def test_deeply_nested_scenario_file_is_a_usage_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    err = _assert_quick_usage_error(capsys, deep, "probe")
+    assert "nests too deeply" in err
+
+
+@pytest.mark.parametrize("p", [7, "x"])
+def test_rational_field_takes_no_modulus(capsys, tmp_path, p):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(field={"kind": "rational", "p": p})))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert "field" in err
+
+
+def test_window_level_is_checked_before_enumerating(capsys, tmp_path):
+    # mixed_flavors has three derivations: C(403, 3) = 10,827,401 multi-indices.
+    data = json.loads(bundled_scenario_path("mixed_flavors").read_text())
+    data["window"]["max_level"] = 400
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(data))
+    err = _assert_quick_usage_error(capsys, wide, "probe")
+    assert "10827401 derivation multi-indices" in err

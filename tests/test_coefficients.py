@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weyltype
 from weyltype import (
     Context,
     FieldSpec,
@@ -93,6 +99,25 @@ def test_shift_cap_is_enforced():
         u = ctx.apply_derivation(d, u)
     with pytest.raises(VariableCapError):
         ctx.apply_derivation(d, u)
+
+
+def _shift_context():
+    ctx = Context(RATIONAL, variable_cap=16)
+    ctx.add_variable("x1")
+    ctx.add_derivation("d1", shift_prefix="x")
+    return ctx.freeze()
+
+
+def test_derivation_of_another_context_is_refused(weyl_q, euler_q):
+    # A shift rule would silently compute in the wrong context, and explicit
+    # images would mix the two contexts' coefficients.
+    a, b = _shift_context(), _shift_context()
+    with pytest.raises(UsageError, match="not registered in this context"):
+        a.apply_derivation(b.derivation("d1"), a.var("x1"))
+    for u in (weyl_q.var("t"), weyl_q.one()):
+        with pytest.raises(UsageError, match="not registered in this context"):
+            weyl_q.apply_derivation(euler_q.derivation("d1"), u)
+    assert a.apply_derivation(a.derivation("d1"), a.var("x1")) == a.var("x2")
 
 
 def test_commuting_checks(weyl_q):
@@ -217,3 +242,45 @@ def test_monomial_product_cancels_laurent_exponents_to_one(m):
     inverse = Monomial(tuple((i, -e) for i, e in m.exps))
     assert m * inverse == ONE_MONOMIAL
     assert m * ONE_MONOMIAL == m == ONE_MONOMIAL * m
+
+
+REFCOUNT_SCRIPT = """
+import contextlib, gc, io, json, weakref
+from weyltype import cli, coefficients
+from weyltype.scenario import bundled_scenario_names, bundled_scenario_path
+
+gc.disable()
+contexts = []
+init = coefficients.Context.__init__
+
+def tracked_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    contexts.append(weakref.ref(self))
+
+coefficients.Context.__init__ = tracked_init
+calls = [["probe", "--scenario", str(bundled_scenario_path(n))] for n in bundled_scenario_names()]
+calls += [["verify", "--trials", "3", "--scenario", str(bundled_scenario_path(n))]
+          for n in ("mixed_flavors", "shift_family")]
+codes = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "contexts": len(contexts),
+                  "alive": sum(ref() is not None for ref in contexts)}))
+"""
+
+
+def test_dropped_contexts_are_freed_by_refcounting():
+    # With the cyclic collector off, a Context that anything it owns points
+    # back at (a cached element, a derivation image) would outlive its call.
+    src = str(Path(weyltype.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", REFCOUNT_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert set(result["codes"]) == {0}
+    assert result["contexts"] >= len(result["codes"]) == 10
+    assert result["alive"] == 0

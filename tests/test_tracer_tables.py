@@ -26,3 +26,23 @@ def test_every_traced_entry_point_resolves():
     for target in targets:
         _, fn = tracer.lookup(*target)  # raises MissingEntryPoint when gone
         assert callable(fn), target
+
+
+def test_derivative_cache_reads_as_the_tracer_counts_it():
+    # The tracer counts a derivative-cache call that adds no entry to
+    # ctx._dcache as a hit, so a miss must add exactly one entry.
+    from weyltype import RATIONAL, Context
+
+    tracer = load_tracer()
+    _, derivative = tracer.lookup(*tracer.DCACHE)
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t")
+    d = ctx.add_derivation("d1", images={"t": ctx.one()})
+    ctx.freeze()
+    assert isinstance(ctx._dcache, dict)
+    m = ctx.var("t", 3).single_term()[0]
+    before = len(ctx._dcache)
+    derivative(ctx, d, m)
+    assert len(ctx._dcache) == before + 1
+    derivative(ctx, d, m)
+    assert len(ctx._dcache) == before + 1
