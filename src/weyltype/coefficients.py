@@ -8,6 +8,10 @@ the only mutation ever allowed afterwards is the lazy, append-only
 registration of new variables by a shift-rule derivation (bounded by a hard
 cap), and the cache only gains entries.  Images and cache entries are raw
 {Monomial: Scalar} dicts, so refcounting alone frees a dropped Context.
+
+The kernels pass such raw dicts around and sum them with add_terms and
+mul_terms only.  Their buffers may hold cancelled zeros; an AElement, built
+where a public function returns one, and a cache entry never do.
 """
 
 from __future__ import annotations
@@ -23,6 +27,32 @@ POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
 
 DEFAULT_VARIABLE_CAP = 64
+
+
+def add_terms(out: dict, terms: dict, c: Scalar | None = None) -> None:
+    """out += c * terms, with c = None meaning 1; a cancelled zero stays in out."""
+    for m, t in terms.items():
+        if c is not None:
+            t = t * c
+        cur = out.get(m)
+        out[m] = cur + t if cur else t
+
+
+def mul_terms(out: dict, left: dict, right: dict, c: Scalar | None = None) -> None:
+    """out += c * left * right, with c = None meaning 1; a cancelled zero stays in out."""
+    for m1, c1 in left.items():
+        if c is not None:
+            c1 = c1 * c
+        for m2, c2 in right.items():
+            m = m1 * m2
+            t = c1 * c2
+            cur = out.get(m)
+            out[m] = cur + t if cur else t
+
+
+def nonzero(terms: dict) -> dict:
+    """The terms of an accumulation buffer without its cancelled zeros."""
+    return {m: c for m, c in terms.items() if c}
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,18 +266,17 @@ class Context:
 
     # -- derivation application --------------------------------------------
 
-    def _image(self, d: Derivation, var: VariableSpec) -> "AElement":
+    def _image(self, d: Derivation, var: VariableSpec) -> dict[Monomial, Scalar]:
         explicit = d.images.get(var.index)
         if explicit is not None:
-            return AElement(self, explicit)
+            return explicit
         target = d.shift_target(var)
         if target is None:
             raise UsageError(f"derivation {d.name} does not cover variable {var.name}")
         # The shift family grows on demand; target is always var's position + 1.
         name = f"{d.shift_prefix}{target}"
-        if name not in self._by_name:
-            self._register_variable(name, POLYNOMIAL)
-        return self.var(name)
+        shifted = self._by_name.get(name) or self._register_variable(name, POLYNOMIAL)
+        return {Monomial(((shifted.index, 1),)): self.spec.one()}
 
     def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, Scalar]:
         """Raw terms of d(m), cached under (e_d, m); do not mutate them."""
@@ -255,36 +284,39 @@ class Context:
         cached = self._dcache.get(key)
         if cached is not None:
             return cached
-        total = self.zero()
+        out: dict[Monomial, Scalar] = {}
         for i, e in m.exps:
-            var = self.variables[i]
-            rest = m.to_dict()
-            rest[i] = e - 1
-            factor = AElement(self, {Monomial.make(rest): self.spec.from_int(e)})
-            total = total + factor * self._image(d, var)
-        self._dcache[key] = total.terms
-        return total.terms
+            image = self._image(d, self.variables[i])  # may register a shift variable
+            c = self.spec.from_int(e)
+            if c:  # e may vanish in characteristic p
+                rest = m.to_dict()
+                rest[i] = e - 1
+                mul_terms(out, {Monomial.make(rest): c}, image)
+        out = self._dcache[key] = nonzero(out)
+        return out
+
+    def _derive(self, d: Derivation, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+        """Accumulation buffer of d applied to raw terms, summed in one pass."""
+        out: dict[Monomial, Scalar] = {}
+        for m, c in terms.items():
+            add_terms(out, self._monomial_derivative(d, m), c)
+        return out
 
     def apply_derivation(self, d: Derivation, u: "AElement") -> "AElement":
         """Leibniz-linear extension of the generator images to all of A."""
         if u.ctx is not self:
             raise UsageError("element belongs to a different context")
         self.derivation_index(d)  # refuses a derivation of another context
-        total = self.zero()
-        for m, c in u.terms.items():
-            terms = self._monomial_derivative(d, m)
-            total = total + AElement(self, {dm: dc * c for dm, dc in terms.items()})
-        return total
+        return AElement(self, self._derive(d, u.terms))
 
     def multi_derivative(self, gamma: MultiIndex, m: Monomial) -> dict[Monomial, Scalar]:
         """Raw terms of d^gamma(m) for one monomial, memoized per (gamma, m).
 
-        Each entry is built from the entry at gamma - e_last by one
-        apply_derivation of the last derivation in gamma, so the derivations
-        are applied in declaration order, exactly as iterated application
-        does, whether or not the context is frozen.  Once an entry is zero,
-        every entry above it along the chain is too.  The caller must not
-        mutate the result.
+        Each entry is built from the entry at gamma - e_last by applying the
+        last derivation in gamma, so the derivations are applied in
+        declaration order, exactly as iterated application does, whether or
+        not the context is frozen.  Once an entry is zero, every entry above
+        it along the chain is too.  The caller must not mutate the result.
         """
         cache = self._dcache
         pending = []
@@ -298,8 +330,7 @@ class Context:
             out = {m: self.spec.one()}
         for g in reversed(pending):
             if out:
-                d = self.derivations[g.entries[-1][0]]
-                out = self.apply_derivation(d, AElement(self, out)).terms
+                out = nonzero(self._derive(self.derivations[g.entries[-1][0]], out))
             cache[(g, m)] = out
         return out
 
@@ -325,7 +356,7 @@ class AElement:
 
     def __init__(self, ctx: Context, terms: dict[Monomial, Scalar]):
         self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = nonzero(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -347,9 +378,7 @@ class AElement:
     def __add__(self, other: "AElement") -> "AElement":
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            out[m] = c if cur is None else cur + c
+        add_terms(out, other.terms)
         return AElement(self.ctx, out)
 
     def __neg__(self) -> "AElement":
@@ -362,12 +391,7 @@ class AElement:
         if isinstance(other, AElement):
             self._check(other)
             out: dict[Monomial, Scalar] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = m1 * m2
-                    c = c1 * c2
-                    cur = out.get(m)
-                    out[m] = c if cur is None else cur + c
+            mul_terms(out, self.terms, other.terms)
             return AElement(self.ctx, out)
         c = self.ctx.scalar(other)
         return AElement(self.ctx, {m: v * c for m, v in self.terms.items()})

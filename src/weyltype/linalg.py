@@ -7,6 +7,9 @@ space, the stored basis does not depend on insertion order.
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter
+
 from .fields import FieldSpec, Scalar
 
 
@@ -59,8 +62,7 @@ class RowReducer:
             c = existing.get(pivot)
             if c is not None:
                 axpy_into(existing, c, row)
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda t: t[0])
+        bisect.insort(self.rows, (pivot, row), key=itemgetter(0))
         return True
 
     def copy(self) -> "RowReducer":

@@ -130,9 +130,6 @@ class MultiIndex:
     def supp(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    def top_index(self):
-        return self.entries[-1][0] if self.entries else MINUS_INFINITY
-
     def add(self, other: "MultiIndex") -> "MultiIndex":
         return MultiIndex(merge_exponents(self.entries, other.entries))
 

@@ -21,7 +21,7 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   derivative cache whose |gamma| = 1 entries are the first derivatives.
   Each entry is one derivation applied to the entry at gamma - e_last, so a
   derivative is never recomputed and the derivations are applied in
-  declaration order.  apply_multi sums those terms into an AElement.
+  declaration order.  apply_multi sums them into raw terms, zeros dropped.
 - w_mul and lie_bracket share one walk over the gammas of every term pair,
   generating each gamma once from gamma - e_last and carrying the integer
   C(alpha, gamma) along.  Where d^gamma(v) vanishes so does every
@@ -29,8 +29,8 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   in characteristic p skips its term but not the subtree, since deeper
   gammas can still contribute.
 - The walk is level-synchronous: each step moves every started term pair
-  one gamma level deeper.  Terms accumulate into one {monomial: scalar}
-  bucket per output index.
+  one gamma level deeper.  mul_terms accumulates the terms into one
+  {monomial: scalar} bucket per output index.
 - lie_bracket walks the pairs of x*y with sign +1 and those of y*x with
   sign -1 together and skips gamma = 0 in both.  The gamma = 0 term of
   (u, alpha)(v, beta) is u*v at alpha + beta, and that of (v, beta)(u, alpha)
@@ -59,8 +59,11 @@ from .coefficients import (
     Context,
     Monomial,
     _signed_monomial_term,
+    add_terms,
     format_a_element,
     join_signed,
+    mul_terms,
+    nonzero,
 )
 from .errors import ExponentCapError, UsageError
 from .fields import Scalar
@@ -179,22 +182,19 @@ def wderivation(ctx: Context, name: str) -> WeylElement:
     return wbasis(ctx, MultiIndex.single(ctx.derivation_index(d)))
 
 
-def apply_multi(ctx: Context, gamma: MultiIndex, a: AElement) -> AElement:
-    """Iterated derivation d^gamma applied to a coefficient element.
+def apply_multi(ctx: Context, gamma: MultiIndex, terms: dict) -> dict:
+    """Iterated derivation d^gamma applied to raw coefficient terms.
 
     Sums the memoized per-monomial derivatives c * d^gamma(m), which apply
     the derivations in declaration order; they commute (validated at context
-    freeze), so the order does not affect the value.
+    freeze), so the order does not affect the value.  The result holds no zero.
     """
     if gamma.is_zero():
-        return a
+        return terms
     out: dict[Monomial, Scalar] = {}
-    for m, c in a.terms.items():
-        for dm, dc in ctx.multi_derivative(gamma, m).items():
-            t = dc * c
-            cur = out.get(dm)
-            out[dm] = t if cur is None else cur + t
-    return AElement(ctx, out)
+    for m, c in terms.items():
+        add_terms(out, ctx.multi_derivative(gamma, m), c)
+    return nonzero(out)
 
 
 def _leaves_window(level: int, buckets: dict, guard: tuple[int, frozenset]) -> bool:
@@ -217,14 +217,13 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     may stop the walk early (see the module docstring).
     """
     spec = ctx.spec
-    # One entry per gamma of this step: (alpha, u, v, alpha + beta, gamma,
-    # sign * C(alpha, gamma)).
+    # One entry per gamma of this step: (alpha, terms of u, terms of v,
+    # alpha + beta, gamma, sign * C(alpha, gamma)).
     pairs = []
     for x, y, sign in products:
         for alpha, u in x.terms.items():
-            uterms = u.terms.items()
             for beta, v in y.terms.items():
-                pairs.append((alpha.entries, uterms, v, alpha.add(beta), ZERO_INDEX, sign))
+                pairs.append((alpha.entries, u.terms, v.terms, alpha.add(beta), ZERO_INDEX, sign))
     out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
     if guard is None:
         active, waiting = pairs, []
@@ -247,18 +246,11 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
             entries = gamma.entries
             if entries or not skip_gamma_zero:
                 dv = apply_multi(ctx, gamma, v)
-                if not dv.terms:
+                if not dv:
                     continue
                 c = spec.from_int(binom)
                 if c:
-                    bucket = finished.setdefault(top.sub(gamma), {})
-                    for dm, dc in dv.terms.items():
-                        w = dc * c
-                        for um, uc in uterms:
-                            m = um * dm
-                            t = uc * w
-                            cur = bucket.get(m)
-                            bucket[m] = t if cur is None else cur + t
+                    mul_terms(finished.setdefault(top.sub(gamma), {}), dv, uterms, c)
             # A child raises the last nonzero entry of gamma or opens a later
             # one, so each gamma is generated once, from gamma - e_last.
             last, g = entries[-1] if entries else (-1, 0)
@@ -306,12 +298,10 @@ def act(x: WeylElement, a: AElement) -> AElement:
     """Natural action on the coefficient algebra; an algebra homomorphism."""
     if a.ctx is not x.ctx:
         raise UsageError("mixed contexts in action")
-    out = x.ctx.zero()
+    out: dict[Monomial, Scalar] = {}
     for alpha, u in x.terms.items():
-        da = apply_multi(x.ctx, alpha, a)
-        if not da.is_zero():
-            out = out + u * da
-    return out
+        mul_terms(out, u.terms, apply_multi(x.ctx, alpha, a.terms))
+    return AElement(x.ctx, out)
 
 
 @dataclass(frozen=True)
@@ -331,10 +321,6 @@ def leading(x: WeylElement) -> LeadingData:
         if beta is None or compare(beta, alpha) < 0:
             beta = alpha
     return LeadingData(ld=(beta, x.terms[beta]), deg=beta, lev=beta.level())
-
-
-def support(x: WeylElement) -> set[MultiIndex]:
-    return set(x.terms)
 
 
 # -- printing ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from .coefficients import (
     Monomial,
     ONE_MONOMIAL,
     POLYNOMIAL,
+    add_terms,
     format_monomial,
     monomial_sort_key,
 )
@@ -35,12 +36,12 @@ from .linalg import RowReducer, nullspace
 from .multiindex import MultiIndex, ZERO_INDEX
 from .operators import (
     WeylElement,
+    _from_buckets,
     act,
     format_weyl,
     lie_bracket,
     w_mul,
     wbasis,
-    wzero,
 )
 
 DEFAULT_BASIS_CAP = 5000
@@ -104,17 +105,6 @@ class Window:
             if i == index:
                 return lo, hi
         return (0, 0)  # variables created after the window was built
-
-    def monomial_inside(self, m: Monomial) -> bool:
-        return all(self.bound_for(i)[0] <= e <= self.bound_for(i)[1] for i, e in m.exps)
-
-    def a_inside(self, u: AElement) -> bool:
-        return all(self.monomial_inside(m) for m in u.terms)
-
-    def weyl_inside(self, x: WeylElement) -> bool:
-        return all(
-            a.level() <= self.max_level and self.a_inside(u) for a, u in x.terms.items()
-        )
 
     def guard(self, ctx: Context) -> tuple[int, frozenset]:
         """The (max_level, monomials) guard that lets w_mul and lie_bracket stop
@@ -246,12 +236,11 @@ def weyl_coords(x: WeylElement, index: dict) -> dict | None:
 
 
 def weyl_from_coords(ctx: Context, labels: list, vec: dict) -> WeylElement:
-    terms: dict[MultiIndex, AElement] = {}
+    buckets: dict[MultiIndex, dict] = {}
     for j, c in vec.items():
         alpha, m = labels[j]
-        cur = terms.get(alpha, ctx.zero())
-        terms[alpha] = cur + AElement(ctx, {m: c})
-    return WeylElement(ctx, terms)
+        buckets.setdefault(alpha, {})[m] = c
+    return _from_buckets(ctx, buckets)
 
 
 @dataclass(frozen=True)
@@ -298,23 +287,50 @@ def compute_f1(ctx: Context, window: Window) -> SubspaceBasis:
 # -- faithfulness -------------------------------------------------------------
 
 
+def _outside_products(ctx: Context, window: Window, box: set):
+    """Products of at most max_level generators (the variables, and the
+    inverses of the Laurent ones) that lie outside the window box, each once."""
+    gens = []
+    for i, _, _ in window.bounds:
+        gens.append((i, 1))
+        if ctx.variables[i].kind == LAURENT:
+            gens.append((i, -1))
+    for k in range(1, window.max_level + 1):
+        for combo in itertools.combinations_with_replacement(gens, k):
+            exps: dict[int, int] = {}
+            for i, e in combo:
+                exps[i] = exps.get(i, 0) + e
+            m = Monomial.make(exps)
+            # A combination holding both x and 1/x is a shorter product, met before.
+            if m.degree() == k and m not in box:
+                yield m
+
+
 def theta_kernel(
     ctx: Context,
     window: Window,
     restrict_to_f1: bool = False,
     f1: SubspaceBasis | None = None,
 ) -> ProbeVerdict:
-    """Kernel of the action map restricted to the window.
+    """Kernel of the action map on the window operators.
 
     Columns are the window operator basis (or, in the restricted variant,
-    kernel-coefficient multiples of the derivation monomials); a column
-    combination is in the kernel iff it kills every window coefficient
-    monomial.  The action is evaluated exactly, so a nonzero kernel element
-    is a genuine window operator acting as zero on every window monomial;
-    an empty kernel is evidence restricted to the window and labeled so.
+    kernel-coefficient multiples of the derivation monomials).  The
+    constraint rows say that a column combination kills every window
+    coefficient monomial and then every product of at most max_level
+    generators (the variables, and the inverses of the Laurent ones) that
+    lies outside the window box.  An operator W of level <= L kills all of A
+    iff it kills every product of at most L generators, since
+    W(g*f) = g*W(f) + [W, g](f) and bracketing with a coefficient lowers the
+    level (Grothendieck's inductive definition of differential operators).
+    The action is evaluated exactly, so a kernel element is a nonzero window
+    operator acting as zero on all of A.  A shift derivation has infinitely
+    many generators and gives no finite row set, so there kernel_nonzero
+    carries the window-restricted note; an empty kernel is evidence
+    restricted to the window and is always labeled so.
 
-    Constraint rows are produced lazily, one window monomial at a time, and
-    row reduction stops as soon as they reach full column rank: a full-rank
+    Constraint rows are produced lazily, one monomial at a time, and row
+    reduction stops as soon as they reach full column rank: a full-rank
     constraint matrix has kernel {0}, and adding rows cannot enlarge a
     kernel, so the monomials after that point cannot change the verdict and
     are never acted on.  A nonzero kernel consumes every row, so its
@@ -337,7 +353,7 @@ def theta_kernel(
         raise BasisCapError(f"{len(columns)} operator basis elements, cap {window.basis_cap}")
 
     def constraint_rows():
-        for am in a_labels:
+        for am in itertools.chain(a_labels, _outside_products(ctx, window, set(a_labels))):
             elem = _a_element(ctx, am)
             block: dict[Monomial, dict] = {}
             for col, b in enumerate(columns):
@@ -352,11 +368,14 @@ def theta_kernel(
     if kernel:
         witness = []
         for vec in kernel:
-            elem = wzero(ctx)
+            buckets: dict[MultiIndex, dict] = {}
             for j, c in vec.items():
-                elem = elem + columns[j].scale(c)
-            witness.append(elem)
-        return ProbeVerdict(kind=KERNEL_NONZERO, coverage=coverage, witness=witness)
+                (alpha, u), = columns[j].terms.items()
+                add_terms(buckets.setdefault(alpha, {}), u.terms, c)
+            witness.append(_from_buckets(ctx, buckets))
+        shift = any(d.shift_prefix is not None for d in ctx.derivations)
+        note = WINDOW_EVIDENCE_NOTE if shift else ""
+        return ProbeVerdict(kind=KERNEL_NONZERO, coverage=coverage, witness=witness, note=note)
     return ProbeVerdict(kind=KERNEL_ZERO, coverage=coverage, witness=[], note=WINDOW_EVIDENCE_NOTE)
 
 

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, w_mul, wbasis
-from weyltype.coefficients import LAURENT, Monomial
+from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, probes, w_mul, wbasis
+from weyltype.coefficients import LAURENT, AElement, Monomial
 from weyltype.multiindex import binom_product, lower_set
 from weyltype.operators import WeylElement, act, apply_multi, lie_bracket, wfrom_a
 from weyltype.checks import SampleBounds, random_a, random_multi_index, random_weyl
 from weyltype.parser import evaluate_text
-from weyltype.probes import weyl_coords
+from weyltype.probes import theta_kernel, weyl_coords, weyl_from_coords
 
 mk = MultiIndex.make
 
@@ -67,7 +67,7 @@ def test_kernel_matches_reference_loop(fixture_name, request):
         gamma = random_multi_index(rng, ctx, bounds)
         assert w_mul(x, y) == reference_w_mul(x, y)
         assert act(x, a) == reference_act(x, a)
-        assert apply_multi(ctx, gamma, a) == reference_apply_multi(ctx, gamma, a)
+        assert AElement(ctx, apply_multi(ctx, gamma, a.terms)) == reference_apply_multi(ctx, gamma, a)
 
 
 def test_zero_binomial_does_not_prune_deeper_gamma(laurent_euler_f5):
@@ -104,7 +104,7 @@ def test_memo_keeps_declaration_order_on_unfrozen_context():
     ctx.add_derivation("d2", images={"t": ctx.var("t", 2)})
     a = ctx.var("t", 3) + ctx.var("t")
     gamma = mk({0: 1, 1: 2})
-    assert apply_multi(ctx, gamma, a) == reference_apply_multi(ctx, gamma, a)
+    assert AElement(ctx, apply_multi(ctx, gamma, a.terms)) == reference_apply_multi(ctx, gamma, a)
     x = wbasis(ctx, mk({0: 2, 1: 1}), ctx.var("t"))
     y = wfrom_a(a)
     assert w_mul(x, y) == reference_w_mul(x, y)
@@ -256,3 +256,66 @@ def test_guard_skips_terms_that_cancel(weyl_q):
     y = evaluate_text("t^4*d1 - 4*t^3 - t^5", ctx)
     assert w_mul(x, y) == evaluate_text("t^4*d1^2 - t^6 - 9*t^4 - 12*t^2", ctx)
     assert w_mul(x, y, window.guard(ctx)) == evaluate_text("-t^6 - 9*t^4 - 12*t^2", ctx)
+
+
+# Sums are accumulated as raw terms and wrapped once, so each of these builds
+# at most one AElement per output coefficient.
+
+
+def _count_aelements(monkeypatch):
+    count = [0]
+    init = AElement.__init__
+
+    def counted(self, ctx, terms):
+        count[0] += 1
+        init(self, ctx, terms)
+
+    monkeypatch.setattr(AElement, "__init__", counted)
+    return count
+
+
+def test_act_builds_one_coefficient(mixed_ctx, monkeypatch):
+    ctx = mixed_ctx
+    u = ctx.var("t1") + ctx.var("x2", -1) * 3
+    x = WeylElement(ctx, {mk({0: i, 1: j}): u for i in range(6) for j in range(5)})
+    a = ctx.var("t1", 4) * ctx.var("t2", 3) + ctx.var("x2", 2)
+    expected = reference_act(x, a)
+    count = _count_aelements(monkeypatch)
+    assert act(x, a) == expected
+    assert len(x.terms) == 30 and count[0] == 1
+
+
+def test_weyl_from_coords_builds_one_coefficient_per_index(mixed_ctx, monkeypatch):
+    ctx = mixed_ctx
+    window = Window.for_context(ctx, {"t1": (0, 4), "t2": (0, 4), "x2": (-3, 4), "x3": (0, 0)}, 0)
+    labels = [(mk({}), m) for m in window.a_basis(ctx)]
+    vec = {j: ctx.scalar(j + 1) for j in range(len(labels))}
+    count = _count_aelements(monkeypatch)
+    x = weyl_from_coords(ctx, labels, vec)
+    assert len(vec) == 200 and count[0] == 1
+    assert len(x.a_part().terms) == 200
+
+
+def test_theta_kernel_witness_builds_one_coefficient_per_index(monkeypatch):
+    # d2 = (s + s^2)*d/dt acts as (s + s^2)*d1, so d2 - (s + s^2)*d1 kills A
+    # and its kernel vector has two entries at the index d1.
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t")
+    ctx.add_variable("s")
+    ctx.add_derivation("d1", images={"t": ctx.one(), "s": ctx.zero()})
+    ctx.add_derivation("d2", images={"t": ctx.var("s") + ctx.var("s", 2), "s": ctx.zero()})
+    ctx.freeze()
+    window = Window.for_context(ctx, {"t": (0, 1), "s": (0, 2)}, max_level=1)
+    counters = []
+    kernel = probes.nullspace
+
+    def count_from_here(*args):
+        out = kernel(*args)
+        counters.append(_count_aelements(monkeypatch))
+        return out
+
+    monkeypatch.setattr(probes, "nullspace", count_from_here)
+    verdict = theta_kernel(ctx, window)
+    monkeypatch.undo()
+    assert [str(x) for x in verdict.witness] == ["d2 + (-s^2 - s)*d1", "t*d2 + (-t*s^2 - t*s)*d1"]
+    assert 0 < counters[0][0] <= sum(len(x.terms) for x in verdict.witness)

@@ -63,13 +63,10 @@ def test_binom_product_examples():
         binom_product(mk({0: 1}), mk({0: 2}), RATIONAL)
 
 
-def test_supp_and_top_index():
-    a = mk({1: 2, 3: 1})
-    assert a.supp() == (1, 3)
-    assert a.top_index() == 3
+def test_supp():
+    assert mk({1: 2, 3: 1}).supp() == (1, 3)
     assert mk({}).supp() == ()
-    assert mk({}).top_index() is MINUS_INFINITY
-    assert mk({4: 1}).top_index() == 4
+    assert mk({4: 1}).supp() == (4,)
 
 
 def test_p_adic_factor_examples():

@@ -272,6 +272,81 @@ def test_theta_kernel_saturates_before_the_variable_cap():
     assert verdict.coverage == 1
 
 
+def test_theta_kernel_acts_on_products_outside_the_box(weyl_q):
+    # d1^2 kills 1 and t, the whole box, but sends t^2 = t*t to 2: an
+    # operator of level 2 must also kill the products of two generators.
+    w = Window.for_context(weyl_q, {"t": (0, 1)}, max_level=2)
+    verdict = theta_kernel(weyl_q, w)
+    assert verdict.kind == KERNEL_ZERO
+    assert verdict.note == "window-restricted evidence"
+
+
+def test_theta_kernel_counts_laurent_inverses_as_generators():
+    # On this box 18 operators of level <= 3 kill every monomial, yet none
+    # kills g1^2 or the other products of three generators outside it.
+    scenario = load_bundled("group_algebra_z2")
+    w = Window.for_context(scenario.ctx, {"g1": (-1, 1), "g2": (-1, 1)}, max_level=3)
+    verdict = theta_kernel(scenario.ctx, w)
+    assert verdict.kind == KERNEL_ZERO
+    assert verdict.witness == []
+
+
+def test_theta_kernel_nonzero_with_a_shift_derivation_is_window_evidence():
+    # d2 - d1 is d/dt, and its square vanishes in characteristic 2, so
+    # d1^2 + d2^2 kills A; but a shift family has infinitely many generators,
+    # so the rows never cover all of them and the verdict keeps the note.
+    ctx = Context(FieldSpec("prime", 2), variable_cap=16)
+    ctx.add_variable("t", "polynomial")
+    ctx.add_variable("x1", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.zero()}, shift_prefix="x")
+    ctx.add_derivation("d2", images={"t": ctx.one()}, shift_prefix="x")
+    ctx.freeze()
+    bounds = {v.name: (0, 0) for v in ctx.variables}  # freezing created x2, x3
+    bounds.update(t=(0, 2), x1=(0, 1))
+    w = Window.for_context(ctx, bounds, max_level=2)
+    verdict = theta_kernel(ctx, w)
+    assert verdict.kind == KERNEL_NONZERO
+    assert verdict.note == "window-restricted evidence"
+    assert span_contains_weyl(ctx, w, verdict.witness, evaluate_text("d1^2 + d2^2", ctx))
+
+
+def kills_everything(x, generators, count):
+    """x kills A iff x(1) = 0 and [x, g] kills A for every generator g;
+    bracketing with a coefficient lowers the level, so this terminates."""
+    count[0] += 1
+    if x.is_zero():
+        return True
+    if not act(x, x.ctx.one()).is_zero():
+        return False
+    return all(kills_everything(lie_bracket(x, g), generators, count) for g in generators)
+
+
+@pytest.mark.parametrize(
+    "name, bounds, level",
+    [
+        ("char2_poly", None, None),
+        ("char5_laurent_euler", None, None),
+        ("char2_poly", {"t": (0, 12)}, 4),
+        ("char5_laurent_euler", {"t": (-2, 2)}, 6),
+    ],
+)
+def test_theta_kernel_witnesses_kill_all_of_a(name, bounds, level):
+    # An oracle independent of the row reduction: the recursive check above,
+    # over the generators t and, for Laurent t, 1/t.
+    scenario = load_bundled(name)
+    ctx = scenario.ctx
+    w = scenario.window if bounds is None else Window.for_context(ctx, bounds, max_level=level)
+    verdict = theta_kernel(ctx, w)
+    assert verdict.kind == KERNEL_NONZERO
+    generators = [wfrom_a(ctx.var("t"))]
+    if ctx.variable("t").kind == "laurent":
+        generators.append(wfrom_a(ctx.var("t", -1)))
+    count = [0]
+    for x in verdict.witness:
+        assert kills_everything(x, generators, count)
+    assert count[0] > len(verdict.witness)
+
+
 # -- ideal closures ---------------------------------------------------------------
 
 
@@ -414,6 +489,8 @@ def test_assoc_closure_euler_control_divisibility(euler_q):
 def replay_closure(ctx, window, seed, verdict, bracket=False):
     """Re-run every recorded closure step without truncation and confirm the
     recorded element: nothing in the span was fabricated by the window."""
+    a_index = {m: j for j, m in enumerate(window.a_basis(ctx))}
+    ad_index = {lab: j for j, lab in enumerate(window.ad_basis(ctx))}
     elements = [seed]
     for step in verdict.steps:
         parent = elements[step.parent]
@@ -430,8 +507,10 @@ def replay_closure(ctx, window, seed, verdict, bracket=False):
         else:
             raise AssertionError(step.op)
         assert z == step.element
-        inside = window.a_inside(z) if step.op in ("mul", "derive") else window.weyl_inside(z)
-        assert inside
+        if step.op in ("mul", "derive"):
+            assert a_coords(z, a_index) is not None
+        else:
+            assert weyl_coords(z, ad_index) is not None
         elements.append(z)
 
 
