@@ -3,11 +3,14 @@ Laurent arithmetic over an exact field, plus derivations given by images on
 generators and extended by the Leibniz rule.
 
 A Context owns the field, the declared variables, the registered
-derivations and one derivative cache.  Contexts are frozen after validation;
-the only mutation ever allowed afterwards is the lazy, append-only
-registration of new variables by a shift-rule derivation (bounded by a hard
-cap), and the cache only gains entries.  Images and cache entries are raw
-{Monomial: Scalar} dicts, so refcounting alone frees a dropped Context.
+derivations and three caches: the derivative cache, and the gamma trees and
+output-index memo of the product walk in operators.py.  Contexts are frozen
+after validation; the only mutation ever allowed afterwards is the lazy,
+append-only registration of new variables by a shift-rule derivation
+(bounded by a hard cap), and the caches only gain entries.  Images and
+derivative-cache entries are raw {Monomial: Scalar} dicts, and nothing in
+the caches points back at the Context, so refcounting alone frees a dropped
+Context.
 
 The kernels pass such raw dicts around and sum them with add_terms and
 mul_terms only.  Their buffers may hold cancelled zeros; an AElement, built
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError, ValidationError, VariableCapError
 from .fields import FieldSpec, Scalar
-from .multiindex import MultiIndex, merge_exponents
+from .multiindex import MultiIndex, _set_attribute, merge_exponents
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -57,20 +60,44 @@ def nonzero(terms: dict) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class VariableSpec:
+    """A coefficient variable; `declared` is False for one a shift rule registered."""
+
     name: str
     kind: str
     index: int
+    declared: bool
 
     def __post_init__(self):
         if self.kind not in (POLYNOMIAL, LAURENT):
             raise UsageError(f"unknown variable kind {self.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class Monomial:
-    """Sorted tuple of (variable index, nonzero exponent) pairs; () is 1."""
+    """Sorted tuple of (variable index, nonzero exponent) pairs; () is 1.
 
-    exps: tuple[tuple[int, int], ...] = ()
+    Immutable, with its hash computed once at construction, like MultiIndex:
+    every monomial product is looked up in an accumulation buffer.
+    """
+
+    __slots__ = ("exps", "_hash")
+
+    def __init__(self, exps: tuple[tuple[int, int], ...] = ()):
+        _set_attribute(self, "exps", exps)
+        _set_attribute(self, "_hash", hash((exps,)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exps == other.exps
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(mapping) -> "Monomial":
@@ -152,15 +179,20 @@ class Context:
         self._frozen = False
         # (gamma, m) -> raw terms of d^gamma(m); |gamma| = 1 holds d_i(m).
         self._dcache: dict[tuple[MultiIndex, Monomial], dict[Monomial, Scalar]] = {}
+        # The gamma walk's index arithmetic (operators._walk): alpha -> root
+        # of its lazily built gamma tree, and (beta, alpha - gamma) -> the
+        # output index beta + alpha - gamma.
+        self._gamma_trees: dict[MultiIndex, object] = {}
+        self._index_memo: dict[tuple[MultiIndex, MultiIndex], MultiIndex] = {}
 
     # -- declaration ------------------------------------------------------
 
     def add_variable(self, name: str, kind: str = POLYNOMIAL) -> VariableSpec:
         if self._frozen:
             raise UsageError("context is frozen; cannot declare variables")
-        return self._register_variable(name, kind)
+        return self._register_variable(name, kind, declared=True)
 
-    def _register_variable(self, name: str, kind: str) -> VariableSpec:
+    def _register_variable(self, name: str, kind: str, declared: bool) -> VariableSpec:
         if name in self._by_name:
             raise UsageError(f"variable {name!r} already declared")
         if name in self._der_by_name:
@@ -169,7 +201,7 @@ class Context:
             raise VariableCapError(
                 f"variable cap {self.variable_cap} reached while declaring {name!r}"
             )
-        var = VariableSpec(name=name, kind=kind, index=len(self.variables))
+        var = VariableSpec(name=name, kind=kind, index=len(self.variables), declared=declared)
         self.variables.append(var)
         self._by_name[name] = var
         return var
@@ -275,7 +307,9 @@ class Context:
             raise UsageError(f"derivation {d.name} does not cover variable {var.name}")
         # The shift family grows on demand; target is always var's position + 1.
         name = f"{d.shift_prefix}{target}"
-        shifted = self._by_name.get(name) or self._register_variable(name, POLYNOMIAL)
+        shifted = self._by_name.get(name)
+        if shifted is None:
+            shifted = self._register_variable(name, POLYNOMIAL, declared=False)
         return {Monomial(((shifted.index, 1),)): self.spec.one()}
 
     def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, Scalar]:

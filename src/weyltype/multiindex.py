@@ -51,6 +51,9 @@ class _MinusInfinity:
 
 MINUS_INFINITY = _MinusInfinity()
 
+# Builds the immutable key classes (MultiIndex here, Monomial in coefficients).
+_set_attribute = object.__setattr__
+
 
 def merge_exponents(a: tuple, b: tuple, sign: int = 1) -> tuple:
     """a + sign*b for sorted (index, exponent) tuples, dropping zero exponents.
@@ -89,11 +92,36 @@ def merge_exponents(a: tuple, b: tuple, sign: int = 1) -> tuple:
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
 class MultiIndex:
-    """Sorted tuple of (derivation index, positive exponent) pairs."""
+    """Sorted tuple of (derivation index, positive exponent) pairs.
 
-    entries: tuple[tuple[int, int], ...] = ()
+    Immutable, with its hash and level computed once at construction:
+    multi-indices key the derivative cache and every output bucket, and the
+    product walk sorts term pairs by level, so both are read far more often
+    than a multi-index is built.  The hash is the one a frozen dataclass over
+    `entries` would give, so set and dict layouts do not change with it.
+    """
+
+    __slots__ = ("entries", "_hash", "_level")
+
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        _set_attribute(self, "entries", entries)
+        _set_attribute(self, "_hash", hash((entries,)))
+        _set_attribute(self, "_level", sum(e for _, e in entries))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiIndex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MultiIndex is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(mapping) -> "MultiIndex":
@@ -122,7 +150,7 @@ class MultiIndex:
         return 0
 
     def level(self) -> int:
-        return sum(e for _, e in self.entries)
+        return self._level
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -22,12 +22,19 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   Each entry is one derivation applied to the entry at gamma - e_last, so a
   derivative is never recomputed and the derivations are applied in
   declaration order.  apply_multi sums them into raw terms, zeros dropped.
-- w_mul and lie_bracket share one walk over the gammas of every term pair,
-  generating each gamma once from gamma - e_last and carrying the integer
-  C(alpha, gamma) along.  Where d^gamma(v) vanishes so does every
-  derivative above it, and the subtree is pruned.  A binomial that is zero
-  in characteristic p skips its term but not the subtree, since deeper
-  gammas can still contribute.
+- w_mul and lie_bracket share one walk over the gammas of every term pair.
+  It reads them from the context's gamma tree for alpha: a node holds
+  gamma, alpha - gamma and C(alpha, gamma) in the field (with its negative,
+  for the y*x half of a bracket), or None where the binomial is zero mod p.
+  A node's children raise the last entry of gamma or open a later one, so
+  each gamma is generated once, from gamma - e_last; they are built on the
+  node's first visit, so a pruned subtree is never built.  Where d^gamma(v)
+  vanishes so does every derivative above it, and the subtree is pruned.
+  A binomial that is zero in characteristic p skips its term but not the
+  subtree, since deeper gammas can still contribute.
+- The output index beta + (alpha - gamma) comes from the context's index
+  memo, so a repeated product builds no multi-index at all.  The tree and
+  the memo are plain dicts on the Context and die with it.
 - The walk is level-synchronous: each step moves every started term pair
   one gamma level deeper.  mul_terms accumulates the terms into one
   {monomial: scalar} bucket per output index.
@@ -207,30 +214,73 @@ def _leaves_window(level: int, buckets: dict, guard: tuple[int, frozenset]) -> b
     return False
 
 
+class _GammaNode:
+    """One gamma <= alpha of the walk, with the index arithmetic its terms need.
+
+    `rest` is alpha - gamma; `c` is C(alpha, gamma) in the field and `neg_c`
+    its negative, both None when the binomial vanishes mod p.  The children
+    are built on the first visit, so a subtree the walk prunes is never built.
+    """
+
+    __slots__ = ("alpha", "gamma", "rest", "binom", "c", "neg_c", "children")
+
+    def __init__(self, spec, alpha: MultiIndex, gamma: MultiIndex, binom: int):
+        self.alpha = alpha
+        self.gamma = gamma
+        self.rest = alpha.sub(gamma)
+        self.binom = binom
+        c = spec.from_int(binom)
+        self.c = c if c else None
+        self.neg_c = spec.from_int(-binom) if c else None
+        self.children = None
+
+    def expand(self, spec) -> list:
+        """A child raises the last nonzero entry of gamma or opens a later one,
+        so each gamma is generated once, from gamma - e_last."""
+        entries, alpha, binom = self.gamma.entries, self.alpha, self.binom
+        last, g = entries[-1] if entries else (-1, 0)
+        children = []
+        for i, a in alpha.entries:
+            if i == last and g < a:
+                child = MultiIndex(entries[:-1] + ((i, g + 1),))
+                children.append(_GammaNode(spec, alpha, child, binom * (a - g) // (g + 1)))
+            elif i > last:
+                child = MultiIndex(entries + ((i, 1),))
+                children.append(_GammaNode(spec, alpha, child, binom * a))
+        self.children = children
+        return children
+
+
 def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylElement:
     """Sum sign * x*y over the (x, y, sign) in `products`, one gamma level per step.
 
     Each step moves every started term pair one gamma level deeper and adds
-    its terms u * C(alpha, gamma) * d^gamma(v) at alpha + beta - gamma.  With
+    its terms u * C(alpha, gamma) * d^gamma(v) at beta + (alpha - gamma).  With
     skip_gamma_zero the gamma = 0 terms u*v are left out, since they cancel
     in a bracket.  The guard, if any, schedules the pairs by output level and
     may stop the walk early (see the module docstring).
     """
     spec = ctx.spec
-    # One entry per gamma of this step: (alpha, terms of u, terms of v,
-    # alpha + beta, gamma, sign * C(alpha, gamma)).
+    trees = ctx._gamma_trees
+    indices = ctx._index_memo
+    # One entry per gamma of this step: (gamma node, beta, terms of u,
+    # terms of v, sign).
     pairs = []
     for x, y, sign in products:
         for alpha, u in x.terms.items():
+            root = trees.get(alpha)
+            if root is None:
+                root = trees[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
             for beta, v in y.terms.items():
-                pairs.append((alpha.entries, u.terms, v.terms, alpha.add(beta), ZERO_INDEX, sign))
+                pairs.append((root, beta, u.terms, v.terms, sign))
     out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
     if guard is None:
         active, waiting = pairs, []
     else:
         # Highest |alpha| + |beta| first; the stable sort keeps pair order.
         active = []
-        waiting = sorted(((p[3].level(), p) for p in pairs), key=itemgetter(0), reverse=True)
+        levels = ((p[0].alpha.level() + p[1].level(), p) for p in pairs)
+        waiting = sorted(levels, key=itemgetter(0), reverse=True)
     nxt = level = 0
     while active or nxt < len(waiting):
         if guard is None:
@@ -242,25 +292,24 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                 nxt += 1
             finished = {}
         deeper = []
-        for aentries, uterms, v, top, gamma, binom in active:
-            entries = gamma.entries
-            if entries or not skip_gamma_zero:
+        for node, beta, uterms, v, sign in active:
+            gamma = node.gamma
+            if gamma.entries or not skip_gamma_zero:
                 dv = apply_multi(ctx, gamma, v)
                 if not dv:
                     continue
-                c = spec.from_int(binom)
-                if c:
-                    mul_terms(finished.setdefault(top.sub(gamma), {}), dv, uterms, c)
-            # A child raises the last nonzero entry of gamma or opens a later
-            # one, so each gamma is generated once, from gamma - e_last.
-            last, g = entries[-1] if entries else (-1, 0)
-            for i, a in aentries:
-                if i == last and g < a:
-                    child = MultiIndex(entries[:-1] + ((i, g + 1),))
-                    deeper.append((aentries, uterms, v, top, child, binom * (a - g) // (g + 1)))
-                elif i > last:
-                    child = MultiIndex(entries + ((i, 1),))
-                    deeper.append((aentries, uterms, v, top, child, binom * a))
+                c = node.c if sign > 0 else node.neg_c
+                if c is not None:
+                    key = (beta, node.rest)
+                    idx = indices.get(key)
+                    if idx is None:
+                        idx = indices[key] = beta.add(node.rest)
+                    mul_terms(finished.setdefault(idx, {}), dv, uterms, c)
+            children = node.children
+            if children is None:
+                children = node.expand(spec)
+            for child in children:
+                deeper.append((child, beta, uterms, v, sign))
         active = deeper
         if guard is not None:
             if _leaves_window(level, finished, guard):

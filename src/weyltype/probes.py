@@ -93,7 +93,7 @@ class Window:
                 violations.append(f"empty bound range for {name}")
             entries.append((var.index, lo, hi))
         for var in ctx.variables:
-            if var.index not in seen:
+            if var.declared and var.index not in seen:
                 violations.append(f"window gives no bounds for variable {var.name}")
         if violations:
             raise ValidationError(violations)
@@ -506,8 +506,17 @@ def lie_ideal_closure_probe(
 
     The interior margin compensates for boundary loss from discarding;
     the verdict is positive only if every interior basis monomial lies in
-    the closure span plus the central kernel.
+    the closure span plus the central kernel.  A sub-window whose targets all
+    lie in the kernel would make that verdict vacuous, so it is refused.
     """
+    inner = window.interior(margin)
+    targets = inner.ad_basis(ctx)
+    one = ctx.spec.one()
+    # A target above level 0 is never in f1, so only a level-0 interior can be vacuous.
+    if inner.max_level == 0 and all(
+        m in f1.index and f1.contains({f1.index[m]: one}) for _, m in targets
+    ):
+        raise UsageError("interior sub-window holds no target outside the derivation kernel")
     labels = window.ad_basis(ctx)
     guard = window.guard(ctx)
     gens = [
@@ -526,17 +535,15 @@ def lie_ideal_closure_probe(
             embedded[col] = c
         combined.add(embedded)
 
-    inner = window.interior(margin)
-    targets = inner.ad_basis(ctx)
     unreached = []
     hit = 0
     for alpha, m in targets:
-        vec = {index[(alpha, m)]: ctx.spec.one()}
+        vec = {index[(alpha, m)]: one}
         if combined.contains(vec):
             hit += 1
         else:
             unreached.append(format_weyl(wbasis(ctx, alpha, _a_element(ctx, m))))
-    coverage = Fraction(hit, len(targets)) if targets else Fraction(1)
+    coverage = Fraction(hit, len(targets))  # the refusal above leaves targets nonempty
     witness = [weyl_from_coords(ctx, labels, vec) for vec in red.vectors()]
     kind = FULL_SPAN_MOD_F1 if hit == len(targets) else PROPER_INVARIANT_SUBSPACE
     return ProbeVerdict(

@@ -246,6 +246,19 @@ def _scenario_dict(**overrides):
     return base
 
 
+def test_lie_closure_on_a_vacuous_interior_exits_2(capsys, tmp_path):
+    # The interior of t in [0, 1] at level 1 is {1}, inside the kernel of t*d/dt.
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(_scenario_dict(
+        derivations=[{"name": "d1", "euler_weights": {"t": 1}}],
+        window={"max_level": 1, "bounds": {"t": [0, 1]}},
+        probes=[{"kind": "lie_closure", "seed": "t*d1"}],
+    )))
+    code, out, err = run_cli(capsys, "probe", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: interior sub-window holds no target outside the derivation kernel\n"
+
+
 def test_loader_builds_the_sample_bounds_verify_runs():
     scenario = load_scenario_mapping(_scenario_dict(sample={"max_degree": 2, "max_terms": 5}))
     assert scenario.sample == SampleBounds(max_degree=2, max_level=3, max_terms=5, n_variables=1)

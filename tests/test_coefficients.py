@@ -244,6 +244,33 @@ def test_monomial_product_cancels_laurent_exponents_to_one(m):
     assert m * ONE_MONOMIAL == m == ONE_MONOMIAL * m
 
 
+# Monomial is a hand-written slotted class with its hash computed at
+# construction; it must behave as the frozen dataclass it replaced.
+
+
+@given(laurent_monomials)
+def test_equal_exponents_give_equal_monomials(m):
+    twin = Monomial(tuple(m.exps))
+    assert twin == m and hash(twin) == hash(m) == hash((m.exps,))
+    assert {twin: 1}[m] == 1
+    assert m != m.exps
+
+
+@given(laurent_monomials)
+def test_monomial_repr_lists_the_exponents(m):
+    assert repr(m) == f"Monomial({dict(m.exps)})"
+
+
+@given(laurent_monomials)
+def test_monomials_are_immutable(m):
+    for name in ("exps", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, ())
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    assert m == Monomial(m.exps)
+
+
 REFCOUNT_SCRIPT = """
 import contextlib, gc, io, json, weakref
 from weyltype import cli, coefficients

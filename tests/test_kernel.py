@@ -319,3 +319,76 @@ def test_theta_kernel_witness_builds_one_coefficient_per_index(monkeypatch):
     monkeypatch.undo()
     assert [str(x) for x in verdict.witness] == ["d2 + (-s^2 - s)*d1", "t*d2 + (-t*s^2 - t*s)*d1"]
     assert 0 < counters[0][0] <= sum(len(x.terms) for x in verdict.witness)
+
+
+# Each context caches the walk's index arithmetic: a gamma tree per alpha,
+# whose children are built on first visit, and the output indices
+# beta + (alpha - gamma).
+
+
+def _count_multi_indices(monkeypatch):
+    count = [0]
+    init = MultiIndex.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(MultiIndex, "__init__", counted)
+    return count
+
+
+@pytest.mark.parametrize("product", [w_mul, lie_bracket])
+def test_repeated_products_build_no_new_indices(mixed_ctx, monkeypatch, product):
+    ctx = mixed_ctx
+    x = evaluate_text("t1*d1^2*d2 + x2*d3 + t2", ctx)
+    y = evaluate_text("t1^2*x2*d2 + x3^2*t2*d1^2 + t1", ctx)
+    count = _count_multi_indices(monkeypatch)
+    first = product(x, y)
+    built = count[0]
+    assert product(x, y) == first
+    assert built > 0 and count[0] == built
+
+
+def test_vanishing_binomial_skips_its_term_in_a_cached_tree():
+    # d1 = t*d/dt over F_2: C(2, 1) = 0 skips gamma = 1, yet d1^2(t) = t, so
+    # gamma = 2 contributes, also when the second round reads the cached tree.
+    ctx = Context(FieldSpec("prime", 2))
+    ctx.add_variable("t", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.var("t")})
+    ctx.freeze()
+    d2, t = wbasis(ctx, mk({0: 2})), wfrom_a(ctx.var("t"))
+    for _ in range(2):
+        assert w_mul(d2, t) == evaluate_text("t*d1^2 + t", ctx)
+        assert lie_bracket(d2, t) == lie_bracket(t, d2) == evaluate_text("t", ctx)
+    (middle,) = ctx._gamma_trees[mk({0: 2})].children
+    assert middle.c is None and middle.neg_c is None and middle.children
+
+
+def test_gamma_trees_are_per_context():
+    # C(5, g) for 0 < g < 5 is nonzero over Q and zero over F_5, so a binomial
+    # cached by one context must not serve the other.
+    alpha = mk({0: 5})
+    firsts = []
+    for spec in (RATIONAL, FieldSpec("prime", 5)):
+        ctx = Context(spec)
+        ctx.add_variable("t", "polynomial")
+        ctx.add_derivation("d1", images={"t": ctx.one()})
+        ctx.freeze()
+        x, y = wbasis(ctx, alpha), wfrom_a(ctx.var("t", 5))
+        assert w_mul(x, y) == reference_w_mul(x, y)
+        assert lie_bracket(x, y) == reference_w_mul(x, y) - reference_w_mul(y, x)
+        firsts.append(ctx._gamma_trees[alpha].children[0])
+    assert firsts[0].c == RATIONAL.from_int(5) and firsts[1].c is None
+
+
+def test_pruned_gamma_subtrees_are_never_built(weyl_q):
+    # d1^k(t) = 0 for k >= 2, so d1^400 * t visits gamma = 0, 1, 2 only and
+    # leaves the node at gamma = 2 without children.
+    alpha = mk({0: 400})
+    w_mul(wbasis(weyl_q, alpha), wfrom_a(weyl_q.var("t")))
+    node, depth = weyl_q._gamma_trees[alpha], 0
+    while node.children is not None:
+        (node,) = node.children
+        depth += 1
+    assert depth == 2 and node.gamma == mk({0: 2})

@@ -21,11 +21,13 @@ that projected instead of discarding, or kept a partial product, would
 leave the ideal.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyltype import (
     MultiIndex,
+    UsageError,
     Window,
     assoc_ideal_closure_probe,
     compute_f1,
@@ -118,6 +120,8 @@ def cases(draw):
     return name, {"t": (lo, hi)}, level, seeds[0], seeds[1]
 
 
+VACUOUS_INTERIOR = "^interior sub-window holds no target outside the derivation kernel$"
+
 PREDICATES = {
     "nonsimple_euler": _in_t_ideal,
     "char2_poly": _in_char2_ideal,
@@ -137,8 +141,15 @@ def test_closures_of_ideal_seeds_stay_in_the_ideal(case):
     verdicts = [
         d_simplicity_probe(ctx, a_seed, window),
         assoc_ideal_closure_probe(ctx, w_seed, window),
-        lie_ideal_closure_probe(ctx, w_seed, window, compute_f1(ctx, window)),
     ]
+    f1 = compute_f1(ctx, window)
+    # The margin-1/2 interior of t in [0, 1] at level <= 1 is {1}, and f1 is
+    # Q*1 for t*d/dt: a lie_closure verdict there would be vacuous.
+    if name == "nonsimple_euler" and bounds["t"][1] < 2 and level < 2:
+        with pytest.raises(UsageError, match=VACUOUS_INTERIOR):
+            lie_ideal_closure_probe(ctx, w_seed, window, f1)
+    else:
+        verdicts.append(lie_ideal_closure_probe(ctx, w_seed, window, f1))
     for verdict in verdicts:
         assert verdict.kind != REACHES_IDENTITY
         assert all(inside(step.element) for step in verdict.steps)

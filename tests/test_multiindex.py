@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import weyltype
 from weyltype import FieldSpec, MultiIndex, RATIONAL, UsageError, p_adic_factor
+from weyltype.coefficients import Monomial
 from weyltype.multiindex import (
     MINUS_INFINITY,
     ZERO_INDEX,
@@ -151,6 +153,39 @@ def test_vandermonde_consistency(a, b, data):
             if g2.le_componentwise(b):
                 acc = acc + binom_product(a, g1, spec) * binom_product(b, g2, spec)
         assert acc == binom_product(total, gamma, spec)
+
+
+# MultiIndex is a hand-written slotted class with its hash and level computed
+# at construction; it must behave as the frozen dataclass it replaced.
+
+
+@given(indices)
+def test_equal_entries_give_equal_keys(a):
+    twin = MultiIndex(tuple(a.entries))
+    assert twin == a and hash(twin) == hash(a) == hash((a.entries,))
+    assert twin.level() == a.level() == sum(e for _, e in a.entries)
+    assert {twin: 1}[a] == 1
+    assert a != a.entries and a != Monomial(a.entries)
+
+
+@given(st.lists(indices, max_size=8))
+def test_sorting_agrees_with_compare(items):
+    assert sorted(items) == sorted(items, key=cmp_to_key(compare))
+
+
+@given(indices)
+def test_repr_lists_the_entries(a):
+    assert repr(a) == f"MultiIndex({dict(a.entries)})"
+
+
+@given(indices)
+def test_multi_indices_are_immutable(a):
+    for name in ("entries", "_hash", "_level", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, ())
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == MultiIndex(a.entries)
 
 
 def _dict_path(a: MultiIndex, b: MultiIndex, sign: int) -> dict:

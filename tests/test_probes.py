@@ -416,6 +416,40 @@ def test_lie_closure_checks_the_window_before_centrality(weyl_f5):
         lie_ideal_closure_probe(ctx, seed, wide, f1)
 
 
+VACUOUS_INTERIOR = "^interior sub-window holds no target outside the derivation kernel$"
+
+
+def test_lie_closure_refuses_an_interior_inside_the_kernel(euler_q):
+    # With t in [0, 1] and level 1 the margin-1/2 interior is {1}, and 1 lies
+    # in f1: every seed would read full_span_mod_f1, t*d1 inside the proper
+    # ideal t*A[D] among them.
+    ctx = euler_q
+    seed = evaluate_text("t*d1", ctx)
+    w = Window.for_context(ctx, {"t": (0, 1)}, max_level=1)
+    with pytest.raises(UsageError, match=VACUOUS_INTERIOR):
+        lie_ideal_closure_probe(ctx, seed, w, compute_f1(ctx, w))
+    wider = Window.for_context(ctx, {"t": (0, 2)}, max_level=1)
+    verdict = lie_ideal_closure_probe(ctx, seed, wider, compute_f1(ctx, wider))
+    assert verdict.kind == PROPER_INVARIANT_SUBSPACE and verdict.unreached == ["t"]
+
+
+def test_window_needs_no_bounds_for_variables_a_shift_rule_registered():
+    # Freezing applies both shift derivations to x1 and x2, registering x2
+    # and x3; only the declared t and x1 need bounds, and x2, x3 stay at 0.
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t", "polynomial")
+    ctx.add_variable("x1", "polynomial")
+    ctx.add_derivation("s1", images={"t": ctx.zero()}, shift_prefix="x")
+    ctx.add_derivation("d2", images={"t": ctx.one()}, shift_prefix="x")
+    ctx.freeze()
+    assert [v.name for v in ctx.variables] == ["t", "x1", "x2", "x3"]
+    w = Window.for_context(ctx, {"t": (0, 1), "x1": (0, 1)}, max_level=1)
+    assert [w.bound_for(i) for i in range(4)] == [(0, 1), (0, 1), (0, 0), (0, 0)]
+    assert len(w.a_basis(ctx)) == 4
+    with pytest.raises(ValidationError, match="no bounds for variable x1"):
+        Window.for_context(ctx, {"t": (0, 1)}, max_level=1)
+
+
 def test_lie_closure_weyl_case(weyl_q):
     ctx = weyl_q
     w = Window.for_context(ctx, {"t": (0, 6)}, max_level=3)
