@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import UsageError, ValidationError, VariableCapError
 from .fields import FieldSpec, Scalar
-from .multiindex import MultiIndex, _set_attribute, merge_exponents
+from .multiindex import MultiIndex, _forget, _KeyedRef, _set_attribute, intern, merge_exponents
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -72,32 +73,39 @@ class VariableSpec:
             raise UsageError(f"unknown variable kind {self.kind!r}")
 
 
+# exps -> weak reference to the one live Monomial with those exponents.
+_MONOMIALS: dict[tuple, _KeyedRef] = {}
+_forget_monomial = partial(_forget, _MONOMIALS)
+
+
 class Monomial:
     """Sorted tuple of (variable index, nonzero exponent) pairs; () is 1.
 
-    Immutable, with its hash computed once at construction, like MultiIndex:
-    every monomial product is looked up in an accumulation buffer.
+    Immutable and hash-consed like MultiIndex: equal monomials are one
+    object, so the accumulation buffers and the derivative cache, which
+    look up every monomial product, compare by identity.
     """
 
-    __slots__ = ("exps", "_hash")
+    __slots__ = ("exps", "__weakref__")
 
-    def __init__(self, exps: tuple[tuple[int, int], ...] = ()):
+    def __new__(cls, exps: tuple[tuple[int, int], ...] = ()):
+        ref = _MONOMIALS.get(exps)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         _set_attribute(self, "exps", exps)
-        _set_attribute(self, "_hash", hash((exps,)))
+        return intern(_MONOMIALS, exps, self, _forget_monomial)
+
+    def __reduce__(self):
+        return Monomial, (self.exps,)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
 
     @staticmethod
     def make(mapping) -> "Monomial":

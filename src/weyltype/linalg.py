@@ -3,6 +3,11 @@
 Vectors are dicts column -> nonzero scalar.  The reducer keeps its rows in
 reduced row-echelon form at all times; since RREF is unique for a given row
 space, the stored basis does not depend on insertion order.
+
+An RREF row is zero at every pivot but its own, so subtracting it from a
+vector changes no other pivot column.  Reduction therefore visits, through
+a pivot -> row map, only the pivots the vector holds, in ascending order:
+the same subtractions, in the same order, as a sweep over every row.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ class RowReducer:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.rows: list[tuple[int, dict]] = []  # (pivot column, row), pivot ascending
+        self._by_pivot: dict[int, dict] = {}  # pivot column -> its row in self.rows
 
     @property
     def rank(self) -> int:
@@ -41,10 +47,9 @@ class RowReducer:
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced against the current basis (a fresh dict)."""
         work = dict(vec)
-        for p, row in self.rows:
-            c = work.get(p)
-            if c is not None:
-                axpy_into(work, c, row)
+        by_pivot = self._by_pivot
+        for p in sorted(j for j in vec if j in by_pivot):
+            axpy_into(work, work[p], by_pivot[p])
         return work
 
     def contains(self, vec: dict) -> bool:
@@ -63,11 +68,13 @@ class RowReducer:
             if c is not None:
                 axpy_into(existing, c, row)
         bisect.insort(self.rows, (pivot, row), key=itemgetter(0))
+        self._by_pivot[pivot] = row
         return True
 
     def copy(self) -> "RowReducer":
         out = RowReducer(self.spec)
         out.rows = [(p, dict(row)) for p, row in self.rows]
+        out._by_pivot = dict(out.rows)
         return out
 
     def vectors(self) -> list[dict]:

@@ -5,13 +5,26 @@ order) to positive exponents; it labels the basis monomial of the polynomial
 algebra generated by the derivations.  The total order is graded: first by
 level (the exponent sum), then lexicographically on the smallest differing
 index.
+
+MultiIndex here and Monomial in coefficients.py are hash-consed: each keeps
+one live instance per exponent tuple, so equal keys are the same object and
+compare and hash by identity, in C.  Their tables hold the instances
+weakly, so a key lives only while something else holds it, and the keys of
+a dropped Context's caches leave with it.  An identity hash depends on the
+address, so a set of keys iterates in no fixed order; key sets are used for
+membership only (the window guard of Window.guard, set(a_labels) in
+probes.theta_kernel) and are never iterated into output.  Dicts keep
+insertion order whatever the hash, so every dict keyed by them iterates as
+before.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+import weakref
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import partial, total_ordering
 
 from .errors import UsageError
 from .fields import FieldSpec, Scalar, binom_scalar, is_prime
@@ -55,6 +68,49 @@ MINUS_INFINITY = _MinusInfinity()
 _set_attribute = object.__setattr__
 
 
+class _KeyedRef(weakref.ref):
+    """A weak reference that knows its table key.  weakref.KeyedRef does the
+    same, but its __new__ and __init__ are Python code, and every table miss
+    builds one."""
+
+    __slots__ = ("key",)
+
+
+# Guards the intern tables' check-then-insert and check-then-delete steps.
+# Reentrant, since a collection run while a thread holds it may call
+# _forget in that same thread.
+_INTERN_LOCK = threading.RLock()
+
+
+def _forget(table: dict, dead: _KeyedRef, lock=_INTERN_LOCK) -> None:
+    """Weak-reference callback: drop a dead instance's entry from its table,
+    unless a new instance has already taken its place.
+
+    The lock is bound as a default because module globals may already be
+    cleared when the last keys die at interpreter exit.
+    """
+    with lock:
+        if table.get(dead.key) is dead:
+            del table[dead.key]
+
+
+def intern(table: dict, key: tuple, obj, forget):
+    """The miss path of a hash-consed __new__: the live instance for key.
+
+    obj, freshly built, becomes that instance unless another thread stored
+    one first; the table holds it weakly, so it leaves when it dies.
+    """
+    with _INTERN_LOCK:
+        weak = table.get(key)
+        if weak is not None:
+            live = weak()
+            if live is not None:
+                return live
+        weak = table[key] = _KeyedRef(obj, forget)
+        weak.key = key
+    return obj
+
+
 def merge_exponents(a: tuple, b: tuple, sign: int = 1) -> tuple:
     """a + sign*b for sorted (index, exponent) tuples, dropping zero exponents.
 
@@ -91,37 +147,44 @@ def merge_exponents(a: tuple, b: tuple, sign: int = 1) -> tuple:
     return tuple(out)
 
 
+# entries -> weak reference to the one live MultiIndex with those entries.
+_INDICES: dict[tuple, _KeyedRef] = {}
+_forget_index = partial(_forget, _INDICES)
+
+
 @total_ordering
 class MultiIndex:
     """Sorted tuple of (derivation index, positive exponent) pairs.
 
-    Immutable, with its hash and level computed once at construction:
-    multi-indices key the derivative cache and every output bucket, and the
-    product walk sorts term pairs by level, so both are read far more often
-    than a multi-index is built.  The hash is the one a frozen dataclass over
-    `entries` would give, so set and dict layouts do not change with it.
+    Immutable and hash-consed: building one returns the live instance with
+    the same entries if there is one, so equality is identity and hashing
+    is by address.  Multi-indices key the derivative cache, the gamma trees,
+    the output-index memo and every output bucket, so all those lookups
+    compare in C.  The level is computed once, since the product walk sorts
+    term pairs by level.
     """
 
-    __slots__ = ("entries", "_hash", "_level")
+    __slots__ = ("entries", "_level", "__weakref__")
 
-    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+    def __new__(cls, entries: tuple[tuple[int, int], ...] = ()):
+        ref = _INDICES.get(entries)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         _set_attribute(self, "entries", entries)
-        _set_attribute(self, "_hash", hash((entries,)))
         _set_attribute(self, "_level", sum(e for _, e in entries))
+        return intern(_INDICES, entries, self, _forget_index)
+
+    def __reduce__(self):
+        return MultiIndex, (self.entries,)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MultiIndex is immutable; cannot set {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"MultiIndex is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not MultiIndex:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
 
     @staticmethod
     def make(mapping) -> "MultiIndex":

@@ -147,6 +147,31 @@ def test_probe_byte_determinism(capsys, name):
     assert first == second
 
 
+PROBE_ALL_SCRIPT = """
+from weyltype import cli
+from weyltype.scenario import bundled_scenario_names, bundled_scenario_path
+for name in bundled_scenario_names():
+    assert cli.main(["probe", "--scenario", str(bundled_scenario_path(name))]) == 0
+"""
+
+
+def test_probe_bytes_do_not_depend_on_the_hash_seed():
+    # Keys hash by address and strings by the hash seed, so neither may
+    # order anything a report prints.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "987654"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE_ALL_SCRIPT],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count(b'"probes"') == len(ALL_SCENARIOS)
+    assert outputs[0] == outputs[1]
+
+
 def test_probe_text_mode(capsys, s_weyl):
     code, out, _ = run_cli(capsys, "probe", "--scenario", s_weyl, "--text")
     assert code == 0

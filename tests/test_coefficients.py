@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -244,14 +246,14 @@ def test_monomial_product_cancels_laurent_exponents_to_one(m):
     assert m * ONE_MONOMIAL == m == ONE_MONOMIAL * m
 
 
-# Monomial is a hand-written slotted class with its hash computed at
-# construction; it must behave as the frozen dataclass it replaced.
+# Monomial is a hand-written slotted class, hash-consed: equal exponents
+# give the one live instance.
 
 
 @given(laurent_monomials)
 def test_equal_exponents_give_equal_monomials(m):
     twin = Monomial(tuple(m.exps))
-    assert twin == m and hash(twin) == hash(m) == hash((m.exps,))
+    assert twin is m
     assert {twin: 1}[m] == 1
     assert m != m.exps
 
@@ -269,6 +271,13 @@ def test_monomials_are_immutable(m):
         with pytest.raises(AttributeError):
             delattr(m, name)
     assert m == Monomial(m.exps)
+
+
+@given(laurent_monomials)
+def test_copies_and_pickles_are_the_interned_monomial(m):
+    assert copy.copy(m) is m
+    assert copy.deepcopy(m) is m
+    assert pickle.loads(pickle.dumps(m)) is m
 
 
 REFCOUNT_SCRIPT = """

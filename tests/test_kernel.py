@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, probes, w_mul, wbasis
+from weyltype import multiindex
 from weyltype.coefficients import LAURENT, AElement, Monomial
 from weyltype.multiindex import binom_product, lower_set
 from weyltype.operators import WeylElement, act, apply_multi, lie_bracket, wfrom_a
@@ -327,14 +328,15 @@ def test_theta_kernel_witness_builds_one_coefficient_per_index(monkeypatch):
 
 
 def _count_multi_indices(monkeypatch):
+    """Count the misses of the MultiIndex intern table: the new indices built."""
     count = [0]
-    init = MultiIndex.__init__
+    intern = multiindex.intern
 
-    def counted(self, *args):
-        count[0] += 1
-        init(self, *args)
+    def counted(table, *args):
+        count[0] += table is multiindex._INDICES
+        return intern(table, *args)
 
-    monkeypatch.setattr(MultiIndex, "__init__", counted)
+    monkeypatch.setattr(multiindex, "intern", counted)
     return count
 
 

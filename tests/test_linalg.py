@@ -1,3 +1,6 @@
+import bisect
+from operator import itemgetter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +81,89 @@ def test_nullspace_reads_every_row_below_full_rank():
     kernel = nullspace(rows(), 3, RATIONAL)
     assert consumed == [0, 1, 2, 3, 4]
     assert kernel == [{2: RATIONAL.one()}]
+
+
+class SweepReducer:
+    """RREF reducer whose reduce sweeps every row in pivot order: the oracle
+    for RowReducer, which visits only the pivots a vector holds."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.rows = []
+
+    @staticmethod
+    def _axpy(target, c, row):
+        for j, v in row.items():
+            nv = target[j] - c * v if j in target else -(c * v)
+            if nv.is_zero():
+                target.pop(j, None)
+            else:
+                target[j] = nv
+
+    def reduce(self, vec):
+        work = dict(vec)
+        for p, row in self.rows:
+            if p in work:
+                self._axpy(work, work[p], row)
+        return work
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def add(self, vec):
+        work = self.reduce(vec)
+        if not work:
+            return False
+        pivot = min(work)
+        inv = work[pivot].inverse()
+        row = {j: v * inv for j, v in work.items()}
+        for _, existing in self.rows:
+            if pivot in existing:
+                self._axpy(existing, existing[pivot], row)
+        bisect.insort(self.rows, (pivot, row), key=itemgetter(0))
+        return True
+
+    def vectors(self):
+        return [dict(row) for _, row in self.rows]
+
+
+def ordered(vec: dict) -> list:
+    """A vector's entries in key order, so that order differences show."""
+    return list(vec.items())
+
+
+@st.composite
+def reducer_scripts(draw):
+    spec = draw(st.sampled_from([RATIONAL, F5]))
+    ncols = draw(st.integers(1, 8))
+    entry = st.integers(-4, 4).map(spec.from_int).filter(lambda c: not c.is_zero())
+    vec = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    ops = st.tuples(st.sampled_from(["add", "reduce", "contains", "copy"]), vec)
+    return spec, draw(st.lists(ops, max_size=16)), draw(st.lists(vec, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducer_scripts())
+def test_row_reducer_matches_a_full_sweep(case):
+    spec, ops, probes = case
+    red, oracle = RowReducer(spec), SweepReducer(spec)
+    for op, vec in ops:
+        if op == "add":
+            assert red.add(vec) == oracle.add(vec)
+        elif op == "reduce":
+            assert ordered(red.reduce(vec)) == ordered(oracle.reduce(vec))
+        elif op == "contains":
+            assert red.contains(vec) == oracle.contains(vec)
+        else:
+            snapshot = red.copy()
+            before = [ordered(snapshot.reduce(v)) for v in probes]
+            red.add(vec)
+            oracle.add(vec)
+            assert [ordered(snapshot.reduce(v)) for v in probes] == before
+        assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
+        # RREF: pivots ascend, each row is 1 at its pivot and 0 at every other.
+        pivots = red.pivots()
+        assert pivots == sorted(set(pivots))
+        for p, row in red.rows:
+            assert row[p] == spec.one()
+            assert not any(q in row for q in pivots if q != p)

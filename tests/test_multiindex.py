@@ -1,6 +1,9 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import weyltype
 from weyltype import FieldSpec, MultiIndex, RATIONAL, UsageError, p_adic_factor
+from weyltype import coefficients, multiindex
 from weyltype.coefficients import Monomial
 from weyltype.multiindex import (
     MINUS_INFINITY,
@@ -155,14 +159,14 @@ def test_vandermonde_consistency(a, b, data):
         assert acc == binom_product(total, gamma, spec)
 
 
-# MultiIndex is a hand-written slotted class with its hash and level computed
-# at construction; it must behave as the frozen dataclass it replaced.
+# MultiIndex is a hand-written slotted class, hash-consed, with its level
+# computed at construction.
 
 
 @given(indices)
 def test_equal_entries_give_equal_keys(a):
     twin = MultiIndex(tuple(a.entries))
-    assert twin == a and hash(twin) == hash(a) == hash((a.entries,))
+    assert twin is a
     assert twin.level() == a.level() == sum(e for _, e in a.entries)
     assert {twin: 1}[a] == 1
     assert a != a.entries and a != Monomial(a.entries)
@@ -186,6 +190,54 @@ def test_multi_indices_are_immutable(a):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == MultiIndex(a.entries)
+
+
+@given(indices)
+def test_copies_and_pickles_are_the_interned_index(a):
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+def test_interning_is_thread_safe():
+    # Every build of one key, from any thread, must give one object; a table
+    # without its lock lets two threads both miss and each store their own.
+    workers, n = 4, 20_000
+    start = threading.Barrier(workers)
+    built = [None] * workers
+
+    def build(slot):
+        start.wait()
+        built[slot] = [
+            MultiIndex(((0, 10**6 + k),)) if k % 2 else Monomial(((0, -(10**6) - k),))
+            for k in range(n)
+        ]
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    duplicates = sum(
+        len({id(keys[k]) for keys in built}) - 1 for k in range(n)
+    )
+    assert duplicates == 0
+
+
+def test_dropped_keys_leave_their_tables():
+    entries = ((0, 123_457), (3, 2))
+    a, m = MultiIndex(entries), Monomial(entries)
+    assert multiindex._INDICES[entries]() is a
+    assert coefficients._MONOMIALS[entries]() is m
+    del a, m
+    assert entries not in multiindex._INDICES
+    assert entries not in coefficients._MONOMIALS
 
 
 def _dict_path(a: MultiIndex, b: MultiIndex, sign: int) -> dict:
