@@ -1,0 +1,111 @@
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \
+        --pairs N --seconds S [--seed K]
+
+Pair k runs `perfbench/run.py --trace 0 --seed K+k` once in each checkout,
+each from its own root; even pairs run the parent first and odd pairs the
+change first, so a drift in machine speed does not favour one side.  For
+each end-to-end metric the script prints both sides' median and quartiles,
+the change of the medians and the number of pairs the change won; the
+direction of each metric comes from the change checkout's BENCHMARK.json
+(lower is better when it does not say).  A run that prints no result stops
+the script with its standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON result object that run.py prints as its last line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); a single value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
+    """Report lines for (parent result, change result) pairs of one workload."""
+    lines = []
+    for name in pairs[0][0]["metrics"]:
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        sign = -1 if better.get(name, "lower") == "lower" else 1
+        wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        pq1, pmed, pq3 = quartiles(parent)
+        cq1, cmed, cq3 = quartiles(change)
+        delta = f"{100 * (cmed - pmed) / pmed:+.1f}%" if pmed else "n/a"
+        lines.append(
+            f"{name}: parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  "
+            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  {delta}  "
+            f"change better in {wins}/{len(pairs)}"
+        )
+    for side, k in (("parent", 0), ("change", 1)):
+        failed = sum(pair[k]["failed"] for pair in pairs)
+        attempted = sum(pair[k]["attempted"] for pair in pairs)
+        lines.append(f"{side} failed {failed} of {attempted} items")
+    return lines
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError as exc:
+        raise SystemExit(f"{root}: no result ({exc}): {proc.stderr.strip()}") from exc
+
+
+def directions(root: Path) -> dict[str, str]:
+    path = root / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    spec = json.loads(path.read_text())
+    return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    pairs = []
+    for k in range(args.pairs):
+        seed = args.seed + k
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        result = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+                  for side in order}
+        pairs.append((result["parent"], result["change"]))
+        print(f"pair {k + 1}/{args.pairs} (seed {seed}, {order[0]} first): "
+              f"wall_s {result['parent']['metrics']['wall_s']['value']:.6g} -> "
+              f"{result['change']['metrics']['wall_s']['value']:.6g}", flush=True)
+    print(f"{args.workload}, {args.pairs} pairs, {args.seconds:g} s a run:")
+    for line in summarize(pairs, directions(args.change)):
+        print(f"  {line}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,14 +3,15 @@ Laurent arithmetic over an exact field, plus derivations given by images on
 generators and extended by the Leibniz rule.
 
 A Context owns the field, the declared variables, the registered
-derivations and three caches: the derivative cache, and the gamma trees and
-output-index memo of the product walk in operators.py.  Contexts are frozen
-after validation; the only mutation ever allowed afterwards is the lazy,
-append-only registration of new variables by a shift-rule derivation
-(bounded by a hard cap), and the caches only gain entries.  Images and
-derivative-cache entries are raw {Monomial: Scalar} dicts, and nothing in
-the caches points back at the Context, so refcounting alone frees a dropped
-Context.
+derivations and four caches: the derivative cache, the monomial-product
+memo that mul_terms reads, and the gamma trees and output-index memo of the
+product walk in operators.py.  Contexts are frozen after validation; the
+only mutation ever allowed afterwards is the lazy, append-only registration
+of new variables by a shift-rule derivation (bounded by a hard cap), and
+the caches only gain entries.  Images and derivative-cache entries are raw
+{Monomial: Scalar} dicts, and nothing in the caches points back at the
+Context, so refcounting alone frees a dropped Context.  Each AElement may
+also memoize its own derivatives (see AElement); they die with the element.
 
 The kernels pass such raw dicts around and sum them with add_terms and
 mul_terms only.  Their buffers may hold cancelled zeros; an AElement, built
@@ -42,13 +43,18 @@ def add_terms(out: dict, terms: dict, c: Scalar | None = None) -> None:
         out[m] = cur + t if cur else t
 
 
-def mul_terms(out: dict, left: dict, right: dict, c: Scalar | None = None) -> None:
-    """out += c * left * right, with c = None meaning 1; a cancelled zero stays in out."""
+def mul_terms(out: dict, left: dict, right: dict, products: dict, c: Scalar | None = None) -> None:
+    """out += c * left * right, with c = None meaning 1; a cancelled zero stays in out.
+
+    `products` is the context's monomial-product memo, (m1, m2) -> m1 * m2.
+    """
     for m1, c1 in left.items():
         if c is not None:
             c1 = c1 * c
         for m2, c2 in right.items():
-            m = m1 * m2
+            m = products.get((m1, m2))
+            if m is None:
+                m = products[(m1, m2)] = m1 * m2
             t = c1 * c2
             cur = out.get(m)
             out[m] = cur + t if cur else t
@@ -192,6 +198,8 @@ class Context:
         # output index beta + alpha - gamma.
         self._gamma_trees: dict[MultiIndex, object] = {}
         self._index_memo: dict[tuple[MultiIndex, MultiIndex], MultiIndex] = {}
+        # (m1, m2) -> m1 * m2 for every monomial product mul_terms forms.
+        self._products: dict[tuple[Monomial, Monomial], Monomial] = {}
 
     # -- declaration ------------------------------------------------------
 
@@ -333,7 +341,7 @@ class Context:
             if c:  # e may vanish in characteristic p
                 rest = m.to_dict()
                 rest[i] = e - 1
-                mul_terms(out, {Monomial.make(rest): c}, image)
+                mul_terms(out, {Monomial.make(rest): c}, image, self._products)
         out = self._dcache[key] = nonzero(out)
         return out
 
@@ -392,13 +400,20 @@ class Context:
 
 
 class AElement:
-    """Sparse element of the coefficient algebra: monomial -> scalar."""
+    """Sparse element of the coefficient algebra: monomial -> scalar.
 
-    __slots__ = ("ctx", "terms")
+    An element's terms are never mutated after construction; the operations
+    build new elements.  So `_partials`, None until the first use, can memoize
+    gamma -> the raw terms of d^gamma(self), zeros dropped, for the product
+    walk and the action in operators.py.
+    """
+
+    __slots__ = ("ctx", "terms", "_partials")
 
     def __init__(self, ctx: Context, terms: dict[Monomial, Scalar]):
         self.ctx = ctx
         self.terms = nonzero(terms)
+        self._partials = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -433,7 +448,7 @@ class AElement:
         if isinstance(other, AElement):
             self._check(other)
             out: dict[Monomial, Scalar] = {}
-            mul_terms(out, self.terms, other.terms)
+            mul_terms(out, self.terms, other.terms, self.ctx._products)
             return AElement(self.ctx, out)
         c = self.ctx.scalar(other)
         return AElement(self.ctx, {m: v * c for m, v in self.terms.items()})

@@ -8,6 +8,9 @@ An RREF row is zero at every pivot but its own, so subtracting it from a
 vector changes no other pivot column.  Reduction therefore visits, through
 a pivot -> row map, only the pivots the vector holds, in ascending order:
 the same subtractions, in the same order, as a sweep over every row.
+Likewise an insertion clears its new pivot column only from the rows that
+hold it, which a non-pivot column -> holder pivots index lists; the index
+is updated for every row a subtraction changes, and may keep empty sets.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class RowReducer:
         self.spec = spec
         self.rows: list[tuple[int, dict]] = []  # (pivot column, row), pivot ascending
         self._by_pivot: dict[int, dict] = {}  # pivot column -> its row in self.rows
+        self._holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of rows holding it
 
     @property
     def rank(self) -> int:
@@ -63,10 +67,18 @@ class RowReducer:
         pivot = min(work)
         inv = work[pivot].inverse()
         row = {j: v * inv for j, v in work.items()}
-        for _, existing in self.rows:
-            c = existing.get(pivot)
-            if c is not None:
-                axpy_into(existing, c, row)
+        holders = self._holders
+        for p in sorted(holders.pop(pivot, ())):
+            existing = self._by_pivot[p]
+            axpy_into(existing, existing[pivot], row)
+            for j in row:
+                if j in existing:
+                    holders.setdefault(j, set()).add(p)
+                elif j != pivot:
+                    holders[j].discard(p)
+        for j in row:
+            if j != pivot:
+                holders.setdefault(j, set()).add(pivot)
         bisect.insort(self.rows, (pivot, row), key=itemgetter(0))
         self._by_pivot[pivot] = row
         return True
@@ -75,6 +87,7 @@ class RowReducer:
         out = RowReducer(self.spec)
         out.rows = [(p, dict(row)) for p, row in self.rows]
         out._by_pivot = dict(out.rows)
+        out._holders = {j: set(ps) for j, ps in self._holders.items()}
         return out
 
     def vectors(self) -> list[dict]:

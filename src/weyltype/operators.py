@@ -22,6 +22,11 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   Each entry is one derivation applied to the entry at gamma - e_last, so a
   derivative is never recomputed and the derivations are applied in
   declaration order.  apply_multi sums them into raw terms, zeros dropped.
+- Each coefficient element memoizes d^gamma of itself by gamma, filled from
+  apply_multi on a miss; elements are never mutated, so an entry stays
+  valid.  A closure probe brackets the same accepted elements with the same
+  generators over and over, and theta_kernel acts with columns that share
+  their alphas on one element, so each derivative is summed once.
 - w_mul and lie_bracket share one walk over the gammas of every term pair.
   It reads them from the context's gamma tree for alpha: a node holds
   gamma, alpha - gamma and C(alpha, gamma) in the field (with its negative,
@@ -37,7 +42,9 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   the memo are plain dicts on the Context and die with it.
 - The walk is level-synchronous: each step moves every started term pair
   one gamma level deeper.  mul_terms accumulates the terms into one
-  {monomial: scalar} bucket per output index.
+  {monomial: scalar} bucket per output index, and takes each monomial
+  product from the context's product memo, so a product that a later
+  bracket forms again costs one identity-hashed lookup.
 - lie_bracket walks the pairs of x*y with sign +1 and those of y*x with
   sign -1 together and skips gamma = 0 in both.  The gamma = 0 term of
   (u, alpha)(v, beta) is u*v at alpha + beta, and that of (v, beta)(u, alpha)
@@ -204,6 +211,17 @@ def apply_multi(ctx: Context, gamma: MultiIndex, terms: dict) -> dict:
     return nonzero(out)
 
 
+def _partial(ctx: Context, gamma: MultiIndex, v: AElement) -> dict:
+    """Raw terms of d^gamma(v), memoized on v; the caller must not mutate them."""
+    memo = v._partials
+    if memo is None:
+        memo = v._partials = {}
+    dv = memo.get(gamma)
+    if dv is None:
+        dv = memo[gamma] = apply_multi(ctx, gamma, v.terms)
+    return dv
+
+
 def _leaves_window(level: int, buckets: dict, guard: tuple[int, frozenset]) -> bool:
     """Whether a finished level holds a nonzero term outside the guarded window."""
     max_level, inside = guard
@@ -263,8 +281,8 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     spec = ctx.spec
     trees = ctx._gamma_trees
     indices = ctx._index_memo
-    # One entry per gamma of this step: (gamma node, beta, terms of u,
-    # terms of v, sign).
+    monomial_products = ctx._products
+    # One entry per gamma of this step: (gamma node, beta, terms of u, v, sign).
     pairs = []
     for x, y, sign in products:
         for alpha, u in x.terms.items():
@@ -272,7 +290,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
             if root is None:
                 root = trees[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
             for beta, v in y.terms.items():
-                pairs.append((root, beta, u.terms, v.terms, sign))
+                pairs.append((root, beta, u.terms, v, sign))
     out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
     if guard is None:
         active, waiting = pairs, []
@@ -295,7 +313,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
         for node, beta, uterms, v, sign in active:
             gamma = node.gamma
             if gamma.entries or not skip_gamma_zero:
-                dv = apply_multi(ctx, gamma, v)
+                dv = _partial(ctx, gamma, v)
                 if not dv:
                     continue
                 c = node.c if sign > 0 else node.neg_c
@@ -304,7 +322,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                     idx = indices.get(key)
                     if idx is None:
                         idx = indices[key] = beta.add(node.rest)
-                    mul_terms(finished.setdefault(idx, {}), dv, uterms, c)
+                    mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, c)
             children = node.children
             if children is None:
                 children = node.expand(spec)
@@ -347,10 +365,11 @@ def act(x: WeylElement, a: AElement) -> AElement:
     """Natural action on the coefficient algebra; an algebra homomorphism."""
     if a.ctx is not x.ctx:
         raise UsageError("mixed contexts in action")
+    ctx = x.ctx
     out: dict[Monomial, Scalar] = {}
     for alpha, u in x.terms.items():
-        mul_terms(out, u.terms, apply_multi(x.ctx, alpha, a.terms))
-    return AElement(x.ctx, out)
+        mul_terms(out, u.terms, _partial(ctx, alpha, a), ctx._products)
+    return AElement(ctx, out)
 
 
 @dataclass(frozen=True)

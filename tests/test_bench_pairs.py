@@ -1,0 +1,60 @@
+"""The summary of scripts/bench_pairs.py, on canned result lines of perfbench/run.py."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result_line(wall, rss, failed=0):
+    return json.dumps({
+        "correct": not failed,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mib": {"value": rss, "unit": "MiB"},
+        },
+    })
+
+
+def run_output(line):
+    return f"closure_wide: 20 passes, raw median pass 0.1 s\nclosure_wide wall_s = 0.1 s\n{line}\n"
+
+
+def test_parse_result_reads_the_last_line():
+    result = bench_pairs.parse_result(run_output(result_line(0.5, 28.0)))
+    assert result["metrics"]["wall_s"]["value"] == 0.5
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("")
+
+
+def test_summary_gives_medians_quartiles_and_wins():
+    walls = [(0.10, 0.08), (0.12, 0.09), (0.11, 0.12), (0.13, 0.07), (0.14, 0.10)]
+    pairs = [
+        (bench_pairs.parse_result(run_output(result_line(p, 29.0))),
+         bench_pairs.parse_result(run_output(result_line(c, 30.0, failed=k == 0))))
+        for k, (p, c) in enumerate(walls)
+    ]
+    lines = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mib": "lower"})
+    assert lines == [
+        "wall_s: parent 0.12 [0.105, 0.135]  change 0.09 [0.075, 0.11]  -25.0%  "
+        "change better in 4/5",
+        "peak_rss_mib: parent 29 [29, 29]  change 30 [30, 30]  +3.4%  change better in 0/5",
+        "parent failed 0 of 50 items",
+        "change failed 1 of 50 items",
+    ]
+
+
+def test_summary_follows_the_metric_direction():
+    pairs = [(json.loads(result_line(1.0, 1.0)), json.loads(result_line(2.0, 1.0)))]
+    (wall, rss, *_) = bench_pairs.summarize(pairs, {"wall_s": "higher"})
+    assert wall.endswith("+100.0%  change better in 1/1")
+    assert wall.startswith("wall_s: parent 1 [1, 1]  change 2 [2, 2]")
+    assert rss.endswith("+0.0%  change better in 0/1")

@@ -9,13 +9,15 @@ loop exactly.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, probes, w_mul, wbasis
-from weyltype import multiindex
+from weyltype import coefficients, multiindex, operators
 from weyltype.coefficients import LAURENT, AElement, Monomial
 from weyltype.multiindex import binom_product, lower_set
 from weyltype.operators import WeylElement, act, apply_multi, lie_bracket, wfrom_a
@@ -394,3 +396,127 @@ def test_pruned_gamma_subtrees_are_never_built(weyl_q):
         (node,) = node.children
         depth += 1
     assert depth == 2 and node.gamma == mk({0: 2})
+
+
+# Each context memoizes its monomial products, and each coefficient element
+# the raw terms of its derivatives d^gamma(v), so a repeated product or
+# action redoes no coefficient work.
+
+
+def _count_coefficient_work(monkeypatch):
+    """Counters of merge_exponents calls (monomial and index sums) and of
+    apply_multi calls, while the monkeypatch lasts."""
+    calls = {"merge_exponents": 0, "apply_multi": 0}
+    merge, apply = multiindex.merge_exponents, operators.apply_multi
+
+    def counted_merge(*args):
+        calls["merge_exponents"] += 1
+        return merge(*args)
+
+    def counted_apply(*args):
+        calls["apply_multi"] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(multiindex, "merge_exponents", counted_merge)
+    monkeypatch.setattr(coefficients, "merge_exponents", counted_merge)
+    monkeypatch.setattr(operators, "apply_multi", counted_apply)
+    return calls
+
+
+@pytest.mark.parametrize("product", [w_mul, lie_bracket])
+def test_repeated_products_redo_no_coefficient_work(mixed_ctx, monkeypatch, product):
+    ctx = mixed_ctx
+    x = evaluate_text("t1*d1^2*d2 + x2*d3 + t2", ctx)
+    y = evaluate_text("t1^2*x2*d2 + x3^2*t2*d1^2 + t1", ctx)
+    calls = _count_coefficient_work(monkeypatch)
+    first = product(x, y)
+    assert calls["merge_exponents"] > 0 and calls["apply_multi"] > 0
+    calls.update(merge_exponents=0, apply_multi=0)
+    assert product(x, y) == first
+    assert calls == {"merge_exponents": 0, "apply_multi": 0}
+
+
+def test_action_block_derives_once_per_alpha(mixed_ctx, monkeypatch):
+    # theta_kernel acts with every column on one element; the columns share
+    # their alphas, so each d^alpha(elem) is summed once.
+    ctx = mixed_ctx
+    alphas = [mk({}), mk({0: 1}), mk({1: 2}), mk({0: 1, 2: 1})]
+    coeffs = [ctx.one(), ctx.var("t1"), ctx.var("x2", -1) * 3 + ctx.var("t2")]
+    columns = [wbasis(ctx, alpha, u) for alpha in alphas for u in coeffs]
+    elem = ctx.var("t1", 3) * ctx.var("x2", 2) + ctx.var("t2", 2) * ctx.var("x3")
+    expected = [reference_act(b, elem) for b in columns]
+    calls = _count_coefficient_work(monkeypatch)
+    assert [act(b, elem) for b in columns] == expected
+    assert calls["apply_multi"] == len(alphas) < len(columns)
+
+
+def _memo_context(spec):
+    ctx = Context(spec)
+    ctx.add_variable("t1", "polynomial")
+    ctx.add_variable("t2", "polynomial")
+    ctx.add_variable("x", "laurent")
+    zero = ctx.zero()
+    ctx.add_derivation("d1", images={"t1": ctx.one(), "t2": zero, "x": zero})
+    ctx.add_derivation("d2", images={"t1": zero, "t2": ctx.var("t2"), "x": ctx.var("x")})
+    return ctx.freeze()
+
+
+def _memo_ops(x, y, a):
+    return [w_mul(x, y), lie_bracket(x, y), w_mul(y, x), act(x, a), act(y, a)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([RATIONAL, FieldSpec("prime", 5)]), seed=st.integers(0, 2**32 - 1))
+def test_warm_memos_give_what_a_fresh_context_gives(spec, seed):
+    bounds = SampleBounds(max_degree=3, max_level=3, max_terms=3)
+    rng = random.Random(seed)
+    warm = _memo_context(spec)
+    z = random_weyl(rng, warm, bounds)
+    state = rng.getstate()
+    x, y, a = random_weyl(rng, warm, bounds), random_weyl(rng, warm, bounds), random_a(rng, warm, bounds)
+    # Warm the memos with products that share operands with the ones below.
+    _memo_ops(z, x, a)
+    _memo_ops(y, z, a)
+    first = [str(r) for r in _memo_ops(x, y, a)]
+    assert [str(r) for r in _memo_ops(x, y, a)] == first
+    fresh = _memo_context(spec)
+    rng.setstate(state)
+    fx, fy, fa = random_weyl(rng, fresh, bounds), random_weyl(rng, fresh, bounds), random_a(rng, fresh, bounds)
+    assert str(fx) == str(x) and str(fy) == str(y) and str(fa) == str(a)
+    assert [str(r) for r in _memo_ops(fx, fy, fa)] == first
+    if x:
+        assert a._partials is not None
+    if x and y:
+        assert warm._products and next(iter(y.terms.values()))._partials is not None
+
+
+def test_memos_shared_by_threads_give_single_threaded_results():
+    # Threads that share a context and its elements may race on a memo miss;
+    # each racer stores an equal value, so the results must not change.
+    bounds = SampleBounds(max_degree=3, max_level=3, max_terms=3)
+    results = {}
+    for name, workers in (("alone", 1), ("shared", 4)):
+        rng = random.Random("memo-threads")
+        ctx = _memo_context(RATIONAL)
+        elems = [random_weyl(rng, ctx, bounds, nonzero=True) for _ in range(4)]
+        a = random_a(rng, ctx, bounds, nonzero=True)
+        start = threading.Barrier(workers)
+        out = [None] * workers
+
+        def run(slot):
+            start.wait()
+            out[slot] = [str(r) for x in elems for y in elems for r in _memo_ops(x, y, a)]
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        results[name] = out
+    assert results["shared"] == results["alone"] * 4

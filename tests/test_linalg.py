@@ -127,6 +127,21 @@ class SweepReducer:
         return [dict(row) for _, row in self.rows]
 
 
+def holders_of(rows) -> dict:
+    """Non-pivot column -> pivots of the rows holding it, computed from the rows."""
+    out = {}
+    for p, row in rows:
+        for j in row:
+            if j != p:
+                out.setdefault(j, set()).add(p)
+    return out
+
+
+def holder_index(red) -> dict:
+    """The reducer's own column index, without the empty sets it may keep."""
+    return {j: ps for j, ps in red._holders.items() if ps}
+
+
 def ordered(vec: dict) -> list:
     """A vector's entries in key order, so that order differences show."""
     return list(vec.items())
@@ -157,9 +172,11 @@ def test_row_reducer_matches_a_full_sweep(case):
         else:
             snapshot = red.copy()
             before = [ordered(snapshot.reduce(v)) for v in probes]
+            index = holder_index(snapshot)
             red.add(vec)
             oracle.add(vec)
             assert [ordered(snapshot.reduce(v)) for v in probes] == before
+            assert holder_index(snapshot) == index == holders_of(snapshot.rows)
         assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
         # RREF: pivots ascend, each row is 1 at its pivot and 0 at every other.
         pivots = red.pivots()
@@ -167,3 +184,5 @@ def test_row_reducer_matches_a_full_sweep(case):
         for p, row in red.rows:
             assert row[p] == spec.one()
             assert not any(q in row for q in pivots if q != p)
+        # The column index lists exactly the rows that hold each column.
+        assert holder_index(red) == holders_of(red.rows)
