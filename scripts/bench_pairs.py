@@ -7,10 +7,13 @@ Pair k runs `perfbench/run.py --trace 0 --seed K+k` once in each checkout,
 each from its own root; even pairs run the parent first and odd pairs the
 change first, so a drift in machine speed does not favour one side.  For
 each end-to-end metric the script prints both sides' median and quartiles,
-the change of the medians and the number of pairs the change won; the
-direction of each metric comes from the change checkout's BENCHMARK.json
-(lower is better when it does not say).  A run that prints no result stops
-the script with its standard error.
+the change of the medians, the number of pairs the change won and, apart,
+the number tied, and whether the gap between the medians exceeds the
+parent's interquartile range.  A gain may be claimed only when the change
+wins at least nine pairs in ten, ties counting for neither side, and the
+gap exceeds that range.  The direction of each metric comes from the change
+checkout's BENCHMARK.json (lower is better when it does not say).  A run
+that prints no result stops the script with its standard error.
 """
 
 from __future__ import annotations
@@ -47,13 +50,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = -1 if better.get(name, "lower") == "lower" else 1
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        ties = sum(1 for p, c in zip(parent, change) if c == p)
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
         delta = f"{100 * (cmed - pmed) / pmed:+.1f}%" if pmed else "n/a"
+        gap, spread = abs(cmed - pmed), pq3 - pq1
         lines.append(
             f"{name}: parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  "
             f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  {delta}  "
-            f"change better in {wins}/{len(pairs)}"
+            f"change better in {wins}/{len(pairs)}, tied in {ties}  "
+            f"median gap {gap:.6g} {'exceeds' if gap > spread else 'within'} "
+            f"parent IQR {spread:.6g}"
         )
     for side, k in (("parent", 0), ("change", 1)):
         failed = sum(pair[k]["failed"] for pair in pairs)

@@ -3,15 +3,16 @@ Laurent arithmetic over an exact field, plus derivations given by images on
 generators and extended by the Leibniz rule.
 
 A Context owns the field, the declared variables, the registered
-derivations and four caches: the derivative cache, the monomial-product
-memo that mul_terms reads, and the gamma trees and output-index memo of the
-product walk in operators.py.  Contexts are frozen after validation; the
-only mutation ever allowed afterwards is the lazy, append-only registration
-of new variables by a shift-rule derivation (bounded by a hard cap), and
-the caches only gain entries.  Images and derivative-cache entries are raw
-{Monomial: Scalar} dicts, and nothing in the caches points back at the
-Context, so refcounting alone frees a dropped Context.  Each AElement may
-also memoize its own derivatives (see AElement); they die with the element.
+derivations and three caches: the first derivatives d(m) of monomials,
+the monomial-product memo that mul_terms reads, and the gamma trees of the
+product walk in operators.py.  Contexts are frozen after
+validation; the only mutation ever allowed afterwards is the lazy,
+append-only registration of new variables by a shift-rule derivation
+(bounded by a hard cap), and the caches only gain entries.  Images and
+derivative-cache entries are raw {Monomial: Scalar} dicts, and nothing in
+the caches points back at the Context, so refcounting alone frees a dropped
+Context.  Each AElement may also memoize its own derivatives (see
+AElement); they die with the element.
 
 The kernels pass such raw dicts around and sum them with add_terms and
 mul_terms only.  Their buffers may hold cancelled zeros; an AElement, built
@@ -191,13 +192,11 @@ class Context:
         self._by_name: dict[str, VariableSpec] = {}
         self._der_by_name: dict[str, Derivation] = {}
         self._frozen = False
-        # (gamma, m) -> raw terms of d^gamma(m); |gamma| = 1 holds d_i(m).
-        self._dcache: dict[tuple[MultiIndex, Monomial], dict[Monomial, Scalar]] = {}
+        # (derivation index, m) -> raw terms of d(m).
+        self._dcache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
         # The gamma walk's index arithmetic (operators._walk): alpha -> root
-        # of its lazily built gamma tree, and (beta, alpha - gamma) -> the
-        # output index beta + alpha - gamma.
+        # of its lazily built gamma tree.
         self._gamma_trees: dict[MultiIndex, object] = {}
-        self._index_memo: dict[tuple[MultiIndex, MultiIndex], MultiIndex] = {}
         # (m1, m2) -> m1 * m2 for every monomial product mul_terms forms.
         self._products: dict[tuple[Monomial, Monomial], Monomial] = {}
 
@@ -329,8 +328,8 @@ class Context:
         return {Monomial(((shifted.index, 1),)): self.spec.one()}
 
     def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, Scalar]:
-        """Raw terms of d(m), cached under (e_d, m); do not mutate them."""
-        key = (MultiIndex.single(d.index), m)
+        """Raw terms of d(m), cached under (d.index, m); do not mutate them."""
+        key = (d.index, m)
         cached = self._dcache.get(key)
         if cached is not None:
             return cached
@@ -358,31 +357,6 @@ class Context:
             raise UsageError("element belongs to a different context")
         self.derivation_index(d)  # refuses a derivation of another context
         return AElement(self, self._derive(d, u.terms))
-
-    def multi_derivative(self, gamma: MultiIndex, m: Monomial) -> dict[Monomial, Scalar]:
-        """Raw terms of d^gamma(m) for one monomial, memoized per (gamma, m).
-
-        Each entry is built from the entry at gamma - e_last by applying the
-        last derivation in gamma, so the derivations are applied in
-        declaration order, exactly as iterated application does, whether or
-        not the context is frozen.  Once an entry is zero, every entry above
-        it along the chain is too.  The caller must not mutate the result.
-        """
-        cache = self._dcache
-        pending = []
-        out = cache.get((gamma, m))
-        while out is None and gamma.entries:
-            pending.append(gamma)
-            *head, (i, e) = gamma.entries
-            gamma = MultiIndex(tuple(head) + (((i, e - 1),) if e > 1 else ()))
-            out = cache.get((gamma, m))
-        if out is None:
-            out = {m: self.spec.one()}
-        for g in reversed(pending):
-            if out:
-                out = nonzero(self._derive(self.derivations[g.entries[-1][0]], out))
-            cache[(g, m)] = out
-        return out
 
     def check_commuting(self, d1: Derivation, d2: Derivation) -> bool:
         """True iff the commutator vanishes on every generator.

@@ -4,19 +4,17 @@ Vectors are dicts column -> nonzero scalar.  The reducer keeps its rows in
 reduced row-echelon form at all times; since RREF is unique for a given row
 space, the stored basis does not depend on insertion order.
 
-An RREF row is zero at every pivot but its own, so subtracting it from a
-vector changes no other pivot column.  Reduction therefore visits, through
-a pivot -> row map, only the pivots the vector holds, in ascending order:
-the same subtractions, in the same order, as a sweep over every row.
+The rows live in one pivot -> row map; in pivot order they are the RREF
+basis.  An RREF row is zero at every pivot but its own, so subtracting it
+from a vector changes no other pivot column.  Reduction therefore visits
+only the pivots the vector holds, in ascending order: the same
+subtractions, in the same order, as a sweep over every row.
 Likewise an insertion clears its new pivot column only from the rows that
 hold it, which a non-pivot column -> holder pivots index lists; the index
 is updated for every row a subtraction changes, and may keep empty sets.
 """
 
 from __future__ import annotations
-
-import bisect
-from operator import itemgetter
 
 from .fields import FieldSpec, Scalar
 
@@ -37,16 +35,15 @@ class RowReducer:
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.rows: list[tuple[int, dict]] = []  # (pivot column, row), pivot ascending
-        self._by_pivot: dict[int, dict] = {}  # pivot column -> its row in self.rows
+        self._by_pivot: dict[int, dict] = {}  # pivot column -> its row
         self._holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of rows holding it
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._by_pivot)
 
     def pivots(self) -> list[int]:
-        return [p for p, _ in self.rows]
+        return sorted(self._by_pivot)
 
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced against the current basis (a fresh dict)."""
@@ -79,19 +76,12 @@ class RowReducer:
         for j in row:
             if j != pivot:
                 holders.setdefault(j, set()).add(pivot)
-        bisect.insort(self.rows, (pivot, row), key=itemgetter(0))
         self._by_pivot[pivot] = row
         return True
 
-    def copy(self) -> "RowReducer":
-        out = RowReducer(self.spec)
-        out.rows = [(p, dict(row)) for p, row in self.rows]
-        out._by_pivot = dict(out.rows)
-        out._holders = {j: set(ps) for j, ps in self._holders.items()}
-        return out
-
     def vectors(self) -> list[dict]:
-        return [dict(row) for _, row in self.rows]
+        by_pivot = self._by_pivot
+        return [dict(by_pivot[p]) for p in sorted(by_pivot)]
 
 
 def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
@@ -105,19 +95,16 @@ def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
     for row in constraints:
         if red.add(row) and red.rank == ncols:
             return []
-    pivot_set = set(red.pivots())
     one = spec.one()
-    kernel = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = {f: one}
-        for p, row in red.rows:
-            c = row.get(f)
-            if c is not None:
+    # Free column f spans the vector that is 1 at f and -row[f] at each pivot.
+    by_pivot = red._by_pivot
+    kernel = {f: {f: one} for f in range(ncols) if f not in by_pivot}
+    for p in sorted(by_pivot):
+        for j, c in by_pivot[p].items():
+            vec = kernel.get(j)
+            if vec is not None:
                 vec[p] = -c
-        kernel.append(vec)
     canon = RowReducer(spec)
-    for vec in kernel:
+    for vec in kernel.values():
         canon.add(vec)
     return canon.vectors()

@@ -158,8 +158,8 @@ class MultiIndex:
 
     Immutable and hash-consed: building one returns the live instance with
     the same entries if there is one, so equality is identity and hashing
-    is by address.  Multi-indices key the derivative cache, the gamma trees,
-    the output-index memo and every output bucket, so all those lookups
+    is by address.  Multi-indices key the derivative memos, the gamma trees,
+    their output-index maps and every output bucket, so all those lookups
     compare in C.  The level is computed once, since the product walk sorts
     term pairs by level.
     """

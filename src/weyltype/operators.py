@@ -16,17 +16,16 @@ the coefficient algebra becomes an algebra homomorphism.
 
 Evaluation (w_mul, lie_bracket, act, apply_multi):
 
-- d^gamma(m) for a monomial m comes from Context.multi_derivative as raw
-  {monomial: scalar} terms, cached per context on (gamma, m) in the one
-  derivative cache whose |gamma| = 1 entries are the first derivatives.
-  Each entry is one derivation applied to the entry at gamma - e_last, so a
-  derivative is never recomputed and the derivations are applied in
-  declaration order.  apply_multi sums them into raw terms, zeros dropped.
-- Each coefficient element memoizes d^gamma of itself by gamma, filled from
-  apply_multi on a miss; elements are never mutated, so an entry stays
-  valid.  A closure probe brackets the same accepted elements with the same
-  generators over and over, and theta_kernel acts with columns that share
-  their alphas on one element, so each derivative is summed once.
+- Each coefficient element memoizes d^gamma of itself by gamma.  A miss
+  applies the last derivation of gamma to d^(gamma - e_last) of the
+  element, itself memoized, so a derivative is never recomputed and the
+  derivations are applied in declaration order.  The one derivation step
+  is apply_multi, which sums the first derivatives of the monomials, each
+  cached per context on (derivation index, monomial).  Elements are never
+  mutated, so an entry stays valid.  A closure probe brackets the same
+  accepted elements with the same generators over and over, and
+  theta_kernel acts with columns that share their alphas on one element,
+  so each derivative is summed once.
 - w_mul and lie_bracket share one walk over the gammas of every term pair.
   It reads them from the context's gamma tree for alpha: a node holds
   gamma, alpha - gamma and C(alpha, gamma) in the field (with its negative,
@@ -37,9 +36,9 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   vanishes so does every derivative above it, and the subtree is pruned.
   A binomial that is zero in characteristic p skips its term but not the
   subtree, since deeper gammas can still contribute.
-- The output index beta + (alpha - gamma) comes from the context's index
-  memo, so a repeated product builds no multi-index at all.  The tree and
-  the memo are plain dicts on the Context and die with it.
+- Each node also maps beta to the output index beta + (alpha - gamma), so a
+  repeated product builds no multi-index at all.  The trees hang off a
+  plain dict on the Context and die with it.
 - The walk is level-synchronous: each step moves every started term pair
   one gamma level deeper.  mul_terms accumulates the terms into one
   {monomial: scalar} bucket per output index, and takes each monomial
@@ -73,7 +72,6 @@ from .coefficients import (
     Context,
     Monomial,
     _signed_monomial_term,
-    add_terms,
     format_a_element,
     join_signed,
     mul_terms,
@@ -199,26 +197,38 @@ def wderivation(ctx: Context, name: str) -> WeylElement:
 def apply_multi(ctx: Context, gamma: MultiIndex, terms: dict) -> dict:
     """Iterated derivation d^gamma applied to raw coefficient terms.
 
-    Sums the memoized per-monomial derivatives c * d^gamma(m), which apply
-    the derivations in declaration order; they commute (validated at context
-    freeze), so the order does not affect the value.  The result holds no zero.
+    Applies the derivations one at a time, in declaration order; they commute
+    (validated at context freeze), so the order does not affect the value.
+    The result holds no zero if `terms` holds none.
     """
-    if gamma.is_zero():
-        return terms
-    out: dict[Monomial, Scalar] = {}
-    for m, c in terms.items():
-        add_terms(out, ctx.multi_derivative(gamma, m), c)
-    return nonzero(out)
+    for i, e in gamma.entries:
+        d = ctx.derivations[i]
+        for _ in range(e):
+            terms = nonzero(ctx._derive(d, terms))
+    return terms
 
 
 def _partial(ctx: Context, gamma: MultiIndex, v: AElement) -> dict:
-    """Raw terms of d^gamma(v), memoized on v; the caller must not mutate them."""
+    """Raw terms of d^gamma(v), memoized on v; the caller must not mutate them.
+
+    A miss derives d^(gamma - e_last)(v), found the same way, once more.
+    """
     memo = v._partials
     if memo is None:
-        memo = v._partials = {}
+        memo = v._partials = {ZERO_INDEX: v.terms}
     dv = memo.get(gamma)
-    if dv is None:
-        dv = memo[gamma] = apply_multi(ctx, gamma, v.terms)
+    if dv is not None:
+        return dv
+    pending = []  # (gamma, its last derivation index), top down
+    while dv is None:
+        *head, (i, e) = gamma.entries
+        pending.append((gamma, i))
+        gamma = MultiIndex(tuple(head) + (((i, e - 1),) if e > 1 else ()))
+        dv = memo.get(gamma)
+    for g, i in reversed(pending):
+        if dv:
+            dv = apply_multi(ctx, MultiIndex(((i, 1),)), dv)
+        memo[g] = dv
     return dv
 
 
@@ -235,17 +245,19 @@ def _leaves_window(level: int, buckets: dict, guard: tuple[int, frozenset]) -> b
 class _GammaNode:
     """One gamma <= alpha of the walk, with the index arithmetic its terms need.
 
-    `rest` is alpha - gamma; `c` is C(alpha, gamma) in the field and `neg_c`
-    its negative, both None when the binomial vanishes mod p.  The children
-    are built on the first visit, so a subtree the walk prunes is never built.
+    `rest` is alpha - gamma and `outputs` maps beta to the output index
+    beta + rest; `c` is C(alpha, gamma) in the field and `neg_c` its negative,
+    both None when the binomial vanishes mod p.  The children are built on
+    the first visit, so a subtree the walk prunes is never built.
     """
 
-    __slots__ = ("alpha", "gamma", "rest", "binom", "c", "neg_c", "children")
+    __slots__ = ("alpha", "gamma", "rest", "outputs", "binom", "c", "neg_c", "children")
 
     def __init__(self, spec, alpha: MultiIndex, gamma: MultiIndex, binom: int):
         self.alpha = alpha
         self.gamma = gamma
         self.rest = alpha.sub(gamma)
+        self.outputs = {}
         self.binom = binom
         c = spec.from_int(binom)
         self.c = c if c else None
@@ -280,7 +292,6 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     """
     spec = ctx.spec
     trees = ctx._gamma_trees
-    indices = ctx._index_memo
     monomial_products = ctx._products
     # One entry per gamma of this step: (gamma node, beta, terms of u, v, sign).
     pairs = []
@@ -318,10 +329,10 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                     continue
                 c = node.c if sign > 0 else node.neg_c
                 if c is not None:
-                    key = (beta, node.rest)
-                    idx = indices.get(key)
+                    outputs = node.outputs
+                    idx = outputs.get(beta)
                     if idx is None:
-                        idx = indices[key] = beta.add(node.rest)
+                        idx = outputs[beta] = beta.add(node.rest)
                     mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, c)
             children = node.children
             if children is None:

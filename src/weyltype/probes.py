@@ -525,7 +525,10 @@ def lie_ideal_closure_probe(
     ]
     red, index, steps, _ = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
 
-    combined = red.copy()
+    # A fresh reducer, so that the closure's own one never holds the f1 rows.
+    combined = RowReducer(ctx.spec)
+    for vec in red.vectors():
+        combined.add(vec)
     for vec in f1.vectors():
         embedded = {}
         for j, c in vec.items():

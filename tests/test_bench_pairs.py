@@ -45,8 +45,9 @@ def test_summary_gives_medians_quartiles_and_wins():
     lines = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mib": "lower"})
     assert lines == [
         "wall_s: parent 0.12 [0.105, 0.135]  change 0.09 [0.075, 0.11]  -25.0%  "
-        "change better in 4/5",
-        "peak_rss_mib: parent 29 [29, 29]  change 30 [30, 30]  +3.4%  change better in 0/5",
+        "change better in 4/5, tied in 0  median gap 0.03 within parent IQR 0.03",
+        "peak_rss_mib: parent 29 [29, 29]  change 30 [30, 30]  +3.4%  "
+        "change better in 0/5, tied in 0  median gap 1 exceeds parent IQR 0",
         "parent failed 0 of 50 items",
         "change failed 1 of 50 items",
     ]
@@ -55,6 +56,22 @@ def test_summary_gives_medians_quartiles_and_wins():
 def test_summary_follows_the_metric_direction():
     pairs = [(json.loads(result_line(1.0, 1.0)), json.loads(result_line(2.0, 1.0)))]
     (wall, rss, *_) = bench_pairs.summarize(pairs, {"wall_s": "higher"})
-    assert wall.endswith("+100.0%  change better in 1/1")
+    assert wall.endswith("+100.0%  change better in 1/1, tied in 0  median gap 1 exceeds parent IQR 0")
     assert wall.startswith("wall_s: parent 1 [1, 1]  change 2 [2, 2]")
-    assert rss.endswith("+0.0%  change better in 0/1")
+    assert rss.endswith("+0.0%  change better in 0/1, tied in 1  median gap 0 within parent IQR 0")
+
+
+def test_summary_counts_ties_apart_from_wins_and_applies_the_claim_rule():
+    # wall_s: the change wins two pairs, ties one and loses one, and its
+    # median gap (1.0) is inside the parent's quartile spread (2.5).  rss
+    # ties in every pair.  Second run: every pair won by 0.65, outside the
+    # parent's spread of 0.25.
+    walls = [(1.0, 0.5), (2.0, 2.0), (3.0, 1.0), (4.0, 5.0)]
+    pairs = [(json.loads(result_line(p, 29.0)), json.loads(result_line(c, 29.0))) for p, c in walls]
+    wall, rss, *_ = bench_pairs.summarize(pairs, {})
+    assert wall.endswith("change better in 2/4, tied in 1  median gap 1 within parent IQR 2.5")
+    assert rss.endswith("change better in 0/4, tied in 4  median gap 0 within parent IQR 0")
+    pairs = [(json.loads(result_line(p, 29.0)), json.loads(result_line(0.5, 29.0)))
+             for p in (1.0, 1.1, 1.2, 1.3)]
+    wall, *_ = bench_pairs.summarize(pairs, {})
+    assert wall.endswith("change better in 4/4, tied in 0  median gap 0.65 exceeds parent IQR 0.25")

@@ -114,24 +114,28 @@ def test_memo_keeps_declaration_order_on_unfrozen_context():
 
 
 def _work_for_power(n, monkeypatch):
-    """(apply_derivation calls, multi_derivative calls) to evaluate d1^n."""
+    """(apply_derivation calls, apply_multi calls) to evaluate d1^n."""
     ctx = Context(RATIONAL)
     ctx.add_variable("t", "polynomial")
     ctx.add_derivation("d1", images={"t": ctx.one()})
     ctx.freeze()
-    calls = {"apply_derivation": 0, "multi_derivative": 0}
-    for name in calls:
-        original = getattr(Context, name)
+    calls = {"apply_derivation": 0, "apply_multi": 0}
+    derive, apply = Context.apply_derivation, operators.apply_multi
 
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counted_derive(self, *args):
+        calls["apply_derivation"] += 1
+        return derive(self, *args)
 
-        monkeypatch.setattr(Context, name, counted)
+    def counted_apply(*args):
+        calls["apply_multi"] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(Context, "apply_derivation", counted_derive)
+    monkeypatch.setattr(operators, "apply_multi", counted_apply)
     value = evaluate_text(f"d1^{n}", ctx)
     monkeypatch.undo()
     assert value == wbasis(ctx, mk({0: n}))
-    return calls["apply_derivation"], calls["multi_derivative"]
+    return calls["apply_derivation"], calls["apply_multi"]
 
 
 def test_power_of_derivation_does_linear_work(monkeypatch):
@@ -142,6 +146,52 @@ def test_power_of_derivation_does_linear_work(monkeypatch):
         derivations, gammas = _work_for_power(n, monkeypatch)
         assert derivations <= 2 * n
         assert gammas <= 2 * n
+
+
+def test_derivative_chain_reuses_the_memo_entry_below(mixed_ctx, monkeypatch):
+    # d^gamma(v) is the last derivation of gamma applied to the memoized
+    # d^(gamma - e_last)(v), so acting with d1, d1^2, ..., d1^n on one element
+    # derives n times, one derivation a call, in either order of the powers.
+    ctx = mixed_ctx
+    n = 6
+    powers = [wbasis(ctx, mk({0: k})) for k in range(1, n + 1)]
+    for order in (powers, powers[::-1]):
+        elem = ctx.var("t1", n + 2) * ctx.var("x2", -1) + ctx.var("t1", 3)
+        expected = [reference_act(x, elem) for x in order]
+        gammas = []
+        apply = operators.apply_multi
+
+        def counted(context, gamma, terms):
+            gammas.append(gamma)
+            return apply(context, gamma, terms)
+
+        monkeypatch.setattr(operators, "apply_multi", counted)
+        assert [act(x, elem) for x in order] == expected
+        monkeypatch.undo()
+        assert gammas == [mk({0: 1})] * n
+
+
+def test_long_derivative_chain_needs_no_deep_recursion(laurent_euler_f5):
+    # A miss builds d^alpha(v) up from the nearest memoized gamma in a loop,
+    # so |alpha| is bounded by the exponent cap, not the recursion limit.
+    ctx = laurent_euler_f5
+    n = sys.getrecursionlimit() + 10
+    assert act(wbasis(ctx, mk({0: n})), ctx.var("t", 2)) == ctx.var("t", 2) * pow(2, n, 5)
+
+
+def test_derivative_cache_holds_first_derivatives_only(mixed_ctx):
+    # Higher derivatives live on the elements, so the context caches d(m)
+    # alone, keyed by the derivation's index.
+    ctx = mixed_ctx
+    x = evaluate_text("t1*d1^2*d2 + x2*d2^2*d3 + t2", ctx)
+    y = evaluate_text("t1^2*x2*d2 + x3^2*t2*d1^2*d3 + t1^3", ctx)
+    a = ctx.var("t1", 3) * ctx.var("x2", 2) + ctx.var("t2", 2) * ctx.var("x3", -1)
+    w_mul(x, y)
+    act(x * y, a)
+    assert ctx._dcache
+    for i, m in ctx._dcache:
+        assert type(i) is int and 0 <= i < len(ctx.derivations)
+        assert type(m) is Monomial
 
 
 # The bracket is accumulated in one pass without its gamma = 0 terms, which
@@ -484,8 +534,8 @@ def test_warm_memos_give_what_a_fresh_context_gives(spec, seed):
     fx, fy, fa = random_weyl(rng, fresh, bounds), random_weyl(rng, fresh, bounds), random_a(rng, fresh, bounds)
     assert str(fx) == str(x) and str(fy) == str(y) and str(fa) == str(a)
     assert [str(r) for r in _memo_ops(fx, fy, fa)] == first
-    if x:
-        assert a._partials is not None
+    # act(x, a) memoizes d^alpha(a) for every alpha of x, alpha = 0 included.
+    assert all(alpha in (a._partials or {}) for alpha in x.terms)
     if x and y:
         assert warm._products and next(iter(y.terms.values()))._partials is not None
 

@@ -20,7 +20,7 @@ def reference_nullspace(rows, ncols, spec):
     for f in range(ncols):
         if f not in pivots:
             vec = {f: spec.one()}
-            for p, row in red.rows:
+            for p, row in zip(red.pivots(), red.vectors()):
                 if f in row:
                     vec[p] = -row[f]
             kernel.add(vec)
@@ -153,36 +153,29 @@ def reducer_scripts(draw):
     ncols = draw(st.integers(1, 8))
     entry = st.integers(-4, 4).map(spec.from_int).filter(lambda c: not c.is_zero())
     vec = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
-    ops = st.tuples(st.sampled_from(["add", "reduce", "contains", "copy"]), vec)
-    return spec, draw(st.lists(ops, max_size=16)), draw(st.lists(vec, min_size=1, max_size=4))
+    ops = st.tuples(st.sampled_from(["add", "reduce", "contains"]), vec)
+    return spec, draw(st.lists(ops, max_size=16))
 
 
 @settings(max_examples=200, deadline=None)
 @given(reducer_scripts())
 def test_row_reducer_matches_a_full_sweep(case):
-    spec, ops, probes = case
+    spec, ops = case
     red, oracle = RowReducer(spec), SweepReducer(spec)
     for op, vec in ops:
         if op == "add":
             assert red.add(vec) == oracle.add(vec)
         elif op == "reduce":
             assert ordered(red.reduce(vec)) == ordered(oracle.reduce(vec))
-        elif op == "contains":
-            assert red.contains(vec) == oracle.contains(vec)
         else:
-            snapshot = red.copy()
-            before = [ordered(snapshot.reduce(v)) for v in probes]
-            index = holder_index(snapshot)
-            red.add(vec)
-            oracle.add(vec)
-            assert [ordered(snapshot.reduce(v)) for v in probes] == before
-            assert holder_index(snapshot) == index == holders_of(snapshot.rows)
+            assert red.contains(vec) == oracle.contains(vec)
         assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
         # RREF: pivots ascend, each row is 1 at its pivot and 0 at every other.
         pivots = red.pivots()
         assert pivots == sorted(set(pivots))
-        for p, row in red.rows:
+        rows = list(zip(pivots, red.vectors()))
+        for p, row in rows:
             assert row[p] == spec.one()
             assert not any(q in row for q in pivots if q != p)
         # The column index lists exactly the rows that hold each column.
-        assert holder_index(red) == holders_of(red.rows)
+        assert holder_index(red) == holders_of(rows)
