@@ -1,0 +1,90 @@
+"""Time the probes on widened windows that load the kernels more than the
+bundled scenarios do.
+
+    python3 scripts/heavy_windows.py
+
+Each window overrides a bundled scenario's variables, derivations, window
+and probes (loaded with `load_scenario_mapping`) and holds one closure
+probe.  For each window the script prints one line: the seconds that
+`build_report` took, the verdicts and the sha256 of the report bytes.  It
+exits 1 when a verdict differs from the expected one.  The imports come
+from this checkout's `src/`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from weyltype.probes import FULL_SPAN_MOD_F1 as FULL_SPAN  # noqa: E402
+from weyltype.probes import PROPER_INVARIANT_SUBSPACE as PROPER  # noqa: E402
+from weyltype.reports import build_report, report_bytes  # noqa: E402
+from weyltype.scenario import Scenario, bundled_scenario_path, load_scenario_mapping  # noqa: E402
+
+# name -> (bundled scenario, overrides, (kind, seed, expected verdict) of the probe)
+WINDOWS = {
+    "closure_exhaust": (
+        "nonsimple_euler",
+        {"window": {"max_level": 6, "bounds": {"t": [0, 16]}}},
+        ("lie_closure", "t^2*d1", PROPER),
+    ),
+    "closure_multi": (
+        "nonsimple_euler",
+        {
+            "variables": [{"name": "t1", "kind": "polynomial"}, {"name": "t2", "kind": "polynomial"}],
+            "derivations": [
+                {"name": "d1", "euler_weights": {"t1": 1, "t2": 0}},
+                {"name": "d2", "euler_weights": {"t1": 0, "t2": 1}},
+            ],
+            "window": {"max_level": 2, "bounds": {"t1": [0, 4], "t2": [0, 4]}},
+        },
+        ("lie_closure", "t1^2*d1", PROPER),
+    ),
+    "kernel_wide": (
+        "char2_poly",
+        {"window": {"max_level": 6, "bounds": {"t": [0, 30]}}},
+        ("assoc_closure", "d1^2", PROPER),
+    ),
+    "weyl_polynomial_20_8": (
+        "weyl_polynomial",
+        {"window": {"max_level": 8, "bounds": {"t": [0, 20]}}},
+        ("lie_closure", "t*d1", FULL_SPAN),
+    ),
+    "ga_wide": (
+        "group_algebra_z2",
+        {"window": {"max_level": 3, "bounds": {"g1": [-2, 2], "g2": [-2, 2]}}},
+        ("lie_closure", "g1*d1", FULL_SPAN),
+    ),
+}
+
+
+def load_window(name: str) -> Scenario:
+    base, overrides, (kind, seed, expect) = WINDOWS[name]
+    data = json.loads(bundled_scenario_path(base).read_text())
+    data.update(overrides)
+    data["name"] = name
+    data["probes"] = [{"kind": kind, "seed": seed, "expect": expect}]
+    return load_scenario_mapping(data, name)
+
+
+def main() -> int:
+    all_expected = True
+    for name in WINDOWS:
+        scenario = load_window(name)
+        start = time.perf_counter()
+        report = build_report(scenario)
+        seconds = time.perf_counter() - start
+        verdicts = ",".join(p["verdict"] for p in report["probes"])
+        digest = hashlib.sha256(report_bytes(report)).hexdigest()
+        print(f"{name}: {seconds:.3f} s  {verdicts}  sha256 {digest}")
+        all_expected = all_expected and report["all_expected"]
+    return 0 if all_expected else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,7 +8,8 @@ the monomial-product memo that mul_terms reads, and the gamma trees of the
 product walk in operators.py.  Contexts are frozen after
 validation; the only mutation ever allowed afterwards is the lazy,
 append-only registration of new variables by a shift-rule derivation
-(bounded by a hard cap), and the caches only gain entries.  Images and
+(bounded by a hard cap), and the caches only gain entries, apart from the
+product memo, which starts over once it reaches a fixed size.  Images and
 derivative-cache entries are raw {Monomial: Scalar} dicts, and nothing in
 the caches points back at the Context, so refcounting alone frees a dropped
 Context.  Each AElement may also memoize its own derivatives (see
@@ -34,6 +35,10 @@ LAURENT = "laurent"
 
 DEFAULT_VARIABLE_CAP = 64
 
+# The monomial-product memo is cleared on a miss once it holds this many
+# entries; each entry is a pure function of its key, so only work changes.
+PRODUCT_MEMO_CAP = 1 << 15
+
 
 def add_terms(out: dict, terms: dict, c: Scalar | None = None) -> None:
     """out += c * terms, with c = None meaning 1; a cancelled zero stays in out."""
@@ -47,7 +52,8 @@ def add_terms(out: dict, terms: dict, c: Scalar | None = None) -> None:
 def mul_terms(out: dict, left: dict, right: dict, products: dict, c: Scalar | None = None) -> None:
     """out += c * left * right, with c = None meaning 1; a cancelled zero stays in out.
 
-    `products` is the context's monomial-product memo, (m1, m2) -> m1 * m2.
+    `products` is the context's monomial-product memo, (m1, m2) -> m1 * m2,
+    cleared on a miss once it holds PRODUCT_MEMO_CAP entries.
     """
     for m1, c1 in left.items():
         if c is not None:
@@ -55,6 +61,8 @@ def mul_terms(out: dict, left: dict, right: dict, products: dict, c: Scalar | No
         for m2, c2 in right.items():
             m = products.get((m1, m2))
             if m is None:
+                if len(products) >= PRODUCT_MEMO_CAP:
+                    products.clear()
                 m = products[(m1, m2)] = m1 * m2
             t = c1 * c2
             cur = out.get(m)
@@ -197,7 +205,8 @@ class Context:
         # The gamma walk's index arithmetic (operators._walk): alpha -> root
         # of its lazily built gamma tree.
         self._gamma_trees: dict[MultiIndex, object] = {}
-        # (m1, m2) -> m1 * m2 for every monomial product mul_terms forms.
+        # (m1, m2) -> m1 * m2 for the monomial products mul_terms forms,
+        # at most PRODUCT_MEMO_CAP of them.
         self._products: dict[tuple[Monomial, Monomial], Monomial] = {}
 
     # -- declaration ------------------------------------------------------

@@ -9,6 +9,11 @@ algebra.  Positive certificates ("the identity was reached") are therefore
 sound; completeness is sacrificed and reported honestly as a coverage
 fraction.
 
+A closure walk stops once its span holds the identity (for the probes that
+look for it), once the span fills the whole window (no later step can then
+be accepted, so the result is that of the exhaustive walk), or when a
+breadth-first round accepts nothing.
+
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
 """
@@ -54,6 +59,11 @@ KERNEL_NONZERO = "kernel_nonzero"
 KERNEL_ZERO = "kernel_zero"
 
 WINDOW_EVIDENCE_NOTE = "window-restricted evidence"
+
+# Why a closure walk stopped (ProbeVerdict.stop; never serialized).
+STOP_IDENTITY = "identity"
+STOP_SATURATED = "saturated"
+STOP_EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -261,6 +271,7 @@ class ProbeVerdict:
     unreached: list = field(default_factory=list)
     note: str = ""
     steps: list = field(default_factory=list)
+    stop: str = ""  # a closure's stop reason; reports never serialize it
 
 
 # -- joint kernel of the derivations -----------------------------------------
@@ -389,12 +400,20 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     element's coordinates over it, or None when the element leaves the window.
     Each generator is a `(name, step)` pair: `step(elem)` returns the
     `(op, result)` pairs of one closure step, in a fixed order.  Results that
-    are zero or leave the window are dropped, never projected.  The walk stops
-    as soon as the `stop` label enters the span, or when a round accepts
-    nothing.  A seed lying in `central` (a SubspaceBasis) is refused.
+    are zero or leave the window are dropped, never projected.  A seed lying
+    in `central` (a SubspaceBasis) is refused.
+
+    The walk stops for one of three reasons, checked in this order after
+    seeding and after each accepted step:
+    - "identity": the `stop` label entered the span;
+    - "saturated": the span holds every label, so no later step can be
+      accepted, and the accepted steps and the span are those of the
+      exhaustive walk;
+    - "exhausted": a round accepted nothing.
+    A full span holds the `stop` label, so a probe with one never saturates.
 
     Returns the reducer holding the span, the label index, the accepted
-    steps and whether `stop` was reached.
+    steps and the stop reason.
     """
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
@@ -413,7 +432,9 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     steps: list[ClosureStep] = []
     stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
     if stop_vec is not None and red.contains(stop_vec):
-        return red, index, steps, True
+        return red, index, steps, STOP_IDENTITY
+    if red.rank == len(labels):
+        return red, index, steps, STOP_SATURATED
     frontier = [0]
     while frontier:
         next_frontier = []
@@ -430,9 +451,11 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
                         steps.append(ClosureStep(op, gname, pi, z))
                         next_frontier.append(len(accepted) - 1)
                         if stop_vec is not None and red.contains(stop_vec):
-                            return red, index, steps, True
+                            return red, index, steps, STOP_IDENTITY
+                        if red.rank == len(labels):
+                            return red, index, steps, STOP_SATURATED
         frontier = next_frontier
-    return red, index, steps, False
+    return red, index, steps, STOP_EXHAUSTED
 
 
 def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVerdict:
@@ -452,12 +475,13 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
         (d.name, lambda e, d=d: (("derive", ctx.apply_derivation(d, e)),))
         for d in ctx.derivations
     ]
-    red, _, steps, reached = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
+    red, _, steps, reason = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
     return ProbeVerdict(
-        kind=REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE,
+        kind=REACHES_IDENTITY if reason == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
         witness=[a_from_coords(ctx, labels, vec) for vec in red.vectors()],
         steps=steps,
+        stop=reason,
     )
 
 
@@ -485,12 +509,13 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
         for name, g in _window_generators(ctx, window)
     ]
     stop = (ZERO_INDEX, ONE_MONOMIAL)
-    red, _, steps, reached = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
+    red, _, steps, reason = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
     return ProbeVerdict(
-        kind=REACHES_IDENTITY if reached else PROPER_INVARIANT_SUBSPACE,
+        kind=REACHES_IDENTITY if reason == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
         witness=[weyl_from_coords(ctx, labels, vec) for vec in red.vectors()],
         steps=steps,
+        stop=reason,
     )
 
 
@@ -523,7 +548,7 @@ def lie_ideal_closure_probe(
         (name, lambda e, g=g: (("bracket", lie_bracket(e, g, guard)),))
         for name, g in _window_generators(ctx, window)
     ]
-    red, index, steps, _ = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
+    red, index, steps, reason = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
 
     # A fresh reducer, so that the closure's own one never holds the f1 rows.
     combined = RowReducer(ctx.spec)
@@ -550,5 +575,5 @@ def lie_ideal_closure_probe(
     witness = [weyl_from_coords(ctx, labels, vec) for vec in red.vectors()]
     kind = FULL_SPAN_MOD_F1 if hit == len(targets) else PROPER_INVARIANT_SUBSPACE
     return ProbeVerdict(
-        kind=kind, coverage=coverage, witness=witness, unreached=unreached, steps=steps
+        kind=kind, coverage=coverage, witness=witness, unreached=unreached, steps=steps, stop=reason
     )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from weyltype import cli
+from weyltype import cli, coefficients
 from weyltype.checks import MAX_TRIALS, SampleBounds
 from weyltype.cli import main
 from weyltype.errors import InternalError, ValidationError
@@ -127,8 +127,9 @@ def _assert_matches_recorded_digest(capsys, name):
 
 def test_probe_widened_window_matches_recorded_digest(capsys):
     # The benchmark's widened weyl_polynomial window (t in [0, 12], level 5)
-    # makes 6,006 closure brackets, most of which cancel heavily; any change
-    # to a bracket's value moves this report's digest.
+    # makes 1,072 closure brackets (6,006 before closures stopped on a full
+    # span), most of which cancel heavily; any change to a bracket's value
+    # moves this report's digest.
     _assert_matches_recorded_digest(capsys, "closure_wide")
 
 
@@ -208,6 +209,25 @@ def test_verify_mixed_scenario_200_trials(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scenario", path, "--trials", "200", "--seed", "42")
     assert code == 0
     assert out.count("pass") == 6
+
+
+def test_capped_product_memo_changes_no_verify_output(capsys, monkeypatch):
+    # verify runs every trial in one context; its product memo starts over at
+    # the cap, which changes the work but no product.
+    path = str(bundled_scenario_path("mixed_flavors"))
+    loaded = []
+    load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda p: loaded.append(load(p)) or loaded[-1])
+
+    def run():
+        code, out, err = run_cli(capsys, "verify", "--scenario", path, "--trials", "50")
+        return code, out, err, len(loaded[-1].ctx._products)
+
+    code, out, err, uncapped = run()
+    monkeypatch.setattr(coefficients, "PRODUCT_MEMO_CAP", 64)
+    capped = run()
+    assert capped[:3] == (code, out, err) and code == 0
+    assert capped[3] <= 64 < uncapped
 
 
 def test_verify_zero_trials_vacuous(capsys, s_weyl):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,12 +34,19 @@ from weyltype.probes import (
     PROPER_INVARIANT_SUBSPACE,
     REACHES_IDENTITY,
     FULL_SPAN_MOD_F1,
+    ClosureStep,
     a_coords,
     a_from_coords,
     weyl_coords,
 )
-from weyltype.reports import run_probe
-from weyltype.scenario import bundled_scenario_names, load_bundled, load_scenario
+from weyltype.reports import build_report, report_bytes, run_probe
+from weyltype.scenario import (
+    bundled_scenario_names,
+    bundled_scenario_path,
+    load_bundled,
+    load_scenario,
+    load_scenario_mapping,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -633,6 +641,135 @@ def test_closure_step_order_is_pinned(name):
 
 def test_step_chains_cover_every_bundled_scenario():
     assert set(STEP_CHAINS) == set(bundled_scenario_names()) | {"closure_wide"}
+
+
+# -- stopping a closure early ----------------------------------------------------
+
+
+def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None):
+    """The closure engine before it stopped on a full span: the BFS runs on
+    until a round accepts nothing, unless the `stop` label enters the span.
+    The oracle for probes._closure."""
+    if seed.is_zero():
+        raise UsageError("seed must be nonzero")
+    index = {lab: j for j, lab in enumerate(labels)}
+    seed_vec = coords(seed, index)
+    if seed_vec is None:
+        raise UsageError("seed does not fit inside the window")
+    if central is not None and seed.is_a_only():
+        avec = a_coords(seed.a_part(), central.index)
+        if avec is not None and central.contains(avec):
+            raise UsageError("seed is central (inside the derivation kernel)")
+
+    red = RowReducer(ctx.spec)
+    red.add(seed_vec)
+    accepted = [seed]
+    steps = []
+    stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
+    if stop_vec is not None and red.contains(stop_vec):
+        return red, index, steps, probes.STOP_IDENTITY
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for pi in frontier:
+            for gname, step in gens:
+                for op, z in step(accepted[pi]):
+                    if z.is_zero():
+                        continue
+                    vec = coords(z, index)
+                    if vec is None:
+                        continue
+                    if red.add(vec):
+                        accepted.append(z)
+                        steps.append(ClosureStep(op, gname, pi, z))
+                        next_frontier.append(len(accepted) - 1)
+                        if stop_vec is not None and red.contains(stop_vec):
+                            return red, index, steps, probes.STOP_IDENTITY
+        frontier = next_frontier
+    return red, index, steps, probes.STOP_EXHAUSTED
+
+
+def _shift_family_with_closures():
+    # No lie_closure of a shift family fills its window: the shift keeps
+    # degrees, so no bracket has a term with a constant coefficient.  The
+    # probes after it register shift variables of their own, and must see
+    # the same context either way.
+    data = json.loads(bundled_scenario_path("shift_family").read_text())
+    data["probes"] = [
+        {"kind": "lie_closure", "seed": "x1*d1"},
+        {"kind": "assoc_closure", "seed": "x2*d1"},
+        {"kind": "theta_kernel"},
+        {"kind": "lie_closure", "seed": "x1^2*d1"},
+    ]
+    return load_scenario_mapping(data, "shift_family_closures")
+
+
+EXACTNESS_SCENARIOS = {
+    **{name: (lambda name=name: load_bundled(name)) for name in bundled_scenario_names()},
+    "closure_wide": lambda: load_scenario(PERFBENCH / "scenarios" / "closure_wide.json"),
+    "shift_family_closures": _shift_family_with_closures,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_SCENARIOS))
+def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch):
+    def run():
+        scenario = EXACTNESS_SCENARIOS[name]()
+        report = report_bytes(build_report(scenario))
+        return report, [v.name for v in scenario.ctx.variables]
+
+    engine = run()
+    monkeypatch.setattr(probes, "_closure", exhaustive_closure)
+    assert run() == engine
+
+
+@pytest.mark.parametrize("name", ["closure_wide", "group_algebra_z2", "laurent_euler", "weyl_polynomial"])
+def test_saturated_lie_closure_makes_no_further_step(name, monkeypatch):
+    # Once the span holds every label, no step can be accepted, so none is
+    # tried; the exhaustive walk makes 4,934 more brackets on closure_wide.
+    scenario = EXACTNESS_SCENARIOS[name]()
+    f1 = compute_f1(scenario.ctx, scenario.window)
+    request, = [r for r in scenario.probes if r.kind == "lie_closure"]
+    full = len(scenario.window.ad_basis(scenario.ctx))
+    reducers = []
+
+    class Recorded(RowReducer):
+        def __init__(self, spec):
+            super().__init__(spec)
+            reducers.append(self)
+
+    calls, late = [0], [0]
+
+    def counted(x, y, guard=None):
+        calls[0] += 1
+        late[0] += reducers[-1].rank == full
+        return lie_bracket(x, y, guard)
+
+    monkeypatch.setattr(probes, "RowReducer", Recorded)
+    monkeypatch.setattr(probes, "lie_bracket", counted)
+    verdict = run_probe(scenario, request, f1)
+    assert verdict.kind == FULL_SPAN_MOD_F1
+    assert verdict.stop == probes.STOP_SATURATED
+    assert calls[0] > 0
+    assert late[0] == 0
+
+
+@pytest.mark.parametrize(
+    "name, kind, stop",
+    [
+        ("weyl_polynomial", "lie_closure", probes.STOP_SATURATED),
+        ("nonsimple_euler", "lie_closure", probes.STOP_EXHAUSTED),
+        ("weyl_polynomial", "assoc_closure", probes.STOP_IDENTITY),
+    ],
+)
+def test_closure_verdicts_carry_their_stop_reason(name, kind, stop):
+    scenario = load_bundled(name)
+    f1 = compute_f1(scenario.ctx, scenario.window)
+    request = next(r for r in scenario.probes if r.kind == kind)
+    assert run_probe(scenario, request, f1).stop == stop
+    for entry in build_report(load_bundled(name))["probes"]:
+        assert "stop" not in entry
+        assert stop not in entry.values()
 
 
 def test_guard_bounds_the_lie_closure_work(monkeypatch):
