@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coefficients import AElement, Context, LAURENT
+from .coefficients import AElement, Context, LAURENT, Monomial, add_terms
 from .errors import UsageError
 from .fields import RATIONAL_KIND, Scalar
 from .multiindex import MultiIndex
@@ -49,21 +49,23 @@ def random_scalar(rng: random.Random, ctx: Context, nonzero: bool = False) -> Sc
             return s
 
 
-def random_monomial_element(rng: random.Random, ctx: Context, bounds: SampleBounds) -> AElement:
+def random_monomial(rng: random.Random, ctx: Context, bounds: SampleBounds) -> Monomial:
     nvars = bounds.n_variables or len(ctx.variables)
-    out = ctx.one()
+    exps: dict[int, int] = {}
     for _ in range(rng.randint(0, bounds.max_degree)):
         var = ctx.variables[rng.randrange(nvars)]
         e = rng.choice((-1, 1)) if var.kind == LAURENT else 1
-        out = out * ctx.monomial({var.name: e})
-    return out
+        exps[var.index] = exps.get(var.index, 0) + e
+    return Monomial.make(exps)
 
 
 def random_a(rng: random.Random, ctx: Context, bounds: SampleBounds, nonzero: bool = False) -> AElement:
     while True:
-        total = ctx.zero()
+        terms: dict[Monomial, Scalar] = {}
         for _ in range(rng.randint(0 if not nonzero else 1, bounds.max_terms)):
-            total = total + random_monomial_element(rng, ctx, bounds) * random_scalar(rng, ctx)
+            m = random_monomial(rng, ctx, bounds)
+            add_terms(terms, {m: random_scalar(rng, ctx)})
+        total = AElement(ctx, terms)
         if total or not nonzero:
             return total
 

@@ -5,8 +5,11 @@ Commands (all take --scenario PATH):
     normalize EXPR [--json]      print the canonical normal form of an expression
     act OP ELEM [--json]         apply an operator expression to a coefficient element
     bracket X Y [--json]         commutator of two expressions, normal form
-    probe [--text] [--margin F]  run the scenario's probes, emit a JSON report
-                                 (--text: one summary line per probe instead)
+    probe [--text] [--margin F] [--stats]
+                                 run the scenario's probes, emit a JSON report
+                                 (--text: one summary line per probe instead;
+                                 --stats: one JSON line of closure step
+                                 counts per probe on stderr)
     verify [--trials N] [--seed S]
                                  run the randomized identity suites; N is at
                                  most checks.MAX_TRIALS (10,000)
@@ -23,6 +26,7 @@ reported as one `internal error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,6 +78,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_probe = command("probe", "run the scenario's probes")
     p_probe.add_argument("--text", action="store_true", help="plain text summary")
     p_probe.add_argument("--margin", help="override the interior margin fraction")
+    p_probe.add_argument("--stats", action="store_true",
+                         help="print each probe's closure step counts to stderr")
 
     p_verify = command("verify", "run the randomized identity suites")
     p_verify.add_argument("--trials", type=int, default=200)
@@ -114,7 +120,8 @@ def _cmd_bracket(args, scenario: Scenario) -> int:
 def _cmd_probe(args, scenario: Scenario) -> int:
     if args.margin is not None:
         scenario.margin = parse_margin(args.margin)
-    report = build_report(scenario)
+    verdicts: list = []
+    report = build_report(scenario, verdicts)
     if args.text:
         print(f"scenario {report['scenario']} over {report['field']}")
         print(f"derivation kernel dimension {report['f1']['dimension']}: "
@@ -129,9 +136,27 @@ def _cmd_probe(args, scenario: Scenario) -> int:
                     f" [EXPECTED {entry['expected']}]"
             print(line)
     else:
-        sys.stdout.buffer.write(report_bytes(report))
-        sys.stdout.buffer.flush()
+        data = report_bytes(report)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream, such as a redirected StringIO
+            sys.stdout.write(data.decode("ascii"))
+        else:
+            out.write(data)
+        sys.stdout.flush()
+    if args.stats:
+        for k, (request, verdict) in enumerate(zip(scenario.probes, verdicts)):
+            print(json.dumps(_stats_entry(report["scenario"], k, request, verdict)), file=sys.stderr)
     return EXIT_OK if report["all_expected"] else EXIT_NEGATIVE
+
+
+def _stats_entry(scenario_name: str, k: int, request, verdict) -> dict:
+    """One --stats line: the probe, and the step counts of a closure walk."""
+    entry = {"scenario": scenario_name, "probe": k, "kind": request.kind}
+    if request.seed_text is not None:
+        entry["seed"] = request.seed_text
+    if verdict.stats is not None:
+        entry.update(dataclasses.asdict(verdict.stats))
+    return entry
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:

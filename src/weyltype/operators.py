@@ -60,6 +60,14 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   product that fits the window is always returned whole.  In a bracket the
   top level of x*y - y*x cancels, and the next one down is the Poisson
   bracket of the two principal symbols.
+- A caller can often decide the discard before calling at all.  A is a
+  domain, so the principal symbol is multiplicative: x*y has level
+  lev(x) + lev(y), and when y = m*d^beta is one term, its top level is
+  exactly m*u_alpha at alpha + beta over the top-level terms u_alpha of x
+  (and likewise for y*x).  When that level leaves the window, so does the
+  product.  The associative closure probe skips such products (see
+  probes.py); the top level of a bracket cancels, so brackets are always
+  formed.
 """
 
 from __future__ import annotations
@@ -170,10 +178,6 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"<W {format_weyl(self)}>"
-
-
-def wzero(ctx: Context) -> WeylElement:
-    return WeylElement(ctx, {})
 
 
 def widentity(ctx: Context) -> WeylElement:

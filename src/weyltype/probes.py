@@ -12,7 +12,23 @@ fraction.
 A closure walk stops once its span holds the identity (for the probes that
 look for it), once the span fills the whole window (no later step can then
 be accepted, so the result is that of the exhaustive walk), or when a
-breadth-first round accepts nothing.
+breadth-first round accepts nothing.  Each walk records what it did in a
+ProbeStats on its verdict: steps tried, zero, discarded, in the span and
+accepted, the rank after each round and the stop reason.
+
+assoc_closure decides most of its discards before forming any product.  A
+is a polynomial or Laurent ring over a field, hence a domain, so the
+principal symbol of A[D] (the top level of the order filtration) is
+multiplicative.  Each generator is one term g = m*d^beta, so the top level
+of both g*e and e*g is exactly m*u_alpha at alpha + beta, over the
+|alpha| = lev(e) terms of e, with no cancellation.  Both products therefore
+leave the window when lev(e) + |beta| exceeds max_level, or when m*mu leaves
+the box for some monomial mu of a top-level u_alpha; the box is a product
+of intervals, so the second test only needs, per variable, the least and
+greatest exponent over those mu.  Such a step yields None for both results
+and the walk counts two discards, exactly as it would for the products.
+The test is not used for brackets: the top level of [e, g] cancels, and the
+next one down (the Poisson bracket of the symbols) can vanish.
 
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
@@ -24,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .coefficients import (
     AElement,
@@ -264,6 +281,27 @@ class ClosureStep:
 
 
 @dataclass
+class ProbeStats:
+    """What one closure walk did; reports never serialize it.
+
+    Every step result is counted once as tried and then as exactly one of
+    zero, discarded (it left the window), in_span or accepted; `predicted`
+    counts the discards decided without forming the product.  `ranks` holds
+    the span's rank after seeding and after each breadth-first round, the
+    last entry taken where the walk stopped.
+    """
+
+    tried: int = 0
+    zero: int = 0
+    discarded: int = 0
+    predicted: int = 0
+    in_span: int = 0
+    accepted: int = 0
+    ranks: list = field(default_factory=list)
+    stop: str = ""
+
+
+@dataclass
 class ProbeVerdict:
     kind: str
     coverage: Fraction
@@ -271,7 +309,12 @@ class ProbeVerdict:
     unreached: list = field(default_factory=list)
     note: str = ""
     steps: list = field(default_factory=list)
-    stop: str = ""  # a closure's stop reason; reports never serialize it
+    stats: ProbeStats | None = None  # closures only
+
+    @property
+    def stop(self) -> str:
+        """A closure's stop reason, "" for any other probe."""
+        return self.stats.stop if self.stats is not None else ""
 
 
 # -- joint kernel of the derivations -----------------------------------------
@@ -399,9 +442,10 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     `labels` enumerate the window basis and `coords(z, index)` gives an
     element's coordinates over it, or None when the element leaves the window.
     Each generator is a `(name, step)` pair: `step(elem)` returns the
-    `(op, result)` pairs of one closure step, in a fixed order.  Results that
-    are zero or leave the window are dropped, never projected.  A seed lying
-    in `central` (a SubspaceBasis) is refused.
+    `(op, result)` pairs of one closure step, in a fixed order; a result of
+    None says the step left the window without forming the element.
+    Results that are zero or leave the window are dropped, never projected.
+    A seed lying in `central` (a SubspaceBasis) is refused.
 
     The walk stops for one of three reasons, checked in this order after
     seeding and after each accepted step:
@@ -413,7 +457,7 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     A full span holds the `stop` label, so a probe with one never saturates.
 
     Returns the reducer holding the span, the label index, the accepted
-    steps and the stop reason.
+    steps and the walk's ProbeStats.
     """
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
@@ -430,32 +474,51 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     red.add(seed_vec)
     accepted = [seed]
     steps: list[ClosureStep] = []
+    stats = ProbeStats(ranks=[red.rank])
+
+    def done(reason: str):
+        if stats.ranks[-1] != red.rank:
+            stats.ranks.append(red.rank)
+        stats.stop = reason
+        return red, index, steps, stats
+
     stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
     if stop_vec is not None and red.contains(stop_vec):
-        return red, index, steps, STOP_IDENTITY
+        return done(STOP_IDENTITY)
     if red.rank == len(labels):
-        return red, index, steps, STOP_SATURATED
+        return done(STOP_SATURATED)
     frontier = [0]
     while frontier:
         next_frontier = []
         for pi in frontier:
             for gname, step in gens:
                 for op, z in step(accepted[pi]):
+                    stats.tried += 1
+                    if z is None:
+                        stats.discarded += 1
+                        stats.predicted += 1
+                        continue
                     if z.is_zero():
+                        stats.zero += 1
                         continue
                     vec = coords(z, index)
                     if vec is None:
-                        continue  # discard: the step left the window
-                    if red.add(vec):
-                        accepted.append(z)
-                        steps.append(ClosureStep(op, gname, pi, z))
-                        next_frontier.append(len(accepted) - 1)
-                        if stop_vec is not None and red.contains(stop_vec):
-                            return red, index, steps, STOP_IDENTITY
-                        if red.rank == len(labels):
-                            return red, index, steps, STOP_SATURATED
+                        stats.discarded += 1  # the step left the window
+                        continue
+                    if not red.add(vec):
+                        stats.in_span += 1
+                        continue
+                    stats.accepted += 1
+                    accepted.append(z)
+                    steps.append(ClosureStep(op, gname, pi, z))
+                    next_frontier.append(len(accepted) - 1)
+                    if stop_vec is not None and red.contains(stop_vec):
+                        return done(STOP_IDENTITY)
+                    if red.rank == len(labels):
+                        return done(STOP_SATURATED)
         frontier = next_frontier
-    return red, index, steps, STOP_EXHAUSTED
+        stats.ranks.append(red.rank)
+    return done(STOP_EXHAUSTED)
 
 
 def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVerdict:
@@ -475,13 +538,13 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
         (d.name, lambda e, d=d: (("derive", ctx.apply_derivation(d, e)),))
         for d in ctx.derivations
     ]
-    red, _, steps, reason = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
+    red, _, steps, stats = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
     return ProbeVerdict(
-        kind=REACHES_IDENTITY if reason == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
+        kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
         witness=[a_from_coords(ctx, labels, vec) for vec in red.vectors()],
         steps=steps,
-        stop=reason,
+        stats=stats,
     )
 
 
@@ -495,27 +558,74 @@ def _window_generators(ctx: Context, window: Window) -> list[tuple[str, WeylElem
     return out
 
 
+def _symbol_room(e: WeylElement, window: Window) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The room max_level - lev(e) for |beta|, and per window variable the
+    interval [lo - min, hi - max] for m's exponent, with min and max taken
+    over the monomials of e's top-level coefficients."""
+    lev = max(alpha.level() for alpha in e.terms)
+    tops = [m for alpha, u in e.terms.items() if alpha.level() == lev for m in u.terms]
+    room = []
+    for i, lo, hi in window.bounds:
+        exps = [m.exponent(i) for m in tops]
+        room.append((lo - min(exps), hi - max(exps)))
+    return window.max_level - lev, tuple(room)
+
+
+def _generator_shift(g: WeylElement, window: Window) -> tuple[int, tuple[int, ...]]:
+    """|beta| and the window-variable exponents of m, for g = m*d^beta."""
+    (beta, u), = g.terms.items()
+    m, = u.terms
+    return beta.level(), tuple(m.exponent(i) for i, _, _ in window.bounds)
+
+
+def _symbol_leaves(room: tuple, shift: tuple) -> bool:
+    """Whether both products leave the window (see the module docstring)."""
+    level_room, intervals = room
+    level, exps = shift
+    if level > level_room:
+        return True
+    for x, (lo, hi) in zip(exps, intervals):
+        if not lo <= x <= hi:
+            return True
+    return False
+
+
+_LEFT_WINDOW = (("lmul", None), ("rmul", None))
+
+
 def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -> ProbeVerdict:
     """Two-sided multiplicative closure of the seed, with discard semantics.
 
     Reaching the identity certifies that the two-sided ideal generated by
-    the seed is the whole operator algebra.
+    the seed is the whole operator algebra.  A step whose products the
+    principal symbol shows to leave the window forms neither of them.
     """
     labels = window.ad_basis(ctx)
     guard = window.guard(ctx)
-    # Both products are computed before either is looked at.
+    # The walk steps one parent through every generator in turn, so one slot
+    # keeps each parent's symbol room for all of them.
+    last: list = [None, None]
+
+    def step(g, shift, e):
+        if last[0] is not e:
+            last[:] = e, _symbol_room(e, window)
+        if _symbol_leaves(last[1], shift):
+            return _LEFT_WINDOW
+        # Both products are computed before either is looked at.
+        return (("lmul", w_mul(g, e, guard)), ("rmul", w_mul(e, g, guard)))
+
     gens = [
-        (name, lambda e, g=g: (("lmul", w_mul(g, e, guard)), ("rmul", w_mul(e, g, guard))))
+        (name, partial(step, g, _generator_shift(g, window)))
         for name, g in _window_generators(ctx, window)
     ]
     stop = (ZERO_INDEX, ONE_MONOMIAL)
-    red, _, steps, reason = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
+    red, _, steps, stats = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
     return ProbeVerdict(
-        kind=REACHES_IDENTITY if reason == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
+        kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
         witness=[weyl_from_coords(ctx, labels, vec) for vec in red.vectors()],
         steps=steps,
-        stop=reason,
+        stats=stats,
     )
 
 
@@ -548,7 +658,7 @@ def lie_ideal_closure_probe(
         (name, lambda e, g=g: (("bracket", lie_bracket(e, g, guard)),))
         for name, g in _window_generators(ctx, window)
     ]
-    red, index, steps, reason = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
+    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
 
     # A fresh reducer, so that the closure's own one never holds the f1 rows.
     combined = RowReducer(ctx.spec)
@@ -575,5 +685,5 @@ def lie_ideal_closure_probe(
     witness = [weyl_from_coords(ctx, labels, vec) for vec in red.vectors()]
     kind = FULL_SPAN_MOD_F1 if hit == len(targets) else PROPER_INVARIANT_SUBSPACE
     return ProbeVerdict(
-        kind=kind, coverage=coverage, witness=witness, unreached=unreached, steps=steps, stop=reason
+        kind=kind, coverage=coverage, witness=witness, unreached=unreached, steps=steps, stats=stats
     )

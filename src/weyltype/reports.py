@@ -48,7 +48,9 @@ def _format_witness(verdict: ProbeVerdict) -> list[str]:
     return out
 
 
-def build_report(scenario: Scenario) -> dict:
+def build_report(scenario: Scenario, verdicts: list | None = None) -> dict:
+    """The scenario's report; each probe's ProbeVerdict is also appended to
+    `verdicts`, in probe order, when it is given."""
     ctx, window = scenario.ctx, scenario.window
     f1 = compute_f1(ctx, window)
     report: dict = {
@@ -75,6 +77,8 @@ def build_report(scenario: Scenario) -> dict:
     all_expected = True
     for request in scenario.probes:
         verdict = run_probe(scenario, request, f1)
+        if verdicts is not None:
+            verdicts.append(verdict)
         entry: dict = {
             "kind": request.kind,
             "verdict": verdict.kind,

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -114,6 +116,40 @@ def test_probe_matches_bundled_expected_report_bytes(capsys, name):
     assert code == 0, f"scenario {name} has an unexpected probe verdict"
     expected = bundled_scenario_path(name).parent / "expected" / f"{name}.report.json"
     assert out.encode("ascii") == expected.read_bytes()
+
+
+def _golden_report(name: str) -> bytes:
+    return (bundled_scenario_path(name).parent / "expected" / f"{name}.report.json").read_bytes()
+
+
+def test_probe_writes_its_report_to_a_text_only_stdout():
+    # A stdout without a .buffer (here a StringIO) gets the decoded report.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["probe", "--scenario", str(bundled_scenario_path("weyl_polynomial"))])
+    assert code == 0
+    assert out.getvalue().encode("ascii") == _golden_report("weyl_polynomial")
+
+
+@pytest.mark.parametrize("name", ["weyl_polynomial", "char2_poly"])
+def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, name):
+    code, out, err = run_cli(capsys, "probe", "--stats", "--scenario", str(bundled_scenario_path(name)))
+    assert code == 0
+    assert out.encode("ascii") == _golden_report(name)
+    entries = [json.loads(line) for line in err.splitlines()]
+    requests = load_bundled(name).probes
+    assert [(e["scenario"], e["probe"], e["kind"]) for e in entries] == [
+        (name, k, r.kind) for k, r in enumerate(requests)
+    ]
+    for entry, request in zip(entries, requests):
+        assert entry.get("seed") == request.seed_text
+        if request.kind == "theta_kernel":
+            assert "tried" not in entry
+            continue
+        assert entry["tried"] == sum(entry[k] for k in ("zero", "discarded", "in_span", "accepted"))
+        assert entry["predicted"] <= entry["discarded"]
+        assert entry["stop"] in ("identity", "saturated", "exhausted")
+        assert entry["ranks"][0] == 1 and entry["ranks"] == sorted(entry["ranks"])
 
 
 def _assert_matches_recorded_digest(capsys, name):

@@ -15,11 +15,14 @@ from weyltype.operators import (
     lie_bracket,
     wderivation,
     wfrom_a,
-    wzero,
 )
 from weyltype.checks import SampleBounds, random_a, random_weyl
 
 mk = MultiIndex.make
+
+
+def wzero(ctx) -> WeylElement:
+    return WeylElement(ctx, {})
 
 
 def test_product_of_derivation_and_variable(weyl_q):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from weyltype import (
     BasisCapError,
@@ -26,6 +30,7 @@ from weyltype import (
     widentity,
 )
 from weyltype import operators, probes
+from weyltype.checks import SampleBounds, random_scalar, random_weyl
 from weyltype.linalg import RowReducer
 from weyltype.operators import act, format_weyl, lie_bracket, wderivation, wfrom_a
 from weyltype.probes import (
@@ -649,7 +654,8 @@ def test_step_chains_cover_every_bundled_scenario():
 def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None):
     """The closure engine before it stopped on a full span: the BFS runs on
     until a round accepts nothing, unless the `stop` label enters the span.
-    The oracle for probes._closure."""
+    The oracle for probes._closure; of its ProbeStats it fills only the stop
+    reason, and a None step result is a discard."""
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     index = {lab: j for j, lab in enumerate(labels)}
@@ -667,14 +673,14 @@ def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None)
     steps = []
     stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
     if stop_vec is not None and red.contains(stop_vec):
-        return red, index, steps, probes.STOP_IDENTITY
+        return red, index, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
     frontier = [0]
     while frontier:
         next_frontier = []
         for pi in frontier:
             for gname, step in gens:
                 for op, z in step(accepted[pi]):
-                    if z.is_zero():
+                    if z is None or z.is_zero():
                         continue
                     vec = coords(z, index)
                     if vec is None:
@@ -684,9 +690,9 @@ def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None)
                         steps.append(ClosureStep(op, gname, pi, z))
                         next_frontier.append(len(accepted) - 1)
                         if stop_vec is not None and red.contains(stop_vec):
-                            return red, index, steps, probes.STOP_IDENTITY
+                            return red, index, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
         frontier = next_frontier
-    return red, index, steps, probes.STOP_EXHAUSTED
+    return red, index, steps, probes.ProbeStats(stop=probes.STOP_EXHAUSTED)
 
 
 def _shift_family_with_closures():
@@ -770,6 +776,141 @@ def test_closure_verdicts_carry_their_stop_reason(name, kind, stop):
     for entry in build_report(load_bundled(name))["probes"]:
         assert "stop" not in entry
         assert stop not in entry.values()
+
+
+def _bundled_step_totals() -> Counter:
+    totals = Counter()
+    for name in bundled_scenario_names():
+        scenario = load_bundled(name)
+        f1 = compute_f1(scenario.ctx, scenario.window)
+        for request in scenario.probes:
+            verdict = run_probe(scenario, request, f1)
+            stats = verdict.stats
+            if request.kind == "theta_kernel":
+                assert stats is None and verdict.stop == ""
+                continue
+            assert stats.tried == stats.zero + stats.discarded + stats.in_span + stats.accepted
+            assert stats.accepted == len(verdict.steps)
+            assert stats.ranks[0] == 1 and stats.ranks == sorted(stats.ranks)
+            assert stats.ranks[-1] == len(verdict.witness)
+            assert verdict.stop == stats.stop
+            if request.kind != "assoc_closure":
+                assert stats.predicted == 0
+            totals.update(
+                {k: getattr(stats, k) for k in ("tried", "zero", "discarded", "predicted", "in_span", "accepted")}
+            )
+    return totals
+
+
+def test_closure_stats_equal_those_of_forming_every_product(monkeypatch):
+    # perfbench's tracer, which infers step outcomes from the call order,
+    # read these counts with every product formed, but one step more, a zero
+    # one: it also counts the rmul product formed alongside the lmul step
+    # that reaches the identity in weyl_polynomial's assoc_closure, which
+    # the walk never looks at.
+    totals = _bundled_step_totals()
+    assert totals == {
+        "tried": 3_429,
+        "zero": 317,
+        "discarded": 1_796,
+        "predicted": 1_246,
+        "in_span": 1_010,
+        "accepted": 306,
+    }
+    monkeypatch.setattr(probes, "_symbol_leaves", lambda room, shift: False)
+    assert _bundled_step_totals() == totals - Counter({"predicted": 1_246})
+
+
+def _symbol_context(kind: str) -> Context:
+    if kind == "shift":
+        ctx = Context(RATIONAL, variable_cap=16)
+        for name in ("x1", "x2", "x3"):
+            ctx.add_variable(name, "polynomial")
+        ctx.add_derivation("d1", shift_prefix="x")
+        return ctx.freeze()
+    if kind == "laurent":
+        ctx = Context(RATIONAL)
+        ctx.add_variable("t", "laurent")
+        ctx.add_variable("s", "polynomial")
+        ctx.add_derivation("d1", images={"t": ctx.var("t"), "s": ctx.zero()})
+        ctx.add_derivation("d2", images={"t": ctx.zero(), "s": ctx.one()})
+        return ctx.freeze()
+    ctx = Context(RATIONAL if kind == "q" else FieldSpec("prime", 5))
+    ctx.add_variable("t", "polynomial")
+    ctx.add_derivation("d1", images={"t": ctx.one()})
+    return ctx.freeze()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["q", "f5", "laurent", "shift"]),
+    lows=st.lists(st.integers(-3, 0), min_size=3, max_size=3),
+    highs=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    max_level=st.integers(0, 3),
+    seed=st.integers(0, 10**6),
+    pick=st.integers(0, 10**6),
+    inside=st.booleans(),
+)
+def test_symbol_test_fires_only_on_products_that_leave(kind, lows, highs, max_level, seed, pick, inside):
+    ctx = _symbol_context(kind)
+    declared = [v for v in ctx.variables if v.declared]
+    bounds = {
+        v.name: (lo if v.kind == "laurent" else 0, hi)
+        for v, lo, hi in zip(declared, lows, highs)
+    }
+    window = Window.for_context(ctx, bounds, max_level)
+    gens = probes._window_generators(ctx, window)
+    assume(gens)
+    _, g = gens[pick % len(gens)]
+    rng = random.Random(seed)
+    if inside:  # like every element a closure walk steps from
+        labels = window.ad_basis(ctx)
+        vec = {rng.randrange(len(labels)): random_scalar(rng, ctx, nonzero=True) for _ in range(3)}
+        e = probes.weyl_from_coords(ctx, labels, vec)
+    else:
+        sample = SampleBounds(max_degree=3, max_level=3, max_terms=3, n_variables=len(declared))
+        e = random_weyl(rng, ctx, sample, nonzero=True)
+
+    # The top level of g*e and of e*g is m*u_alpha at alpha + beta, with no
+    # cancellation, over the top-level terms u_alpha of e.
+    (beta, m), = g.terms.items()
+    lev = max(alpha.level() for alpha in e.terms)
+    top = {alpha.add(beta): m * u for alpha, u in e.terms.items() if alpha.level() == lev}
+    products = (w_mul(g, e), w_mul(e, g))
+    for z in products:
+        assert {a: u for a, u in z.terms.items() if a.level() == lev + beta.level()} == top
+
+    room = probes._symbol_room(e, window)
+    fires = probes._symbol_leaves(room, probes._generator_shift(g, window))
+    event(f"symbol test fires: {fires}")
+    if fires:
+        index = {lab: j for j, lab in enumerate(window.ad_basis(ctx))}
+        for z in products:
+            assert weyl_coords(z, index) is None
+
+
+def test_symbol_test_reads_only_the_top_level(monkeypatch):
+    # In (d1 + t^-1)*t^-1 = t^-1*d1 the level-0 terms cancel, so a test over
+    # every monomial of e, not only the top-level ones, would discard a
+    # product that fits the window.
+    ctx = Context(RATIONAL)
+    ctx.add_variable("t", "laurent")
+    ctx.add_derivation("d1", images={"t": ctx.one()})
+    ctx.freeze()
+    window = Window.for_context(ctx, {"t": (-1, 1)}, max_level=1)
+    e, g = evaluate_text("d1 + t^-1", ctx), evaluate_text("t^-1", ctx)
+    assert format_weyl(w_mul(e, g)) == "t^-1*d1"
+    assert not probes._symbol_leaves(probes._symbol_room(e, window), probes._generator_shift(g, window))
+
+    def run():
+        verdict = assoc_ideal_closure_probe(ctx, e, window)
+        chain = [(s.op, s.generator, s.parent, format_weyl(s.element)) for s in verdict.steps]
+        return verdict.kind, verdict.coverage, chain, verdict.stats.discarded
+
+    predicted = run()
+    assert ("rmul", "t^-1", 0, "t^-1*d1") in predicted[2]
+    monkeypatch.setattr(probes, "_symbol_leaves", lambda room, shift: False)
+    assert run() == predicted
 
 
 def test_guard_bounds_the_lie_closure_work(monkeypatch):
