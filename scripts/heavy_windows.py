@@ -7,8 +7,8 @@ Each window overrides a bundled scenario's variables, derivations, window
 and probes (loaded with `load_scenario_mapping`) and holds one closure
 probe.  For each window the script prints one line: the seconds that
 `build_report` took, the verdicts and the sha256 of the report bytes.  It
-exits 1 when a verdict differs from the expected one.  The imports come
-from this checkout's `src/`.
+exits 1 when a verdict differs from the expected one or a sha256 from the
+pinned one.  The imports come from this checkout's `src/`.
 """
 
 from __future__ import annotations
@@ -26,12 +26,14 @@ from weyltype.probes import PROPER_INVARIANT_SUBSPACE as PROPER  # noqa: E402
 from weyltype.reports import build_report, report_bytes  # noqa: E402
 from weyltype.scenario import Scenario, bundled_scenario_path, load_scenario_mapping  # noqa: E402
 
-# name -> (bundled scenario, overrides, (kind, seed, expected verdict) of the probe)
+# name -> (bundled scenario, overrides, (kind, seed, expected verdict) of the
+# probe, sha256 of the report bytes)
 WINDOWS = {
     "closure_exhaust": (
         "nonsimple_euler",
         {"window": {"max_level": 6, "bounds": {"t": [0, 16]}}},
         ("lie_closure", "t^2*d1", PROPER),
+        "b0e2062b8decefa1a5f651377c5b504d5d95da4886119cd2d25493c6b5b95284",
     ),
     "closure_multi": (
         "nonsimple_euler",
@@ -44,27 +46,31 @@ WINDOWS = {
             "window": {"max_level": 2, "bounds": {"t1": [0, 4], "t2": [0, 4]}},
         },
         ("lie_closure", "t1^2*d1", PROPER),
+        "d62033696174e11bd4dacf5c81f4958f68a3c750e6174aee485871e26846c4f8",
     ),
     "kernel_wide": (
         "char2_poly",
         {"window": {"max_level": 6, "bounds": {"t": [0, 30]}}},
         ("assoc_closure", "d1^2", PROPER),
+        "f007b0a154ad47462f35fcd18f5122efdc7cc0df27ca3de1bf5cf3378cfe21bc",
     ),
     "weyl_polynomial_20_8": (
         "weyl_polynomial",
         {"window": {"max_level": 8, "bounds": {"t": [0, 20]}}},
         ("lie_closure", "t*d1", FULL_SPAN),
+        "9e0076145a945762c242d33dbdc8a7c7201c038b75d64cee0a5d33ede24b48ac",
     ),
     "ga_wide": (
         "group_algebra_z2",
         {"window": {"max_level": 3, "bounds": {"g1": [-2, 2], "g2": [-2, 2]}}},
         ("lie_closure", "g1*d1", FULL_SPAN),
+        "7e096c898284678972b028a07defb97c139844c9b949dad705c6f9c423a7a6e2",
     ),
 }
 
 
 def load_window(name: str) -> Scenario:
-    base, overrides, (kind, seed, expect) = WINDOWS[name]
+    base, overrides, (kind, seed, expect), _ = WINDOWS[name]
     data = json.loads(bundled_scenario_path(base).read_text())
     data.update(overrides)
     data["name"] = name
@@ -72,18 +78,24 @@ def load_window(name: str) -> Scenario:
     return load_scenario_mapping(data, name)
 
 
+def run_window(name: str) -> tuple[float, dict, str]:
+    """The seconds `build_report` took, the report and its sha256."""
+    scenario = load_window(name)
+    start = time.perf_counter()
+    report = build_report(scenario)
+    seconds = time.perf_counter() - start
+    return seconds, report, hashlib.sha256(report_bytes(report)).hexdigest()
+
+
 def main() -> int:
-    all_expected = True
-    for name in WINDOWS:
-        scenario = load_window(name)
-        start = time.perf_counter()
-        report = build_report(scenario)
-        seconds = time.perf_counter() - start
+    ok = True
+    for name, (*_, pinned) in WINDOWS.items():
+        seconds, report, digest = run_window(name)
         verdicts = ",".join(p["verdict"] for p in report["probes"])
-        digest = hashlib.sha256(report_bytes(report)).hexdigest()
-        print(f"{name}: {seconds:.3f} s  {verdicts}  sha256 {digest}")
-        all_expected = all_expected and report["all_expected"]
-    return 0 if all_expected else 1
+        mismatch = "" if digest == pinned else f"  (pinned {pinned})"
+        print(f"{name}: {seconds:.3f} s  {verdicts}  sha256 {digest}{mismatch}")
+        ok = ok and report["all_expected"] and not mismatch
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ from .operators import (
 # All work is bounded: the mixed_flavors suites take about 9 ms a trial on
 # a 2-vCPU host, so a capped run ends within a few minutes.
 MAX_TRIALS = 10_000
+# Largest sample bound a scenario may set.  With every bound at 6, one
+# mixed_flavors trial took at most 1.5 s on a 2-vCPU host (seeds 0-7); at 8
+# one seed took 30 s.
+MAX_SAMPLE_BOUND = 6
 
 
 @dataclass(frozen=True)

@@ -49,25 +49,14 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   (u, alpha)(v, beta) is u*v at alpha + beta, and that of (v, beta)(u, alpha)
   is v*u there; A is commutative, so they cancel.
 - Without a window guard, every pair starts at once and the walk runs to
-  the end.  With a guard (max_level, monomials), a pair with
+  the end.  lie_bracket takes a guard (max_level, monomials): a pair with
   |alpha| + |beta| = s starts at output level s, so step by step the walk
-  fills output levels from the top down, each final when its step ends.  It
-  stops after the first finished level with a nonzero term outside the
-  window (a level above max_level, or a monomial not in the set) and
-  returns that level alone.  A finished level is final, so that element is
-  a nonzero piece of the true product that already leaves the window, and a
-  closure probe discards it exactly as it would the full product.  A
-  product that fits the window is always returned whole.  In a bracket the
-  top level of x*y - y*x cancels, and the next one down is the Poisson
-  bracket of the two principal symbols.
-- A caller can often decide the discard before calling at all.  A is a
-  domain, so the principal symbol is multiplicative: x*y has level
-  lev(x) + lev(y), and when y = m*d^beta is one term, its top level is
-  exactly m*u_alpha at alpha + beta over the top-level terms u_alpha of x
-  (and likewise for y*x).  When that level leaves the window, so does the
-  product.  The associative closure probe skips such products (see
-  probes.py); the top level of a bracket cancels, so brackets are always
-  formed.
+  fills output levels from the top down, each final when its step ends.
+  Once a finished level holds a nonzero term outside the window (a level
+  above max_level, or a monomial not in the set), the bracket leaves the
+  window and the walk returns None at once; a bracket that fits is returned
+  whole.  The top level of x*y - y*x cancels, and the next one down is the
+  Poisson bracket of the two principal symbols.
 """
 
 from __future__ import annotations
@@ -285,14 +274,15 @@ class _GammaNode:
         return children
 
 
-def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylElement:
+def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylElement | None:
     """Sum sign * x*y over the (x, y, sign) in `products`, one gamma level per step.
 
     Each step moves every started term pair one gamma level deeper and adds
     its terms u * C(alpha, gamma) * d^gamma(v) at beta + (alpha - gamma).  With
     skip_gamma_zero the gamma = 0 terms u*v are left out, since they cancel
-    in a bracket.  The guard, if any, schedules the pairs by output level and
-    may stop the walk early (see the module docstring).
+    in a bracket.  The guard, if any, schedules the pairs by output level,
+    and the walk returns None once a finished level leaves the window (see
+    the module docstring).
     """
     spec = ctx.spec
     trees = ctx._gamma_trees
@@ -346,7 +336,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
         active = deeper
         if guard is not None:
             if _leaves_window(level, finished, guard):
-                return _from_buckets(ctx, finished)
+                return None
             out.update(finished)  # output levels are disjoint
     return _from_buckets(ctx, out)
 
@@ -355,22 +345,19 @@ def _from_buckets(ctx: Context, out: dict[MultiIndex, dict[Monomial, Scalar]]) -
     return WeylElement(ctx, {idx: AElement(ctx, bucket) for idx, bucket in out.items()})
 
 
-def w_mul(x: WeylElement, y: WeylElement, guard: tuple[int, frozenset] | None = None) -> WeylElement:
-    """Normal-ordering product; the result is again in normal form.
-
-    With a window guard (max_level, monomials) a product that leaves the
-    window may come back as its first finished out-of-window level only.
-    """
+def w_mul(x: WeylElement, y: WeylElement) -> WeylElement:
+    """Normal-ordering product; the result is again in normal form."""
     x._check(y)
-    return _walk(x.ctx, ((x, y, 1),), False, guard)
+    return _walk(x.ctx, ((x, y, 1),), False, None)
 
 
 def lie_bracket(
     x: WeylElement, y: WeylElement, guard: tuple[int, frozenset] | None = None
-) -> WeylElement:
+) -> WeylElement | None:
     """Commutator x*y - y*x, accumulated in one walk without its gamma = 0 terms.
 
-    The guard works as in w_mul.
+    With a window guard (max_level, monomials) a bracket that leaves the
+    window is None.
     """
     x._check(y)
     return _walk(x.ctx, ((x, y, 1), (y, x, -1)), True, guard)

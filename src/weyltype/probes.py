@@ -40,7 +40,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 from .coefficients import (
     AElement,
@@ -67,6 +66,8 @@ from .operators import (
 )
 
 DEFAULT_BASIS_CAP = 5000
+# Largest basis_cap a window accepts: every enumerated basis stays in memory.
+MAX_BASIS_CAP = 20_000
 DEFAULT_MARGIN = Fraction(1, 2)
 
 REACHES_IDENTITY = "reaches_identity"
@@ -101,6 +102,8 @@ class Window:
         violations = []
         if max_level < 0:
             violations.append("max_level must be nonnegative")
+        if not 1 <= basis_cap <= MAX_BASIS_CAP:
+            violations.append(f"basis_cap must be in [1, {MAX_BASIS_CAP}], got {basis_cap}")
         seen = set()
         entries = []
         for name, (lo, hi) in bounds_by_name.items():
@@ -134,9 +137,9 @@ class Window:
         return (0, 0)  # variables created after the window was built
 
     def guard(self, ctx: Context) -> tuple[int, frozenset]:
-        """The (max_level, monomials) guard that lets w_mul and lie_bracket stop
-        early on a product that leaves the window; it agrees with weyl_coords
-        over ad_basis, so a variable created after the window falls outside."""
+        """The (max_level, monomials) guard under which lie_bracket is None for
+        a bracket that leaves the window; it agrees with weyl_coords over
+        ad_basis, so a variable created after the window falls outside."""
         return self.max_level, frozenset(self.a_basis(ctx))
 
     def a_basis_size(self) -> int:
@@ -285,8 +288,7 @@ class ProbeStats:
     """What one closure walk did; reports never serialize it.
 
     Every step result is counted once as tried and then as exactly one of
-    zero, discarded (it left the window), in_span or accepted; `predicted`
-    counts the discards decided without forming the product.  `ranks` holds
+    zero, discarded (it left the window), in_span or accepted.  `ranks` holds
     the span's rank after seeding and after each breadth-first round, the
     last entry taken where the walk stopped.
     """
@@ -294,7 +296,6 @@ class ProbeStats:
     tried: int = 0
     zero: int = 0
     discarded: int = 0
-    predicted: int = 0
     in_span: int = 0
     accepted: int = 0
     ranks: list = field(default_factory=list)
@@ -436,14 +437,14 @@ def theta_kernel(
 # -- ideal-closure probes ------------------------------------------------------
 
 
-def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, central=None):
+def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, central=None):
     """Breadth-first closure of the seed inside a window, with discard semantics.
 
     `labels` enumerate the window basis and `coords(z, index)` gives an
     element's coordinates over it, or None when the element leaves the window.
-    Each generator is a `(name, step)` pair: `step(elem)` returns the
-    `(op, result)` pairs of one closure step, in a fixed order; a result of
-    None says the step left the window without forming the element.
+    `expand(elem)` yields the `(op, generator name, result)` of every closure
+    step from one accepted element, in a fixed order; a result of None says
+    the step left the window.
     Results that are zero or leave the window are dropped, never projected.
     A seed lying in `central` (a SubspaceBasis) is refused.
 
@@ -491,31 +492,26 @@ def _closure(ctx: Context, seed, labels: list, coords, gens: list, stop=None, ce
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for gname, step in gens:
-                for op, z in step(accepted[pi]):
-                    stats.tried += 1
-                    if z is None:
-                        stats.discarded += 1
-                        stats.predicted += 1
-                        continue
-                    if z.is_zero():
-                        stats.zero += 1
-                        continue
-                    vec = coords(z, index)
-                    if vec is None:
-                        stats.discarded += 1  # the step left the window
-                        continue
-                    if not red.add(vec):
-                        stats.in_span += 1
-                        continue
-                    stats.accepted += 1
-                    accepted.append(z)
-                    steps.append(ClosureStep(op, gname, pi, z))
-                    next_frontier.append(len(accepted) - 1)
-                    if stop_vec is not None and red.contains(stop_vec):
-                        return done(STOP_IDENTITY)
-                    if red.rank == len(labels):
-                        return done(STOP_SATURATED)
+            for op, gname, z in expand(accepted[pi]):
+                stats.tried += 1
+                if z is not None and z.is_zero():
+                    stats.zero += 1
+                    continue
+                vec = None if z is None else coords(z, index)
+                if vec is None:
+                    stats.discarded += 1  # the step left the window
+                    continue
+                if not red.add(vec):
+                    stats.in_span += 1
+                    continue
+                stats.accepted += 1
+                accepted.append(z)
+                steps.append(ClosureStep(op, gname, pi, z))
+                next_frontier.append(len(accepted) - 1)
+                if stop_vec is not None and red.contains(stop_vec):
+                    return done(STOP_IDENTITY)
+                if red.rank == len(labels):
+                    return done(STOP_SATURATED)
         frontier = next_frontier
         stats.ranks.append(red.rank)
     return done(STOP_EXHAUSTED)
@@ -529,16 +525,15 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
     generated by the seed is the whole coefficient algebra.
     """
     labels = window.a_basis(ctx)
-    gens = [
-        (format_monomial(ctx, m), lambda e, g=_a_element(ctx, m): (("mul", e * g),))
-        for m in labels
-        if not m.is_one()
-    ]
-    gens += [
-        (d.name, lambda e, d=d: (("derive", ctx.apply_derivation(d, e)),))
-        for d in ctx.derivations
-    ]
-    red, _, steps, stats = _closure(ctx, seed, labels, a_coords, gens, stop=ONE_MONOMIAL)
+    gens = [(format_monomial(ctx, m), _a_element(ctx, m)) for m in labels if not m.is_one()]
+
+    def expand(e):
+        for name, g in gens:
+            yield "mul", name, e * g
+        for d in ctx.derivations:
+            yield "derive", d.name, ctx.apply_derivation(d, e)
+
+    red, _, steps, stats = _closure(ctx, seed, labels, a_coords, expand, stop=ONE_MONOMIAL)
     return ProbeVerdict(
         kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
@@ -590,9 +585,6 @@ def _symbol_leaves(room: tuple, shift: tuple) -> bool:
     return False
 
 
-_LEFT_WINDOW = (("lmul", None), ("rmul", None))
-
-
 def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -> ProbeVerdict:
     """Two-sided multiplicative closure of the seed, with discard semantics.
 
@@ -601,25 +593,21 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
     principal symbol shows to leave the window forms neither of them.
     """
     labels = window.ad_basis(ctx)
-    guard = window.guard(ctx)
-    # The walk steps one parent through every generator in turn, so one slot
-    # keeps each parent's symbol room for all of them.
-    last: list = [None, None]
+    gens = [(name, g, _generator_shift(g, window)) for name, g in _window_generators(ctx, window)]
 
-    def step(g, shift, e):
-        if last[0] is not e:
-            last[:] = e, _symbol_room(e, window)
-        if _symbol_leaves(last[1], shift):
-            return _LEFT_WINDOW
-        # Both products are computed before either is looked at.
-        return (("lmul", w_mul(g, e, guard)), ("rmul", w_mul(e, g, guard)))
+    def expand(e):
+        room = _symbol_room(e, window)
+        for name, g, shift in gens:
+            lmul = rmul = None
+            if not _symbol_leaves(room, shift):
+                # Both products are formed before either is looked at: on a
+                # shift family a product registers variables.
+                lmul, rmul = w_mul(g, e), w_mul(e, g)
+            yield "lmul", name, lmul
+            yield "rmul", name, rmul
 
-    gens = [
-        (name, partial(step, g, _generator_shift(g, window)))
-        for name, g in _window_generators(ctx, window)
-    ]
     stop = (ZERO_INDEX, ONE_MONOMIAL)
-    red, _, steps, stats = _closure(ctx, seed, labels, weyl_coords, gens, stop=stop)
+    red, _, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, stop=stop)
     return ProbeVerdict(
         kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
@@ -654,11 +642,13 @@ def lie_ideal_closure_probe(
         raise UsageError("interior sub-window holds no target outside the derivation kernel")
     labels = window.ad_basis(ctx)
     guard = window.guard(ctx)
-    gens = [
-        (name, lambda e, g=g: (("bracket", lie_bracket(e, g, guard)),))
-        for name, g in _window_generators(ctx, window)
-    ]
-    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, gens, central=f1)
+    gens = _window_generators(ctx, window)
+
+    def expand(e):
+        for name, g in gens:
+            yield "bracket", name, lie_bracket(e, g, guard)
+
+    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, central=f1)
 
     # A fresh reducer, so that the closure's own one never holds the f1 rows.
     combined = RowReducer(ctx.spec)

@@ -12,14 +12,15 @@ Schema (all keys lowercase):
                      {"name": str, "euler_weights": {var: int, ...}}, ...]
     variable_cap    int, optional (lazy shift-variable hard cap, default 64)
     window          {"max_level": int, "bounds": {var: [lo, hi], ...}}
-    basis_cap       int, optional (default 5000)
+    basis_cap       int in [1, 20000], optional (default 5000)
     margin          exact fraction string in [0, 1), optional (default "1/2")
     group_algebra   bool, optional; when true the scenario models a group
                     algebra on Laurent variables and every derivation must be
                     an euler_weights derivation whose integer weight matrix
                     has trivial kernel
     sample          {"max_degree": int, "max_level": int, "max_terms": int},
-                    optional bounds for the randomized verification suites
+                    optional bounds for the randomized verification suites,
+                    each at most 6; max_terms at least 1, the others 0
     probes          [{"kind": "theta_kernel", "restrict_to_f1": bool?,
                       "expect": verdict?}                                   |
                      {"kind": "d_simplicity"|"assoc_closure"|"lie_closure",
@@ -37,7 +38,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .checks import SampleBounds
+from .checks import MAX_SAMPLE_BOUND, SampleBounds
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
 from .errors import UsageError, ValidationError, WeylTypeError
 from .fields import RATIONAL, FieldSpec, RATIONAL_KIND
@@ -298,8 +299,13 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
 
     sdata = _get(data, "sample", dict, {}, violations)
     default = SampleBounds()
-    sample = {key: _int(sdata.get(key, getattr(default, key)), f"sample {key}", violations)
-              for key in ("max_degree", "max_level", "max_terms")}
+    sample = {}
+    for key, low in (("max_degree", 0), ("max_level", 0), ("max_terms", 1)):
+        value = getattr(default, key)
+        value = _int(sdata.get(key, value), f"sample {key}", violations, value)
+        if not low <= value <= MAX_SAMPLE_BOUND:
+            violations.append(f"sample {key} must be in [{low}, {MAX_SAMPLE_BOUND}], got {value}")
+        sample[key] = value
 
     probes: list[ProbeRequest] = []
     for k, pdata in enumerate(_get(data, "probes", list, [], violations)):

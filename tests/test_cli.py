@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from weyltype import cli, coefficients
-from weyltype.checks import MAX_TRIALS, SampleBounds
+from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds
 from weyltype.cli import main
 from weyltype.errors import InternalError, ValidationError
 from weyltype.parser import evaluate_text
@@ -146,8 +146,11 @@ def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, name):
         if request.kind == "theta_kernel":
             assert "tried" not in entry
             continue
+        assert set(entry) == {
+            "scenario", "probe", "kind", "seed",
+            "tried", "zero", "discarded", "in_span", "accepted", "ranks", "stop",
+        }
         assert entry["tried"] == sum(entry[k] for k in ("zero", "discarded", "in_span", "accepted"))
-        assert entry["predicted"] <= entry["discarded"]
         assert entry["stop"] in ("identity", "saturated", "exhausted")
         assert entry["ranks"][0] == 1 and entry["ranks"] == sorted(entry["ranks"])
 
@@ -347,6 +350,37 @@ def test_loader_builds_the_sample_bounds_verify_runs():
         scenario = load_bundled(name)
         assert isinstance(scenario.sample, SampleBounds)
         assert scenario.sample.n_variables == scenario.initial_variable_count
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_terms", 10**9), ("max_terms", 0), ("max_degree", -1), ("max_level", MAX_SAMPLE_BOUND + 1)],
+)
+def test_sample_bounds_out_of_range_are_usage_errors(capsys, tmp_path, key, value):
+    # Unchecked, 10**9 terms ran on for ever, and a bound below the range
+    # failed inside the random draws with an empty randrange.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(sample={key: value})))
+    err = _assert_usage_error(capsys, bad, "verify", "--trials", "1")
+    low = 1 if key == "max_terms" else 0
+    assert f"sample {key} must be in [{low}, {MAX_SAMPLE_BOUND}], got {value}" in err
+
+
+def test_sample_bounds_accept_the_ends_of_their_ranges():
+    top = {key: MAX_SAMPLE_BOUND for key in ("max_degree", "max_level", "max_terms")}
+    assert load_scenario_mapping(_scenario_dict(sample=top)).sample == SampleBounds(**top, n_variables=1)
+    low = {"max_degree": 0, "max_level": 0, "max_terms": 1}
+    assert load_scenario_mapping(_scenario_dict(sample=low)).sample == SampleBounds(**low, n_variables=1)
+
+
+@pytest.mark.parametrize("cap", [-1, 10**12])
+def test_basis_cap_out_of_range_is_a_usage_error(capsys, tmp_path, cap):
+    # Unchecked, 10**12 let a window enumerate 10**8 monomials and die of a
+    # MemoryError (exit 3); -1 failed only when a probe listed a basis.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_scenario_dict(basis_cap=cap, window={"max_level": 1, "bounds": {"t": [0, 10**8]}})))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert f"basis_cap must be in [1, 20000], got {cap}" in err
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

@@ -1,7 +1,6 @@
-"""The widened windows of scripts/heavy_windows.py load and validate.  Most
-probes on them are too slow for tier-1 and run only in the script; the
-kernel_wide assoc_closure, a fraction of a second, bounds the work of the
-principal-symbol test."""
+"""The widened windows of scripts/heavy_windows.py load, validate and give
+their pinned reports, about a second for all five; the kernel_wide
+assoc_closure also bounds the work of the principal-symbol test."""
 
 import importlib.util
 from pathlib import Path
@@ -9,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from weyltype import probes
+from weyltype.scenario import load_bundled, load_scenario
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "heavy_windows.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "heavy_windows.py"
 _spec = importlib.util.spec_from_file_location("heavy_windows", SCRIPT)
 heavy_windows = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(heavy_windows)
@@ -19,7 +20,7 @@ _spec.loader.exec_module(heavy_windows)
 @pytest.mark.parametrize("name", sorted(heavy_windows.WINDOWS))
 def test_heavy_window_loads_and_validates(name):
     scenario = heavy_windows.load_window(name)
-    _, overrides, (kind, seed, expect) = heavy_windows.WINDOWS[name]
+    _, overrides, (kind, seed, expect), _ = heavy_windows.WINDOWS[name]
     assert scenario.name == name
     request, = scenario.probes
     assert (request.kind, request.seed_text, request.expect) == (kind, seed, expect)
@@ -29,25 +30,55 @@ def test_heavy_window_loads_and_validates(name):
     assert len(scenario.window.ad_basis(scenario.ctx)) <= scenario.window.basis_cap
 
 
-def test_kernel_wide_assoc_closure_forms_only_products_that_fit(monkeypatch):
-    # The principal symbol decides every discard of this probe, so each
-    # product it forms fits the window: 14,570 of them, where forming every
-    # product took 66,960.
-    scenario = heavy_windows.load_window("kernel_wide")
-    request, = scenario.probes
+@pytest.mark.parametrize("name", sorted(heavy_windows.WINDOWS))
+def test_heavy_window_report_matches_its_pinned_sha256(name):
+    *_, pinned = heavy_windows.WINDOWS[name]
+    _, report, digest = heavy_windows.run_window(name)
+    assert report["all_expected"]
+    assert digest == pinned
+
+
+# Per scenario, over its assoc_closure probes: the products formed and the
+# steps discarded.  Forming every product took 66,960 on kernel_wide.
+ASSOC_WORK = {
+    "char2_poly": (42, 238),
+    "laurent_euler": (68, 22),
+    "nonsimple_euler": (372, 924),
+    "weyl_polynomial": (106, 62),
+    "closure_wide": (318, 98),
+    "kernel_wide": (14_570, 52_390),
+}
+
+
+def _load(name):
+    if name == "closure_wide":
+        return load_scenario(ROOT / "perfbench" / "scenarios" / "closure_wide.json")
+    if name in heavy_windows.WINDOWS:
+        return heavy_windows.load_window(name)
+    return load_bundled(name)
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_WORK))
+def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
+    # The principal symbol decides every discard of these probes, so each
+    # product they form fits the window.
+    scenario = _load(name)
     index = {lab: j for j, lab in enumerate(scenario.window.ad_basis(scenario.ctx))}
     calls, outside = [0], [0]
     original = probes.w_mul
 
-    def counted(x, y, guard=None):
-        z = original(x, y, guard)
+    def counted(x, y):
+        z = original(x, y)
         calls[0] += 1
         outside[0] += probes.weyl_coords(z, index) is None
         return z
 
     monkeypatch.setattr(probes, "w_mul", counted)
-    verdict = probes.assoc_ideal_closure_probe(scenario.ctx, request.seed, scenario.window)
-    assert verdict.kind == request.expect
-    assert calls[0] == 14_570
+    discarded = 0
+    for request in scenario.probes:
+        if request.kind == "assoc_closure":
+            verdict = probes.assoc_ideal_closure_probe(scenario.ctx, request.seed, scenario.window)
+            assert verdict.kind == request.expect
+            discarded += verdict.stats.discarded
+    assert (calls[0], discarded) == ASSOC_WORK[name]
     assert outside[0] == 0
-    assert verdict.stats.discarded == verdict.stats.predicted == 52_390

@@ -264,11 +264,10 @@ def test_bracket_of_coefficients_multiplies_no_monomials(mixed_ctx, monkeypatch)
     assert calls["w_mul"] == 0
 
 
-# A window guard lets a product stop at its first finished level that leaves
-# the window.  Whatever fits the window must come back whole, and whatever
-# does not must come back as a nonzero element that the closure probes'
-# coordinate map refuses, so a guarded step is discarded exactly when the
-# full product would be.
+# A window guard lets a bracket stop at its first finished level that leaves
+# the window.  A bracket that fits the window must come back whole, and one
+# that does not as None, so a guarded step is discarded exactly when the
+# full bracket would be.
 
 
 def _random_window(rng, ctx):
@@ -290,25 +289,25 @@ def test_guarded_products_agree_with_the_window(fixture_name, request, rng):
     bounds = SampleBounds(max_degree=2, max_level=2, max_terms=3, n_variables=min(3, len(ctx.variables)))
     x = random_weyl(rng, ctx, bounds)
     y = random_weyl(rng, ctx, bounds)
-    for product in (w_mul, lie_bracket):
-        full = product(x, y)
-        guarded = product(x, y, guard)
-        if weyl_coords(full, index) is not None:
-            assert guarded == full
-        else:
-            assert not guarded.is_zero()
-            assert weyl_coords(guarded, index) is None
+    full = lie_bracket(x, y)
+    guarded = lie_bracket(x, y, guard)
+    if weyl_coords(full, index) is None:
+        assert guarded is None
+    else:
+        assert guarded == full
 
 
 def test_guard_skips_terms_that_cancel(weyl_q):
-    # In (d1 + t)(t^4*d1 - 4*t^3 - t^5) the level-1 terms cancel, t^5 among
-    # them; level 2 fits the window and the walk must go on to level 0.
+    # In [d1 + t, 6*t^5*d1 + 15*t^4*d1^2 + t^6] the level-1 terms
+    # 30*t^4*d1 and the level-0 terms 6*t^5 cancel, though t^4 and t^5 leave
+    # the window; level 2 fits it, and the walk must go on to level 0.
     ctx = weyl_q
-    window = Window.for_context(ctx, {"t": (0, 4)}, max_level=2)
+    window = Window.for_context(ctx, {"t": (0, 3)}, max_level=2)
     x = evaluate_text("d1 + t", ctx)
-    y = evaluate_text("t^4*d1 - 4*t^3 - t^5", ctx)
-    assert w_mul(x, y) == evaluate_text("t^4*d1^2 - t^6 - 9*t^4 - 12*t^2", ctx)
-    assert w_mul(x, y, window.guard(ctx)) == evaluate_text("-t^6 - 9*t^4 - 12*t^2", ctx)
+    y = evaluate_text("6*t^5*d1 + 15*t^4*d1^2 + t^6", ctx)
+    assert lie_bracket(x, y) == evaluate_text("60*t^3*d1^2", ctx)
+    assert lie_bracket(x, y, window.guard(ctx)) == evaluate_text("60*t^3*d1^2", ctx)
+    assert lie_bracket(x, y + evaluate_text("t^5", ctx), window.guard(ctx)) is None
 
 
 # Sums are accumulated as raw terms and wrapped once, so each of these builds

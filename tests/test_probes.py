@@ -105,6 +105,17 @@ def test_window_cap(weyl_q):
         w.a_basis(weyl_q)
 
 
+@pytest.mark.parametrize("cap", [0, probes.MAX_BASIS_CAP + 1])
+def test_window_refuses_a_basis_cap_out_of_range(weyl_q, cap):
+    with pytest.raises(ValidationError, match=r"basis_cap must be in \[1, 20000\]"):
+        Window.for_context(weyl_q, {"t": (0, 4)}, max_level=2, basis_cap=cap)
+
+
+def test_window_accepts_the_ends_of_the_basis_cap_range(weyl_q):
+    for cap in (1, probes.MAX_BASIS_CAP):
+        assert Window.for_context(weyl_q, {"t": (0, 4)}, max_level=2, basis_cap=cap).basis_cap == cap
+
+
 def test_window_interior(laurent_euler_q):
     w = Window.for_context(laurent_euler_q, {"t": (-5, 6)}, max_level=3)
     inner = w.interior(Fraction(1, 2))
@@ -651,7 +662,11 @@ def test_step_chains_cover_every_bundled_scenario():
 # -- stopping a closure early ----------------------------------------------------
 
 
-def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None):
+def _unguarded(bracket):
+    return lambda x, y, guard=None: bracket(x, y)
+
+
+def exhaustive_closure(ctx, seed, labels, coords, expand, stop=None, central=None):
     """The closure engine before it stopped on a full span: the BFS runs on
     until a round accepts nothing, unless the `stop` label enters the span.
     The oracle for probes._closure; of its ProbeStats it fills only the stop
@@ -678,19 +693,18 @@ def exhaustive_closure(ctx, seed, labels, coords, gens, stop=None, central=None)
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for gname, step in gens:
-                for op, z in step(accepted[pi]):
-                    if z is None or z.is_zero():
-                        continue
-                    vec = coords(z, index)
-                    if vec is None:
-                        continue
-                    if red.add(vec):
-                        accepted.append(z)
-                        steps.append(ClosureStep(op, gname, pi, z))
-                        next_frontier.append(len(accepted) - 1)
-                        if stop_vec is not None and red.contains(stop_vec):
-                            return red, index, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
+            for op, gname, z in expand(accepted[pi]):
+                if z is None or z.is_zero():
+                    continue
+                vec = coords(z, index)
+                if vec is None:
+                    continue
+                if red.add(vec):
+                    accepted.append(z)
+                    steps.append(ClosureStep(op, gname, pi, z))
+                    next_frontier.append(len(accepted) - 1)
+                    if stop_vec is not None and red.contains(stop_vec):
+                        return red, index, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
         frontier = next_frontier
     return red, index, steps, probes.ProbeStats(stop=probes.STOP_EXHAUSTED)
 
@@ -794,31 +808,19 @@ def _bundled_step_totals() -> Counter:
             assert stats.ranks[0] == 1 and stats.ranks == sorted(stats.ranks)
             assert stats.ranks[-1] == len(verdict.witness)
             assert verdict.stop == stats.stop
-            if request.kind != "assoc_closure":
-                assert stats.predicted == 0
-            totals.update(
-                {k: getattr(stats, k) for k in ("tried", "zero", "discarded", "predicted", "in_span", "accepted")}
-            )
+            totals.update({k: getattr(stats, k) for k in ("tried", "zero", "discarded", "in_span", "accepted")})
     return totals
 
 
 def test_closure_stats_equal_those_of_forming_every_product(monkeypatch):
-    # perfbench's tracer, which infers step outcomes from the call order,
-    # read these counts with every product formed, but one step more, a zero
-    # one: it also counts the rmul product formed alongside the lmul step
-    # that reaches the identity in weyl_polynomial's assoc_closure, which
-    # the walk never looks at.
+    # The counts are those of a walk that forms every product, in full, and
+    # reads each one's coordinates: a step that the principal symbol or a
+    # guarded bracket finds to leave the window is discarded all the same.
     totals = _bundled_step_totals()
-    assert totals == {
-        "tried": 3_429,
-        "zero": 317,
-        "discarded": 1_796,
-        "predicted": 1_246,
-        "in_span": 1_010,
-        "accepted": 306,
-    }
+    assert totals == {"tried": 3_429, "zero": 317, "discarded": 1_796, "in_span": 1_010, "accepted": 306}
     monkeypatch.setattr(probes, "_symbol_leaves", lambda room, shift: False)
-    assert _bundled_step_totals() == totals - Counter({"predicted": 1_246})
+    monkeypatch.setattr(probes, "lie_bracket", _unguarded(lie_bracket))
+    assert _bundled_step_totals() == totals
 
 
 def _symbol_context(kind: str) -> Context:
@@ -931,13 +933,10 @@ def test_guard_bounds_the_lie_closure_work(monkeypatch):
     assert 0 < calls[0] <= 18_000
 
 
-def _unguarded(product):
-    return lambda x, y, guard=None: product(x, y)
-
-
 def test_guard_keeps_shift_family_closure_steps(monkeypatch):
     # Shift-family products create variables the window has never seen; such
-    # steps are discarded with or without the guard, and the kept steps agree.
+    # steps are discarded with or without the bracket guard and the symbol
+    # test, and the kept steps agree.
     def run():
         ctx = Context(RATIONAL, variable_cap=16)
         for name in ("x1", "x2", "x3"):
@@ -957,7 +956,7 @@ def test_guard_keeps_shift_family_closure_steps(monkeypatch):
         return out
 
     guarded = run()
-    monkeypatch.setattr(probes, "w_mul", _unguarded(w_mul))
+    monkeypatch.setattr(probes, "_symbol_leaves", lambda room, shift: False)
     monkeypatch.setattr(probes, "lie_bracket", _unguarded(lie_bracket))
     assert run() == guarded
     assert len(guarded) > 6
