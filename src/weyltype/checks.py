@@ -10,7 +10,7 @@ violating inputs are reported verbatim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coefficients import AElement, Context, LAURENT, Monomial, add_terms
 from .errors import UsageError
@@ -26,8 +26,10 @@ from .operators import (
     wfrom_a,
 )
 
-# All work is bounded: the mixed_flavors suites take about 9 ms a trial on
-# a 2-vCPU host, so a capped run ends within a few minutes.
+# All work is bounded.  A trial costs about (max_degree+1)^2 (max_level+1)^5
+# max_terms^6, a fit to the slowest bundled scenario, shift_family (2 vCPUs):
+# 12 ms at the default sample bounds (4, 3, 3), 81 s at (6, 6, 6).  So
+# max_trials scales MAX_TRIALS down by that cost over the default one.
 MAX_TRIALS = 10_000
 # Largest sample bound a scenario may set.  With every bound at 6, one
 # mixed_flavors trial took at most 1.5 s on a 2-vCPU host (seeds 0-7); at 8
@@ -35,8 +37,7 @@ MAX_TRIALS = 10_000
 MAX_SAMPLE_BOUND = 6
 
 
-@dataclass(frozen=True)
-class SampleBounds:
+class SampleBounds(NamedTuple):
     max_degree: int = 4
     max_level: int = 3
     max_terms: int = 3
@@ -96,11 +97,11 @@ def random_weyl(rng: random.Random, ctx: Context, bounds: SampleBounds, nonzero:
             return x
 
 
-@dataclass
 class CheckResult:
-    name: str
-    trials: int
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str, trials: int):
+        self.name = name
+        self.trials = trials
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:
@@ -226,11 +227,20 @@ ALL_SUITES = (
 )
 
 
+def max_trials(bounds: SampleBounds) -> int:
+    """The trial cap at these sample bounds (see MAX_TRIALS)."""
+    def cost(b: SampleBounds) -> int:
+        return (b.max_degree + 1) ** 2 * (b.max_level + 1) ** 5 * b.max_terms ** 6
+    return min(MAX_TRIALS, MAX_TRIALS * cost(SampleBounds()) // cost(bounds))
+
+
 def run_all_checks(ctx: Context, trials: int, seed: int, bounds: SampleBounds) -> list[CheckResult]:
     if trials < 0:
         raise UsageError(f"trials must be nonnegative, got {trials}")
-    if trials > MAX_TRIALS:
-        raise UsageError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    cap = max_trials(bounds)
+    if trials > cap:
+        where = "" if cap == MAX_TRIALS else " at max_degree {}, max_level {}, max_terms {}".format(*bounds)
+        raise UsageError(f"trials must be at most {cap}{where}, got {trials}")
     results = []
     for suite in ALL_SUITES:
         rng = random.Random(f"{seed}:{suite.__name__}")

@@ -12,7 +12,8 @@ Commands (all take --scenario PATH):
                                  counts per probe on stderr)
     verify [--trials N] [--seed S]
                                  run the randomized identity suites; N is at
-                                 most checks.MAX_TRIALS (10,000)
+                                 most checks.max_trials of the sample bounds
+                                 (10,000 at the default bounds)
 
 --json prints the result as a one-key JSON object.  --json and --text exist
 only on the commands shown with them; anywhere else they are a usage error.
@@ -26,7 +27,6 @@ reported as one `internal error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -155,7 +155,8 @@ def _stats_entry(scenario_name: str, k: int, request, verdict) -> dict:
     if request.seed_text is not None:
         entry["seed"] = request.seed_text
     if verdict.stats is not None:
-        entry.update(dataclasses.asdict(verdict.stats))
+        for key in ("tried", "zero", "discarded", "in_span", "accepted", "ranks", "stop"):
+            entry[key] = getattr(verdict.stats, key)
     return entry
 
 

@@ -23,7 +23,6 @@ where a public function returns one, and a cache entry never do.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import UsageError, ValidationError, VariableCapError
@@ -74,18 +73,34 @@ def nonzero(terms: dict) -> dict:
     return {m: c for m, c in terms.items() if c}
 
 
-@dataclass(frozen=True, slots=True)
 class VariableSpec:
     """A coefficient variable; `declared` is False for one a shift rule registered."""
 
-    name: str
-    kind: str
-    index: int
-    declared: bool
+    __slots__ = ("name", "kind", "index", "declared")
 
-    def __post_init__(self):
-        if self.kind not in (POLYNOMIAL, LAURENT):
-            raise UsageError(f"unknown variable kind {self.kind!r}")
+    def __init__(self, name: str, kind: str, index: int, declared: bool):
+        if kind not in (POLYNOMIAL, LAURENT):
+            raise UsageError(f"unknown variable kind {kind!r}")
+        for attr, value in zip(self.__slots__, (name, kind, index, declared)):
+            _set_attribute(self, attr, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VariableSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"VariableSpec is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return VariableSpec, (self.name, self.kind, self.index, self.declared)
+
+    def __eq__(self, other):
+        return other.__class__ is VariableSpec and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"VariableSpec{self.__reduce__()[1]!r}"
 
 
 # exps -> weak reference to the one live Monomial with those exponents.
@@ -161,7 +176,6 @@ def monomial_sort_key(m: Monomial) -> tuple:
 _SHIFT_NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(\d+)$")
 
 
-@dataclass
 class Derivation:
     """A derivation of the coefficient algebra, given by generator images.
 
@@ -171,10 +185,11 @@ class Derivation:
     `index` is its position in the owning context's declaration order.
     """
 
-    name: str
-    index: int
-    images: dict[int, dict[Monomial, Scalar]] = field(default_factory=dict)
-    shift_prefix: str | None = None
+    def __init__(self, name: str, index: int, images: dict, shift_prefix: str | None = None):
+        self.name = name
+        self.index = index
+        self.images = images
+        self.shift_prefix = shift_prefix
 
     def shift_target(self, var: VariableSpec) -> int | None:
         """Family position this derivation shifts `var` to, if covered by the rule."""

@@ -12,7 +12,6 @@ this package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -54,22 +53,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
 class FieldSpec:
     """Which exact field scalars live in: the rationals, or F_p for prime p."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == RATIONAL_KIND:
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None):
+        if kind == RATIONAL_KIND:
+            if p is not None:
                 raise UsageError("rational field spec takes no modulus")
-        elif self.kind == PRIME_KIND:
-            if self.p is None or not is_prime(self.p):
-                raise UsageError(f"modulus {self.p!r} is not prime")
+        elif kind == PRIME_KIND:
+            if p is None or not is_prime(p):
+                raise UsageError(f"modulus {p!r} is not prime")
         else:
-            raise UsageError(f"unknown field kind {self.kind!r}")
+            raise UsageError(f"unknown field kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldSpec is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FieldSpec is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FieldSpec, (self.kind, self.p)
+
+    def __eq__(self, other):
+        return other.__class__ is FieldSpec and self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     def from_int(self, n: int) -> "Scalar":
         if self.kind == RATIONAL_KIND:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import partial, total_ordering
+from typing import NamedTuple
 
 from .errors import UsageError
 from .fields import FieldSpec, Scalar, binom_scalar, is_prime
@@ -64,7 +64,7 @@ class _MinusInfinity:
 
 MINUS_INFINITY = _MinusInfinity()
 
-# Builds the immutable key classes (MultiIndex here, Monomial in coefficients).
+# Builds the immutable slotted classes (MultiIndex here; Monomial, VariableSpec in coefficients).
 _set_attribute = object.__setattr__
 
 
@@ -279,8 +279,7 @@ def binom_product(alpha: MultiIndex, gamma: MultiIndex, spec: FieldSpec) -> Scal
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class PAdicFactor:
+class PAdicFactor(NamedTuple):
     """One factor d^(p^s) raised to a base-p digit, 1 <= multiplicity <= p-1."""
 
     index: int

@@ -61,8 +61,8 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .coefficients import (
     AElement,
@@ -374,8 +374,7 @@ def act(x: WeylElement, a: AElement) -> AElement:
     return AElement(ctx, out)
 
 
-@dataclass(frozen=True)
-class LeadingData:
+class LeadingData(NamedTuple):
     """Leading term, leading degree, leading level; level is -inf for zero."""
 
     ld: tuple[MultiIndex, AElement] | None

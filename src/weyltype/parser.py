@@ -8,14 +8,16 @@ Grammar (authoritative):
     atom   := INT ['/' INT] | IDENT | '(' expr ')'
 
 Multiplication is always explicit (no juxtaposition) and exponents are
-integer literals only.  Evaluation is bottom-up with every product going
+integer literals only.  Tokens and syntax-tree nodes are NamedTuples; a
+BinOp holds its operator as a field, so trees that differ only in an
+operator compare unequal.  Evaluation is bottom-up with every product going
 through the normal-ordering multiplication, so results are canonical by
 construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import Context, LAURENT, Monomial
 from .errors import EvalError, ExponentCapError, ParseError
@@ -35,8 +37,7 @@ END = "end"
 _PUNCT = {"+": PLUS, "-": MINUS, "*": STAR, "^": CARET, "/": SLASH, "(": LPAREN, ")": RPAREN}
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -77,45 +78,29 @@ def tokenize(text: str) -> list[Token]:
 # -- abstract syntax ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarLit:
+class ScalarLit(NamedTuple):
     numerator: int
     denominator: int
     pos: int
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(NamedTuple):
     name: str
     pos: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: object
     pos: int
 
 
-@dataclass(frozen=True)
-class Sum:
+class BinOp(NamedTuple):
+    op: str  # "+", "-" or "*"
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     base: object
     exponent: int
     pos: int
@@ -154,16 +139,13 @@ class _Parser:
     def parse_expr(self):
         node = self.parse_term()
         while self.peek().kind in (PLUS, MINUS):
-            op = self.advance()
-            rhs = self.parse_term()
-            node = Sum(node, rhs) if op.kind == PLUS else Diff(node, rhs)
+            node = BinOp(self.advance().text, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_factor()
         while self.peek().kind == STAR:
-            self.advance()
-            node = Product(node, self.parse_factor())
+            node = BinOp(self.advance().text, node, self.parse_factor())
         return node
 
     def parse_factor(self):
@@ -227,27 +209,22 @@ def parse_text(text: str):
 # -- evaluation ----------------------------------------------------------------
 
 
-_CHAIN = (Sum, Diff, Product)
-
-
 def evaluate(ast, ctx: Context) -> WeylElement:
     """Bottom-up evaluation into normal form."""
-    if isinstance(ast, _CHAIN):
+    if isinstance(ast, BinOp):
         # Sums and products parse left-deep; fold their left spine in a loop
         # so a long flat chain does not recurse once per operand.
         spine = []
-        while isinstance(ast, _CHAIN):
+        while isinstance(ast, BinOp):
             spine.append(ast)
             ast = ast.left
         out = evaluate(ast, ctx)
         for node in reversed(spine):
             rhs = evaluate(node.right, ctx)
-            if isinstance(node, Sum):
-                out = out + rhs
-            elif isinstance(node, Diff):
-                out = out - rhs
-            else:
+            if node.op == "*":
                 out = w_mul(out, rhs)
+            else:
+                out = out + rhs if node.op == "+" else out - rhs
         return out
     if isinstance(ast, ScalarLit):
         if ast.denominator == 0:

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coefficients import (
     AElement,
@@ -84,8 +84,7 @@ STOP_SATURATED = "saturated"
 STOP_EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Finite truncation: exponent bounds per variable plus a level bound."""
 
     bounds: tuple[tuple[int, int, int], ...]  # (variable index, lo, hi)
@@ -192,10 +191,9 @@ class Window:
             raise UsageError("margin must satisfy 0 <= margin < 1")
         keep = 1 - margin
         shrink = lambda b: int(b * keep)
-        return Window(
+        return self._replace(
             bounds=tuple((i, shrink(lo), shrink(hi)) for i, lo, hi in self.bounds),
             max_level=shrink(self.max_level),
-            basis_cap=self.basis_cap,
         )
 
 
@@ -273,8 +271,7 @@ def weyl_from_coords(ctx: Context, labels: list, vec: dict) -> WeylElement:
     return _from_buckets(ctx, buckets)
 
 
-@dataclass(frozen=True)
-class ClosureStep:
+class ClosureStep(NamedTuple):
     """One accepted closure step, kept so tests can replay it untruncated."""
 
     op: str
@@ -283,7 +280,6 @@ class ClosureStep:
     element: object
 
 
-@dataclass
 class ProbeStats:
     """What one closure walk did; reports never serialize it.
 
@@ -293,29 +289,23 @@ class ProbeStats:
     last entry taken where the walk stopped.
     """
 
-    tried: int = 0
-    zero: int = 0
-    discarded: int = 0
-    in_span: int = 0
-    accepted: int = 0
-    ranks: list = field(default_factory=list)
-    stop: str = ""
+    def __init__(self, ranks: list | None = None, stop: str = ""):
+        self.tried = self.zero = self.discarded = self.in_span = self.accepted = 0
+        self.ranks = [] if ranks is None else ranks
+        self.stop = stop
 
 
-@dataclass
 class ProbeVerdict:
-    kind: str
-    coverage: Fraction
-    witness: list
-    unreached: list = field(default_factory=list)
-    note: str = ""
-    steps: list = field(default_factory=list)
-    stats: ProbeStats | None = None  # closures only
-
-    @property
-    def stop(self) -> str:
-        """A closure's stop reason, "" for any other probe."""
-        return self.stats.stop if self.stats is not None else ""
+    def __init__(self, kind: str, coverage: Fraction, witness: list, unreached: list | None = None,
+                 note: str = "", steps: list | None = None, stats: ProbeStats | None = None):
+        self.kind = kind
+        self.coverage = coverage
+        self.witness = witness
+        self.unreached = [] if unreached is None else unreached
+        self.note = note
+        self.steps = [] if steps is None else steps
+        self.stats = stats  # closures only
+        self.stop = stats.stop if stats is not None else ""  # "" for any other probe
 
 
 # -- joint kernel of the derivations -----------------------------------------

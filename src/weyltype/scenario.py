@@ -33,10 +33,10 @@ package's own parser, so one grammar serves both the CLI and configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .checks import MAX_SAMPLE_BOUND, SampleBounds
 from .coefficients import Context, LAURENT, POLYNOMIAL, DEFAULT_VARIABLE_CAP
@@ -66,8 +66,7 @@ VERDICT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProbeRequest:
+class ProbeRequest(NamedTuple):
     kind: str
     seed_text: str | None = None
     expect: str | None = None
@@ -75,16 +74,17 @@ class ProbeRequest:
     seed: WeylElement | None = None  # seed_text evaluated; None for theta_kernel
 
 
-@dataclass
 class Scenario:
-    name: str
-    description: str
-    ctx: Context
-    window: Window
-    margin: Fraction
-    probes: list[ProbeRequest]
-    sample: SampleBounds
-    group_algebra: bool = False
+    def __init__(self, name: str, description: str, ctx: Context, window: Window, margin: Fraction,
+                 probes: list[ProbeRequest], sample: SampleBounds, group_algebra: bool = False):
+        self.name = name
+        self.description = description
+        self.ctx = ctx
+        self.window = window
+        self.margin = margin
+        self.probes = probes
+        self.sample = sample
+        self.group_algebra = group_algebra
 
     @property
     def initial_variable_count(self) -> int:
@@ -298,10 +298,9 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         margin = DEFAULT_MARGIN
 
     sdata = _get(data, "sample", dict, {}, violations)
-    default = SampleBounds()
     sample = {}
     for key, low in (("max_degree", 0), ("max_level", 0), ("max_terms", 1)):
-        value = getattr(default, key)
+        value = SampleBounds._field_defaults[key]
         value = _int(sdata.get(key, value), f"sample {key}", violations, value)
         if not low <= value <= MAX_SAMPLE_BOUND:
             violations.append(f"sample {key} must be in [{low}, {MAX_SAMPLE_BOUND}], got {value}")
@@ -334,16 +333,8 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                     violations.append(f"probe {k}: seed evaluates to zero")
             except WeylTypeError as exc:
                 violations.append(f"probe {k}: seed {seed_text!r}: {exc}")
-        probes.append(
-            ProbeRequest(
-                kind=kind,
-                seed_text=seed_text,
-                expect=expect,
-                restrict_to_f1=_bool(pdata.get("restrict_to_f1", False),
-                                     f"probe {k} restrict_to_f1", violations),
-                seed=seed,
-            )
-        )
+        restrict = _bool(pdata.get("restrict_to_f1", False), f"probe {k} restrict_to_f1", violations)
+        probes.append(ProbeRequest(kind, seed_text, expect, restrict_to_f1=restrict, seed=seed))
 
     if violations:
         raise ValidationError(violations)

@@ -3,7 +3,7 @@
 import hashlib
 import random
 
-from weyltype.checks import random_a, random_weyl
+from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials, random_a, random_weyl
 from weyltype.operators import format_weyl
 from weyltype.scenario import bundled_scenario_names, load_bundled
 
@@ -22,3 +22,18 @@ def test_seeded_draws_are_pinned():
             h.update(f"{random_a(rng, ctx, sample, nonzero=k % 2 == 1)}\n".encode())
             h.update(f"{format_weyl(random_weyl(rng, ctx, sample, nonzero=k % 3 == 0))}\n".encode())
     assert h.hexdigest() == DRAWS_SHA256
+
+
+def test_trial_cap_keeps_the_default_bounds_and_shrinks_above_them():
+    assert max_trials(SampleBounds()) == MAX_TRIALS
+    assert max_trials(SampleBounds(max_degree=0, max_level=0, max_terms=1)) == MAX_TRIALS
+    bounds = [(d, lev, t) for d in range(MAX_SAMPLE_BOUND + 1) for lev in range(MAX_SAMPLE_BOUND + 1)
+              for t in range(1, MAX_SAMPLE_BOUND + 1)]
+    for d, lev, t in bounds:
+        cap = max_trials(SampleBounds(d, lev, t))
+        assert 1 <= cap <= MAX_TRIALS
+        # Raising any one bound never raises the cap.
+        for bigger in ((d + 1, lev, t), (d, lev + 1, t), (d, lev, t + 1)):
+            if max(bigger) <= MAX_SAMPLE_BOUND:
+                assert max_trials(SampleBounds(*bigger)) <= cap
+    assert max_trials(SampleBounds(6, 6, 6)) == 4

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from weyltype import cli, coefficients
-from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds
+from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
 from weyltype.errors import InternalError, ValidationError
 from weyltype.parser import evaluate_text
@@ -291,6 +291,23 @@ def test_verify_caps_trials(capsys, trials):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: trials must be at most {MAX_TRIALS}, got {trials}"]
+
+
+def test_verify_caps_trials_by_the_sample_bounds(capsys, tmp_path):
+    # With every sample bound at 6 one shift_family trial took up to 81 s, so
+    # 10,000 trials are refused, in one line and before any trial runs.
+    top = {key: MAX_SAMPLE_BOUND for key in ("max_degree", "max_level", "max_terms")}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_scenario_dict(sample=top)))
+    cap = max_trials(SampleBounds(**top))
+    assert cap == 4
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--trials", "10000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: trials must be at most {cap} at max_degree 6, max_level 6, max_terms 6, got 10000"
+    ]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,13 +8,11 @@ from weyltype.checks import SampleBounds, random_a, random_weyl
 from weyltype.operators import format_weyl
 from weyltype.parser import (
     MAX_NESTING,
-    Diff,
+    BinOp,
     NameRef,
     Neg,
     Power,
-    Product,
     ScalarLit,
-    Sum,
     parse_text,
     tokenize,
 )
@@ -43,17 +41,23 @@ def test_tokenize_unknown_character():
 
 def test_parse_shapes():
     ast = parse_text("d + t*d^2")
-    assert isinstance(ast, Sum)
+    assert isinstance(ast, BinOp) and ast.op == "+"
     assert ast.left == NameRef("d", 0)
-    assert isinstance(ast.right, Product)
+    assert isinstance(ast.right, BinOp) and ast.right.op == "*"
     assert isinstance(ast.right.right, Power) and ast.right.right.exponent == 2
 
     ast = parse_text("(d+t)^2")
-    assert isinstance(ast, Power) and isinstance(ast.base, Sum)
+    assert isinstance(ast, Power) and ast.base.op == "+"
 
     ast = parse_text("1/2*t - -t")
-    assert isinstance(ast, Diff) and isinstance(ast.right, Neg)
-    assert isinstance(ast.left, Product) and ast.left.left == ScalarLit(1, 2, 0)
+    assert ast.op == "-" and isinstance(ast.right, Neg)
+    assert ast.left.op == "*" and ast.left.left == ScalarLit(1, 2, 0)
+
+
+def test_trees_differing_only_in_their_operator_are_unequal():
+    trees = [parse_text(text) for text in ("a+b", "a-b", "a*b")]
+    assert len(set(trees)) == 3
+    assert trees[0] != trees[1] != trees[2] != trees[0]
 
 
 def test_no_juxtaposition():
@@ -164,15 +168,13 @@ def interpret_as_operator(ast, ctx):
     if isinstance(ast, Neg):
         inner = interpret_as_operator(ast.arg, ctx)
         return lambda a: -inner(a)
-    if isinstance(ast, (Sum, Diff)):
+    if isinstance(ast, BinOp):
         left = interpret_as_operator(ast.left, ctx)
         right = interpret_as_operator(ast.right, ctx)
-        if isinstance(ast, Sum):
+        if ast.op == "+":
             return lambda a: left(a) + right(a)
-        return lambda a: left(a) - right(a)
-    if isinstance(ast, Product):
-        left = interpret_as_operator(ast.left, ctx)
-        right = interpret_as_operator(ast.right, ctx)
+        if ast.op == "-":
+            return lambda a: left(a) - right(a)
         return lambda a: left(right(a))
     if isinstance(ast, Power):
         assert ast.exponent >= 0
