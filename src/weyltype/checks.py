@@ -10,11 +10,12 @@ violating inputs are reported verbatim.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import AElement, Context, LAURENT, Monomial, add_terms
 from .errors import UsageError
-from .fields import RATIONAL_KIND, Scalar
+from .fields import RATIONAL_KIND
 from .multiindex import MultiIndex
 from .operators import (
     WeylElement,
@@ -44,12 +45,13 @@ class SampleBounds(NamedTuple):
     n_variables: int | None = None  # restrict to the first n declared variables
 
 
-def random_scalar(rng: random.Random, ctx: Context, nonzero: bool = False) -> Scalar:
+def random_scalar(rng: random.Random, ctx: Context, nonzero: bool = False):
+    """A plain field value: n/d with n in [-6, 6], d in [1, 4] over Q, any residue over F_p."""
     while True:
         if ctx.spec.kind == RATIONAL_KIND:
-            s = ctx.scalar(rng.randint(-6, 6)) / ctx.scalar(rng.randint(1, 4))
+            s = ctx.spec.value(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
         else:
-            s = ctx.spec.from_int(rng.randrange(ctx.spec.p))  # type: ignore[arg-type]
+            s = rng.randrange(ctx.spec.p)  # type: ignore[arg-type]
         if s or not nonzero:
             return s
 
@@ -66,10 +68,10 @@ def random_monomial(rng: random.Random, ctx: Context, bounds: SampleBounds) -> M
 
 def random_a(rng: random.Random, ctx: Context, bounds: SampleBounds, nonzero: bool = False) -> AElement:
     while True:
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[Monomial, object] = {}
         for _ in range(rng.randint(0 if not nonzero else 1, bounds.max_terms)):
             m = random_monomial(rng, ctx, bounds)
-            add_terms(terms, {m: random_scalar(rng, ctx)})
+            add_terms(terms, {m: random_scalar(rng, ctx)}, ctx.spec.p)
         total = AElement(ctx, terms)
         if total or not nonzero:
             return total

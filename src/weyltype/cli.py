@@ -27,6 +27,7 @@ reported as one `internal error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,7 +53,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {' '.join(message.split())}\n")
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; parse_args
+    returns a fresh namespace each time, so calls share no state."""
     ap = _ArgumentParser(
         prog="weyltype",
         description="Exact computer algebra for operator algebras built from "

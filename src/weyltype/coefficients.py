@@ -10,14 +10,19 @@ validation; the only mutation ever allowed afterwards is the lazy,
 append-only registration of new variables by a shift-rule derivation
 (bounded by a hard cap), and the caches only gain entries, apart from the
 product memo, which starts over once it reaches a fixed size.  Images and
-derivative-cache entries are raw {Monomial: Scalar} dicts, and nothing in
+derivative-cache entries are raw {Monomial: value} dicts, and nothing in
 the caches points back at the Context, so refcounting alone frees a dropped
 Context.  Each AElement may also memoize its own derivatives (see
 AElement); they die with the element.
 
-The kernels pass such raw dicts around and sum them with add_terms and
-mul_terms only.  Their buffers may hold cancelled zeros; an AElement, built
-where a public function returns one, and a cache entry never do.
+A value is a plain field value (see fields.py): over Q an int, or a
+Fraction when it is not integral; over F_p an int in [0, p).  AElement.terms
+holds the same.  The kernels pass such raw dicts around and sum them with
+add_terms and mul_terms only, which take the modulus p (None over Q) and
+reduce inline.  Their buffers may hold cancelled zeros and integral
+Fractions; nonzero drops the one and turns the other into an int, so an
+AElement, built where a public function returns one, and a cache entry
+never hold either.
 """
 
 from __future__ import annotations
@@ -39,17 +44,21 @@ DEFAULT_VARIABLE_CAP = 64
 PRODUCT_MEMO_CAP = 1 << 15
 
 
-def add_terms(out: dict, terms: dict, c: Scalar | None = None) -> None:
-    """out += c * terms, with c = None meaning 1; a cancelled zero stays in out."""
+def add_terms(out: dict, terms: dict, p: int | None, c=None) -> None:
+    """out += c * terms mod p (p None over Q), with c = None meaning 1; a
+    cancelled zero stays in out."""
     for m, t in terms.items():
         if c is not None:
             t = t * c
         cur = out.get(m)
-        out[m] = cur + t if cur else t
+        if cur:
+            t = cur + t
+        out[m] = t if p is None else t % p
 
 
-def mul_terms(out: dict, left: dict, right: dict, products: dict, c: Scalar | None = None) -> None:
-    """out += c * left * right, with c = None meaning 1; a cancelled zero stays in out.
+def mul_terms(out: dict, left: dict, right: dict, products: dict, p: int | None, c=None) -> None:
+    """out += c * left * right mod p (p None over Q), with c = None meaning 1;
+    a cancelled zero stays in out.
 
     `products` is the context's monomial-product memo, (m1, m2) -> m1 * m2,
     cleared on a miss once it holds PRODUCT_MEMO_CAP entries.
@@ -65,12 +74,19 @@ def mul_terms(out: dict, left: dict, right: dict, products: dict, c: Scalar | No
                 m = products[(m1, m2)] = m1 * m2
             t = c1 * c2
             cur = out.get(m)
-            out[m] = cur + t if cur else t
+            if cur:
+                t = cur + t
+            out[m] = t if p is None else t % p
 
 
 def nonzero(terms: dict) -> dict:
-    """The terms of an accumulation buffer without its cancelled zeros."""
-    return {m: c for m, c in terms.items() if c}
+    """The terms of an accumulation buffer without its cancelled zeros, with
+    every integral Fraction turned into an int."""
+    return {
+        m: c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items()
+        if c
+    }
 
 
 class VariableSpec:
@@ -216,7 +232,7 @@ class Context:
         self._der_by_name: dict[str, Derivation] = {}
         self._frozen = False
         # (derivation index, m) -> raw terms of d(m).
-        self._dcache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
+        self._dcache: dict[tuple[int, Monomial], dict[Monomial, object]] = {}
         # The gamma walk's index arithmetic (operators._walk): alpha -> root
         # of its lazily built gamma tree.
         self._gamma_trees: dict[MultiIndex, object] = {}
@@ -255,7 +271,7 @@ class Context:
             raise UsageError("context is frozen; cannot add derivations")
         if name in self._der_by_name or name in self._by_name:
             raise UsageError(f"name {name!r} already in use")
-        image_by_index: dict[int, dict[Monomial, Scalar]] = {}
+        image_by_index: dict[int, dict[Monomial, object]] = {}
         for var_name, u in (images or {}).items():
             var = self.variable(var_name)
             if not isinstance(u, AElement) or u.ctx is not self:
@@ -318,7 +334,7 @@ class Context:
         return AElement(self, {})
 
     def one(self) -> "AElement":
-        return AElement(self, {ONE_MONOMIAL: self.spec.one()})
+        return AElement(self, {ONE_MONOMIAL: 1})
 
     def var(self, name: str, exponent: int = 1) -> "AElement":
         return self.monomial({name: exponent})
@@ -330,14 +346,14 @@ class Context:
             if e < 0 and var.kind == POLYNOMIAL:
                 raise UsageError(f"negative power of polynomial variable {name!r}")
             by_index[var.index] = e
-        c = self.scalar(coefficient)
+        c = self.spec.value(coefficient)
         if not c:
             return self.zero()
         return AElement(self, {Monomial.make(by_index): c})
 
     # -- derivation application --------------------------------------------
 
-    def _image(self, d: Derivation, var: VariableSpec) -> dict[Monomial, Scalar]:
+    def _image(self, d: Derivation, var: VariableSpec) -> dict[Monomial, object]:
         explicit = d.images.get(var.index)
         if explicit is not None:
             return explicit
@@ -349,30 +365,32 @@ class Context:
         shifted = self._by_name.get(name)
         if shifted is None:
             shifted = self._register_variable(name, POLYNOMIAL, declared=False)
-        return {Monomial(((shifted.index, 1),)): self.spec.one()}
+        return {Monomial(((shifted.index, 1),)): 1}
 
-    def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, Scalar]:
+    def _monomial_derivative(self, d: Derivation, m: Monomial) -> dict[Monomial, object]:
         """Raw terms of d(m), cached under (d.index, m); do not mutate them."""
         key = (d.index, m)
         cached = self._dcache.get(key)
         if cached is not None:
             return cached
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, object] = {}
+        p = self.spec.p
         for i, e in m.exps:
             image = self._image(d, self.variables[i])  # may register a shift variable
-            c = self.spec.from_int(e)
+            c = e if p is None else e % p
             if c:  # e may vanish in characteristic p
                 rest = m.to_dict()
                 rest[i] = e - 1
-                mul_terms(out, {Monomial.make(rest): c}, image, self._products)
+                mul_terms(out, {Monomial.make(rest): c}, image, self._products, p)
         out = self._dcache[key] = nonzero(out)
         return out
 
-    def _derive(self, d: Derivation, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    def _derive(self, d: Derivation, terms: dict[Monomial, object]) -> dict[Monomial, object]:
         """Accumulation buffer of d applied to raw terms, summed in one pass."""
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, object] = {}
+        p = self.spec.p
         for m, c in terms.items():
-            add_terms(out, self._monomial_derivative(d, m), c)
+            add_terms(out, self._monomial_derivative(d, m), p, c)
         return out
 
     def apply_derivation(self, d: Derivation, u: "AElement") -> "AElement":
@@ -398,7 +416,7 @@ class Context:
 
 
 class AElement:
-    """Sparse element of the coefficient algebra: monomial -> scalar.
+    """Sparse element of the coefficient algebra: monomial -> plain field value.
 
     An element's terms are never mutated after construction; the operations
     build new elements.  So `_partials`, None until the first use, can memoize
@@ -408,7 +426,7 @@ class AElement:
 
     __slots__ = ("ctx", "terms", "_partials")
 
-    def __init__(self, ctx: Context, terms: dict[Monomial, Scalar]):
+    def __init__(self, ctx: Context, terms: dict[Monomial, object]):
         self.ctx = ctx
         self.terms = nonzero(terms)
         self._partials = None
@@ -433,11 +451,12 @@ class AElement:
     def __add__(self, other: "AElement") -> "AElement":
         self._check(other)
         out = dict(self.terms)
-        add_terms(out, other.terms)
+        add_terms(out, other.terms, self.ctx.spec.p)
         return AElement(self.ctx, out)
 
     def __neg__(self) -> "AElement":
-        return AElement(self.ctx, {m: -c for m, c in self.terms.items()})
+        p = self.ctx.spec.p
+        return AElement(self.ctx, {m: -c if p is None else p - c for m, c in self.terms.items()})
 
     def __sub__(self, other: "AElement") -> "AElement":
         return self + (-other)
@@ -445,22 +464,23 @@ class AElement:
     def __mul__(self, other):
         if isinstance(other, AElement):
             self._check(other)
-            out: dict[Monomial, Scalar] = {}
-            mul_terms(out, self.terms, other.terms, self.ctx._products)
+            out: dict[Monomial, object] = {}
+            mul_terms(out, self.terms, other.terms, self.ctx._products, self.ctx.spec.p)
             return AElement(self.ctx, out)
-        c = self.ctx.scalar(other)
-        return AElement(self.ctx, {m: v * c for m, v in self.terms.items()})
+        spec = self.ctx.spec
+        c, p = spec.value(other), spec.p
+        return AElement(self.ctx, {m: v * c if p is None else v * c % p for m, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "AElement":
         return self * c
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+    def sorted_terms(self) -> list[tuple[Monomial, object]]:
         """Terms in descending graded print order; deterministic."""
         return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
 
-    def single_term(self) -> tuple[Monomial, Scalar] | None:
+    def single_term(self) -> tuple[Monomial, object] | None:
         if len(self.terms) != 1:
             return None
         return next(iter(self.terms.items()))
@@ -485,12 +505,11 @@ def format_monomial(ctx: Context, m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _signed_monomial_term(ctx: Context, m: Monomial, c: Scalar) -> tuple[bool, str]:
+def _signed_monomial_term(ctx: Context, m: Monomial, c) -> tuple[bool, str]:
     """(is_negative, unsigned text) for one scalar*monomial term."""
-    negative = c.is_negative()
-    mag = c.abs()
+    negative, mag = ctx.spec.signed(c)
     pieces = []
-    if not (mag.is_one() and not m.is_one()):
+    if not (mag == 1 and not m.is_one()):
         pieces.append(str(mag))
     if not m.is_one():
         pieces.append(format_monomial(ctx, m))

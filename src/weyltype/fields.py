@@ -1,12 +1,19 @@
 """Exact scalar arithmetic over the rationals and over prime residue fields.
 
-Every scalar is an immutable value in canonical form.  An integral rational
-is a plain ``int``; any other rational is a ``Fraction`` in lowest terms with
-a positive denominator.  Keeping integers unboxed matters because the
+Every field value is a plain Python number in canonical form.  An integral
+rational is an ``int``; any other rational is a ``Fraction`` in lowest terms
+with a positive denominator.  Keeping integers unboxed matters because the
 binomials, derivative images and closure elements of most scenarios are
 integers, and ``int`` arithmetic is far cheaper than ``Fraction`` arithmetic.
 Prime residues are ``int``s in [0, p).  There is no floating point anywhere in
 this package.
+
+The kernel (coefficient terms, the product walk, row reduction) stores and
+combines these plain values inline, reducing mod p itself.  The FieldSpec
+helpers `value`, `inv` and `signed` serve the cold paths: coercing user
+input, inverting, printing.  `Scalar` boxes a value with its field; it is
+what `FieldSpec.scalar`, `from_int` and `parse_scalar` return, and the
+kernel unwraps it where user input enters.
 """
 
 from __future__ import annotations
@@ -88,38 +95,58 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
+    def value(self, x):
+        """The plain value of an int, Fraction, str, or Scalar in this field."""
+        if isinstance(x, Scalar):
+            if x.spec != self:
+                raise UsageError("scalar belongs to a different field")
+            return x.value
+        if isinstance(x, bool):
+            raise UsageError("booleans are not scalars")
+        if isinstance(x, int):
+            return x if self.p is None else x % self.p
+        if isinstance(x, Fraction):
+            if self.p is None:
+                return _canonical(x)
+            return x.numerator * self.inv(x.denominator % self.p) % self.p
+        if isinstance(x, str):
+            return parse_scalar(x, self).value
+        raise UsageError(f"cannot coerce {x!r} into {self}")
+
+    def inv(self, v):
+        """The inverse of a plain value; ZeroDivisionError for 0."""
+        if not v:
+            raise ZeroDivisionError("scalar 0 has no inverse")
+        if self.p is not None:
+            return pow(v, -1, self.p)
+        if v.__class__ is int:
+            # Fraction(1, v), never 1 / v, which would be a float.
+            return v if v == 1 or v == -1 else Fraction(1, v)
+        return _canonical(Fraction(v.denominator, v.numerator))
+
+    def signed(self, v) -> tuple[bool, object]:
+        """(is negative, magnitude) of a plain value; residues are never negative."""
+        if self.p is None and v < 0:
+            return True, -v
+        return False, v
+
     def from_int(self, n: int) -> "Scalar":
-        if self.kind == RATIONAL_KIND:
-            return Scalar(self, n)
-        return Scalar(self, n % self.p)  # type: ignore[operator]
+        return Scalar(self, n if self.p is None else n % self.p)
 
     def from_fraction(self, q: Fraction) -> "Scalar":
-        if self.kind == RATIONAL_KIND:
-            return Scalar(self, _canonical(q))
-        num = self.from_int(q.numerator)
-        return num * self.from_int(q.denominator).inverse()
+        return Scalar(self, self.value(q))
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return Scalar(self, 0)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, 1)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, str, or Scalar into this field."""
-        if isinstance(value, Scalar):
-            if value.spec != self:
-                raise UsageError("scalar belongs to a different field")
+        if isinstance(value, Scalar) and value.spec == self:
             return value
-        if isinstance(value, bool):
-            raise UsageError("booleans are not scalars")
-        if isinstance(value, int):
-            return self.from_int(value)
-        if isinstance(value, Fraction):
-            return self.from_fraction(value)
-        if isinstance(value, str):
-            return parse_scalar(value, self)
-        raise UsageError(f"cannot coerce {value!r} into {self}")
+        return Scalar(self, self.value(value))
 
     def __str__(self) -> str:
         return "Q" if self.kind == RATIONAL_KIND else f"F_{self.p}"
@@ -129,13 +156,11 @@ RATIONAL = FieldSpec(RATIONAL_KIND)
 
 
 class Scalar:
-    """An element of a FieldSpec's field, always stored in canonical form.
+    """A plain field value boxed with its FieldSpec, for the library surface.
 
-    A rational value is an ``int`` when it is integral and a ``Fraction`` in
-    lowest terms otherwise; a prime residue is an ``int`` in [0, p).  A Scalar
-    is never mutated after construction: coefficient dictionaries and the
-    derivative caches share Scalar objects, so changing one in place would
-    change every element holding it.
+    `value` is in canonical form (see the module docstring) and is never
+    changed after construction.  Arithmetic between Scalars checks that the
+    fields agree; the kernel never boxes its values in a Scalar.
     """
 
     __slots__ = ("spec", "value")
@@ -214,31 +239,13 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("scalar 0 has no inverse")
-        v = self.value
-        if self.spec.p is None:
-            if v.__class__ is int:
-                # Fraction(1, v), never 1 / v, which would be a float.
-                return Scalar(self.spec, v if v == 1 or v == -1 else Fraction(1, v))
-            return Scalar(self.spec, _canonical(Fraction(v.denominator, v.numerator)))
-        return Scalar(self.spec, pow(v, -1, self.spec.p))
+        return Scalar(self.spec, self.spec.inv(self.value))
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def is_negative(self) -> bool:
-        """True for rationals below zero; prime residues are never negative."""
-        return self.spec.kind == RATIONAL_KIND and self.value < 0
-
-    def abs(self) -> "Scalar":
-        return -self if self.is_negative() else self
-
-    def is_one(self) -> bool:
-        return self.value == 1
 
     def __str__(self) -> str:
         return format_scalar(self)

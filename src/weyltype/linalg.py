@@ -1,8 +1,14 @@
 """Exact row reduction over a scalar field, on sparse coordinate vectors.
 
-Vectors are dicts column -> nonzero scalar.  The reducer keeps its rows in
+Vectors are dicts column -> nonzero plain field value (see fields.py),
+combined inline with one reduction mod p over F_p; an integral Fraction an
+update makes over Q is stored as an int.  The reducer keeps its rows in
 reduced row-echelon form at all times; since RREF is unique for a given row
 space, the stored basis does not depend on insertion order.
+
+Rows of Scalars over Q work too, since perfbench/micro.py times inserts of
+such rows: the Scalar operators do their arithmetic, a Scalar pivot is
+inverted with its own inverse(), and only a Fraction is turned into an int.
 
 The rows live in one pivot -> row map; in pivot order they are the RREF
 basis.  An RREF row is zero at every pivot but its own, so subtracting it
@@ -16,18 +22,25 @@ is updated for every row a subtraction changes, and may keep empty sets.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .fields import FieldSpec, Scalar
 
 
-def axpy_into(target: dict, c: Scalar, row: dict) -> None:
-    """target -= c * row, dropping entries that cancel to zero."""
+def axpy_into(target: dict, c, row: dict, p: int | None) -> None:
+    """target -= c * row mod p (p None over Q), dropping entries that cancel
+    to zero."""
     for j, v in row.items():
         cur = target.get(j)
         nv = -(c * v) if cur is None else cur - c * v
-        if nv.is_zero():
-            target.pop(j, None)
-        else:
+        if p is not None:
+            nv %= p
+        elif nv.__class__ is Fraction and nv.denominator == 1:
+            nv = nv.numerator
+        if nv:
             target[j] = nv
+        else:
+            target.pop(j, None)
 
 
 class RowReducer:
@@ -35,6 +48,7 @@ class RowReducer:
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
+        self._p = spec.p
         self._by_pivot: dict[int, dict] = {}  # pivot column -> its row
         self._holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of rows holding it
 
@@ -48,9 +62,9 @@ class RowReducer:
     def reduce(self, vec: dict) -> dict:
         """Return vec reduced against the current basis (a fresh dict)."""
         work = dict(vec)
-        by_pivot = self._by_pivot
-        for p in sorted(j for j in vec if j in by_pivot):
-            axpy_into(work, work[p], by_pivot[p])
+        by_pivot, p = self._by_pivot, self._p
+        for k in sorted(j for j in vec if j in by_pivot):
+            axpy_into(work, work[k], by_pivot[k], p)
         return work
 
     def contains(self, vec: dict) -> bool:
@@ -61,18 +75,25 @@ class RowReducer:
         work = self.reduce(vec)
         if not work:
             return False
-        pivot = min(work)
-        inv = work[pivot].inverse()
-        row = {j: v * inv for j, v in work.items()}
+        pivot, p = min(work), self._p
+        lead = work[pivot]
+        inv = lead.inverse() if lead.__class__ is Scalar else self.spec.inv(lead)
+        if p is not None:
+            row = {j: v * inv % p for j, v in work.items()}
+        else:
+            row = {j: v * inv for j, v in work.items()}
+            for j, v in row.items():
+                if v.__class__ is Fraction and v.denominator == 1:
+                    row[j] = v.numerator
         holders = self._holders
-        for p in sorted(holders.pop(pivot, ())):
-            existing = self._by_pivot[p]
-            axpy_into(existing, existing[pivot], row)
+        for k in sorted(holders.pop(pivot, ())):
+            existing = self._by_pivot[k]
+            axpy_into(existing, existing[pivot], row, p)
             for j in row:
                 if j in existing:
-                    holders.setdefault(j, set()).add(p)
+                    holders.setdefault(j, set()).add(k)
                 elif j != pivot:
-                    holders[j].discard(p)
+                    holders[j].discard(k)
         for j in row:
             if j != pivot:
                 holders.setdefault(j, set()).add(pivot)
@@ -95,15 +116,14 @@ def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
     for row in constraints:
         if red.add(row) and red.rank == ncols:
             return []
-    one = spec.one()
     # Free column f spans the vector that is 1 at f and -row[f] at each pivot.
-    by_pivot = red._by_pivot
-    kernel = {f: {f: one} for f in range(ncols) if f not in by_pivot}
-    for p in sorted(by_pivot):
-        for j, c in by_pivot[p].items():
+    by_pivot, p = red._by_pivot, spec.p
+    kernel = {f: {f: 1} for f in range(ncols) if f not in by_pivot}
+    for k in sorted(by_pivot):
+        for j, c in by_pivot[k].items():
             vec = kernel.get(j)
             if vec is not None:
-                vec[p] = -c
+                vec[k] = -c if p is None else p - c
     canon = RowReducer(spec)
     for vec in kernel.values():
         canon.add(vec)

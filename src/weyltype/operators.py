@@ -28,8 +28,9 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   so each derivative is summed once.
 - w_mul and lie_bracket share one walk over the gammas of every term pair.
   It reads them from the context's gamma tree for alpha: a node holds
-  gamma, alpha - gamma and C(alpha, gamma) in the field (with its negative,
-  for the y*x half of a bracket), or None where the binomial is zero mod p.
+  gamma, alpha - gamma and C(alpha, gamma) as a plain field value (with its
+  negative, for the y*x half of a bracket), or None where the binomial is
+  zero mod p.
   A node's children raise the last entry of gamma or open a later one, so
   each gamma is generated once, from gamma - e_last; they are built on the
   node's first visit, so a pruned subtree is never built.  Where d^gamma(v)
@@ -41,7 +42,7 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   plain dict on the Context and die with it.
 - The walk is level-synchronous: each step moves every started term pair
   one gamma level deeper.  mul_terms accumulates the terms into one
-  {monomial: scalar} bucket per output index, and takes each monomial
+  {monomial: value} bucket per output index, and takes each monomial
   product from the context's product memo, so a product that a later
   bracket forms again costs one identity-hashed lookup.
 - lie_bracket walks the pairs of x*y with sign +1 and those of y*x with
@@ -75,7 +76,6 @@ from .coefficients import (
     nonzero,
 )
 from .errors import ExponentCapError, UsageError
-from .fields import Scalar
 from .multiindex import MINUS_INFINITY, MultiIndex, ZERO_INDEX, compare
 
 # Largest |n| accepted in x^n: a power costs |n| products, so the cap
@@ -134,7 +134,7 @@ class WeylElement:
         return self.scale(other)
 
     def scale(self, c) -> "WeylElement":
-        s = self.ctx.scalar(c)
+        s = self.ctx.spec.value(c)
         return WeylElement(self.ctx, {a: u * s for a, u in self.terms.items()})
 
     def __pow__(self, n: int) -> "WeylElement":
@@ -239,9 +239,9 @@ class _GammaNode:
     """One gamma <= alpha of the walk, with the index arithmetic its terms need.
 
     `rest` is alpha - gamma and `outputs` maps beta to the output index
-    beta + rest; `c` is C(alpha, gamma) in the field and `neg_c` its negative,
-    both None when the binomial vanishes mod p.  The children are built on
-    the first visit, so a subtree the walk prunes is never built.
+    beta + rest; `c` is C(alpha, gamma) as a plain field value and `neg_c` its
+    negative, both None when the binomial vanishes mod p.  The children are
+    built on the first visit, so a subtree the walk prunes is never built.
     """
 
     __slots__ = ("alpha", "gamma", "rest", "outputs", "binom", "c", "neg_c", "children")
@@ -252,9 +252,9 @@ class _GammaNode:
         self.rest = alpha.sub(gamma)
         self.outputs = {}
         self.binom = binom
-        c = spec.from_int(binom)
+        c = spec.value(binom)
         self.c = c if c else None
-        self.neg_c = spec.from_int(-binom) if c else None
+        self.neg_c = spec.value(-binom) if c else None
         self.children = None
 
     def expand(self, spec) -> list:
@@ -285,6 +285,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     the module docstring).
     """
     spec = ctx.spec
+    p = spec.p
     trees = ctx._gamma_trees
     monomial_products = ctx._products
     # One entry per gamma of this step: (gamma node, beta, terms of u, v, sign).
@@ -296,7 +297,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                 root = trees[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
             for beta, v in y.terms.items():
                 pairs.append((root, beta, u.terms, v, sign))
-    out: dict[MultiIndex, dict[Monomial, Scalar]] = {}
+    out: dict[MultiIndex, dict[Monomial, object]] = {}
     if guard is None:
         active, waiting = pairs, []
     else:
@@ -327,7 +328,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                     idx = outputs.get(beta)
                     if idx is None:
                         idx = outputs[beta] = beta.add(node.rest)
-                    mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, c)
+                    mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, p, c)
             children = node.children
             if children is None:
                 children = node.expand(spec)
@@ -341,7 +342,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     return _from_buckets(ctx, out)
 
 
-def _from_buckets(ctx: Context, out: dict[MultiIndex, dict[Monomial, Scalar]]) -> WeylElement:
+def _from_buckets(ctx: Context, out: dict[MultiIndex, dict[Monomial, object]]) -> WeylElement:
     return WeylElement(ctx, {idx: AElement(ctx, bucket) for idx, bucket in out.items()})
 
 
@@ -368,9 +369,9 @@ def act(x: WeylElement, a: AElement) -> AElement:
     if a.ctx is not x.ctx:
         raise UsageError("mixed contexts in action")
     ctx = x.ctx
-    out: dict[Monomial, Scalar] = {}
+    out: dict[Monomial, object] = {}
     for alpha, u in x.terms.items():
-        mul_terms(out, u.terms, _partial(ctx, alpha, a), ctx._products)
+        mul_terms(out, u.terms, _partial(ctx, alpha, a), ctx._products, ctx.spec.p)
     return AElement(ctx, out)
 
 

@@ -17,9 +17,10 @@ construction.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
-from .coefficients import Context, LAURENT, Monomial
+from .coefficients import AElement, Context, LAURENT, Monomial
 from .errors import EvalError, ExponentCapError, ParseError
 from .operators import MAX_EXPONENT, WeylElement, w_mul, wderivation, wfrom_a, widentity
 
@@ -229,15 +230,9 @@ def evaluate(ast, ctx: Context) -> WeylElement:
     if isinstance(ast, ScalarLit):
         if ast.denominator == 0:
             raise EvalError("zero denominator", ast.pos)
-        num = ctx.spec.from_int(ast.numerator)
-        if ast.denominator != 1:
-            den = ctx.spec.from_int(ast.denominator)
-            if den.is_zero():
-                raise EvalError(
-                    f"denominator {ast.denominator} vanishes in {ctx.spec}", ast.pos
-                )
-            num = num * den.inverse()
-        return widentity(ctx).scale(num)
+        if not ctx.spec.value(ast.denominator):
+            raise EvalError(f"denominator {ast.denominator} vanishes in {ctx.spec}", ast.pos)
+        return widentity(ctx).scale(Fraction(ast.numerator, ast.denominator))
     if isinstance(ast, NameRef):
         if ctx.has_variable(ast.name):
             return wfrom_a(ctx.var(ast.name))
@@ -272,10 +267,7 @@ def _invert_unit(base: WeylElement, ctx: Context, pos: int) -> WeylElement:
         if var.kind != LAURENT:
             raise EvalError(f"negative power of polynomial variable {var.name!r}", pos)
         inverted[i] = -e
-    coeff = c.inverse()
-    from .coefficients import AElement
-
-    return wfrom_a(AElement(ctx, {Monomial.make(inverted): coeff}))
+    return wfrom_a(AElement(ctx, {Monomial.make(inverted): ctx.spec.inv(c)}))
 
 
 def evaluate_text(text: str, ctx: Context) -> WeylElement:

@@ -234,7 +234,7 @@ class SubspaceBasis:
 
 
 def _a_element(ctx: Context, m: Monomial) -> AElement:
-    return AElement(ctx, {m: ctx.spec.one()})
+    return AElement(ctx, {m: 1})
 
 
 def a_coords(u: AElement, index: dict[Monomial, int]) -> dict | None:
@@ -416,7 +416,7 @@ def theta_kernel(
             buckets: dict[MultiIndex, dict] = {}
             for j, c in vec.items():
                 (alpha, u), = columns[j].terms.items()
-                add_terms(buckets.setdefault(alpha, {}), u.terms, c)
+                add_terms(buckets.setdefault(alpha, {}), u.terms, ctx.spec.p, c)
             witness.append(_from_buckets(ctx, buckets))
         shift = any(d.shift_prefix is not None for d in ctx.derivations)
         note = WINDOW_EVIDENCE_NOTE if shift else ""
@@ -473,7 +473,7 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
         stats.stop = reason
         return red, index, steps, stats
 
-    stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
+    stop_vec = None if stop is None else {index[stop]: 1}
     if stop_vec is not None and red.contains(stop_vec):
         return done(STOP_IDENTITY)
     if red.rank == len(labels):
@@ -624,10 +624,9 @@ def lie_ideal_closure_probe(
     """
     inner = window.interior(margin)
     targets = inner.ad_basis(ctx)
-    one = ctx.spec.one()
     # A target above level 0 is never in f1, so only a level-0 interior can be vacuous.
     if inner.max_level == 0 and all(
-        m in f1.index and f1.contains({f1.index[m]: one}) for _, m in targets
+        m in f1.index and f1.contains({f1.index[m]: 1}) for _, m in targets
     ):
         raise UsageError("interior sub-window holds no target outside the derivation kernel")
     labels = window.ad_basis(ctx)
@@ -656,7 +655,7 @@ def lie_ideal_closure_probe(
     unreached = []
     hit = 0
     for alpha, m in targets:
-        vec = {index[(alpha, m)]: one}
+        vec = {index[(alpha, m)]: 1}
         if combined.contains(vec):
             hit += 1
         else:

@@ -252,7 +252,7 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
             # over the rationals.
             red = RowReducer(RATIONAL)
             for row in euler_rows:
-                red.add({j: RATIONAL.from_int(w) for j, w in enumerate(row) if w})
+                red.add({j: w for j, w in enumerate(row) if w})
             _require(
                 red.rank == len(ctx.variables),
                 violations,

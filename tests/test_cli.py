@@ -243,6 +243,21 @@ def test_verify_passes(capsys, s_weyl):
     assert out.count("pass") == 6
 
 
+def test_main_calls_share_no_parsed_state(capsys, monkeypatch, s_weyl):
+    # main builds its argument parser once per process; a flag given to one
+    # call must not carry over into the next.
+    assert cli._build_argparser() is cli._build_argparser()
+    code, _, err = run_cli(capsys, "probe", "--stats", "--scenario", s_weyl)
+    assert code == 0 and len(err.splitlines()) == len(load_bundled("weyl_polynomial").probes)
+    code, _, err = run_cli(capsys, "probe", "--scenario", s_weyl)
+    assert code == 0 and err == ""
+    seen = []
+    monkeypatch.setattr(cli, "run_all_checks", lambda ctx, trials, seed, bounds: seen.append((trials, seed)) or [])
+    assert run_cli(capsys, "verify", "--scenario", s_weyl, "--trials", "3", "--seed", "5")[0] == 0
+    assert run_cli(capsys, "verify", "--scenario", s_weyl)[0] == 0
+    assert seen == [(3, 5), (200, 0)]
+
+
 def test_verify_mixed_scenario_200_trials(capsys):
     path = str(bundled_scenario_path("mixed_flavors"))
     code, out, _ = run_cli(capsys, "verify", "--scenario", path, "--trials", "200", "--seed", "42")

@@ -47,7 +47,7 @@ def _t(n):
 def _operator_terms(x):
     """(level, t exponent, coefficient value) of every term of an operator."""
     return [
-        (alpha.level(), m.exponent(0), c.value)
+        (alpha.level(), m.exponent(0), c)
         for alpha, u in x.terms.items()
         for m, c in u.terms.items()
     ]
@@ -69,7 +69,7 @@ def _in_char5_ideal(x):
     if isinstance(x, AElement):
         sums = [0] * 5
         for m, c in x.terms.items():
-            sums[m.exponent(0) % 5] += c.value
+            sums[m.exponent(0) % 5] += c
         return all(s % 5 == 0 for s in sums)
     values = {}  # (t exponent, point of F_5) -> f_n(point)
     for level, n, c in _operator_terms(x):
@@ -79,7 +79,7 @@ def _in_char5_ideal(x):
 
 
 def _a(ctx, terms):
-    return AElement(ctx, {_t(n): ctx.scalar(c) for n, c in terms})
+    return AElement(ctx, {_t(n): ctx.spec.value(c) for n, c in terms})
 
 
 def _w(ctx, terms):

@@ -1,13 +1,17 @@
 import bisect
+import random
+from fractions import Fraction
 from operator import itemgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyltype import FieldSpec, RATIONAL
+from weyltype.fields import Scalar
 from weyltype.linalg import RowReducer, nullspace
 
 F5 = FieldSpec("prime", 5)
+SMALL_PRIMES = [FieldSpec("prime", p) for p in (2, 3, 5, 7)]
 
 
 def reference_nullspace(rows, ncols, spec):
@@ -19,10 +23,10 @@ def reference_nullspace(rows, ncols, spec):
     kernel = RowReducer(spec)
     for f in range(ncols):
         if f not in pivots:
-            vec = {f: spec.one()}
+            vec = {f: 1}
             for p, row in zip(red.pivots(), red.vectors()):
                 if f in row:
-                    vec[p] = -row[f]
+                    vec[p] = spec.value(-row[f])
             kernel.add(vec)
     return kernel.vectors()
 
@@ -31,14 +35,14 @@ def reference_nullspace(rows, ncols, spec):
 def sparse_matrices(draw):
     spec = draw(st.sampled_from([RATIONAL, F5]))
     ncols = draw(st.integers(1, 6))
-    entry = st.integers(-3, 3).map(spec.from_int)
+    entry = st.integers(-3, 3).map(spec.value)
     row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols).map(
-        lambda d: {j: c for j, c in d.items() if not c.is_zero()}
+        lambda d: {j: c for j, c in d.items() if c}
     )
     rows = draw(st.lists(row, max_size=10))
     if draw(st.booleans()):
         # Append the identity so the matrix is certainly of full column rank.
-        rows += [{j: spec.one()} for j in range(ncols)]
+        rows += [{j: 1} for j in range(ncols)]
     return spec, ncols, rows
 
 
@@ -54,7 +58,7 @@ def test_nullspace_equals_full_reduction(case):
     assert len(kernel) == ncols - rank.rank
     for vec in kernel:
         for row in rows:
-            assert sum((c * vec[j] for j, c in row.items() if j in vec), spec.zero()).is_zero()
+            assert spec.value(sum(c * vec[j] for j, c in row.items() if j in vec)) == 0
 
 
 def test_nullspace_stops_reading_rows_at_full_rank():
@@ -63,7 +67,7 @@ def test_nullspace_stops_reading_rows_at_full_rank():
     def rows():
         for j in range(3):
             consumed.append(j)
-            yield {j: RATIONAL.one()}
+            yield {j: 1}
         raise AssertionError("a row after saturation was produced")
 
     assert nullspace(rows(), 3, RATIONAL) == []
@@ -76,16 +80,17 @@ def test_nullspace_reads_every_row_below_full_rank():
     def rows():
         for j in range(5):
             consumed.append(j)
-            yield {0: RATIONAL.from_int(j + 1), 1: RATIONAL.one()}
+            yield {0: j + 1, 1: 1}
 
     kernel = nullspace(rows(), 3, RATIONAL)
     assert consumed == [0, 1, 2, 3, 4]
-    assert kernel == [{2: RATIONAL.one()}]
+    assert kernel == [{2: 1}]
 
 
 class SweepReducer:
     """RREF reducer whose reduce sweeps every row in pivot order: the oracle
-    for RowReducer, which visits only the pivots a vector holds."""
+    for RowReducer, which visits only the pivots a vector holds.  It works
+    on Scalars, so its arithmetic is independent of RowReducer's too."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -143,15 +148,20 @@ def holder_index(red) -> dict:
 
 
 def ordered(vec: dict) -> list:
-    """A vector's entries in key order, so that order differences show."""
-    return list(vec.items())
+    """A vector's entries in key order, so that order differences show; a
+    Scalar entry is read as its plain value."""
+    return [(j, getattr(c, "value", c)) for j, c in vec.items()]
+
+
+def boxed(spec, vec: dict) -> dict:
+    return {j: spec.scalar(c) for j, c in vec.items()}
 
 
 @st.composite
 def reducer_scripts(draw):
     spec = draw(st.sampled_from([RATIONAL, F5]))
     ncols = draw(st.integers(1, 8))
-    entry = st.integers(-4, 4).map(spec.from_int).filter(lambda c: not c.is_zero())
+    entry = st.integers(-4, 4).map(spec.value).filter(bool)
     vec = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
     ops = st.tuples(st.sampled_from(["add", "reduce", "contains"]), vec)
     return spec, draw(st.lists(ops, max_size=16))
@@ -164,18 +174,70 @@ def test_row_reducer_matches_a_full_sweep(case):
     red, oracle = RowReducer(spec), SweepReducer(spec)
     for op, vec in ops:
         if op == "add":
-            assert red.add(vec) == oracle.add(vec)
+            assert red.add(vec) == oracle.add(boxed(spec, vec))
         elif op == "reduce":
-            assert ordered(red.reduce(vec)) == ordered(oracle.reduce(vec))
+            assert ordered(red.reduce(vec)) == ordered(oracle.reduce(boxed(spec, vec)))
         else:
-            assert red.contains(vec) == oracle.contains(vec)
+            assert red.contains(vec) == oracle.contains(boxed(spec, vec))
         assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
         # RREF: pivots ascend, each row is 1 at its pivot and 0 at every other.
         pivots = red.pivots()
         assert pivots == sorted(set(pivots))
         rows = list(zip(pivots, red.vectors()))
         for p, row in rows:
-            assert row[p] == spec.one()
+            assert row[p] == 1
             assert not any(q in row for q in pivots if q != p)
         # The column index lists exactly the rows that hold each column.
         assert holder_index(red) == holders_of(rows)
+
+
+def assert_canonical_rows(spec, rows) -> None:
+    """Over Q an int or a non-integral Fraction, over F_p an int in [0, p)."""
+    for row in rows:
+        for c in row.values():
+            if spec.p is None:
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            else:
+                assert type(c) is int and 0 < c < spec.p
+
+
+@st.composite
+def plain_vector_lists(draw):
+    spec = draw(st.sampled_from([RATIONAL] + SMALL_PRIMES))
+    if spec.p is None:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        entry = st.integers(-20, 20)
+    vec = st.dictionaries(st.integers(0, 5), entry.map(spec.value).filter(bool), max_size=6)
+    return spec, draw(st.lists(vec, max_size=8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plain_vector_lists())
+def test_row_reducer_add_matches_scalar_arithmetic(case):
+    # SweepReducer does every field operation with Scalars, so it checks the
+    # inline plain-value arithmetic of RowReducer.add over Q and small F_p.
+    spec, vecs = case
+    red, oracle = RowReducer(spec), SweepReducer(spec)
+    for vec in vecs:
+        assert red.add(vec) == oracle.add(boxed(spec, vec))
+    assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
+    assert_canonical_rows(spec, red.vectors())
+
+
+def test_scalar_rows_give_the_rref_of_plain_rows():
+    # perfbench/micro.py times RowReducer.add on rows of rational Scalars,
+    # like these; they must reduce to the RREF that plain rows give.
+    for seed in range(4):
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(48):
+            cols = rng.sample(range(32), 4)
+            rows.append({c: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for c in cols})
+        plain, scalars = RowReducer(RATIONAL), RowReducer(RATIONAL)
+        for row in rows:
+            assert plain.add({j: RATIONAL.value(c) for j, c in row.items()}) == scalars.add(boxed(RATIONAL, row))
+        assert plain.pivots() == scalars.pivots()
+        assert [ordered(v) for v in plain.vectors()] == [ordered(v) for v in scalars.vectors()]
+        assert_canonical_rows(RATIONAL, plain.vectors())
+        assert all(type(c) is Scalar for v in scalars.vectors() for c in v.values())

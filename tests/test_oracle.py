@@ -41,7 +41,7 @@ CONTEXTS = {
 def to_sympy(u, symbols):
     out = sympy.Integer(0)
     for m, c in u.terms.items():
-        term = sympy.Rational(c.value)
+        term = sympy.Rational(c)
         for i, e in m.exps:
             term *= symbols[i] ** e
         out += term

@@ -91,7 +91,7 @@ def test_window_validation(weyl_q, laurent_euler_q):
 def test_window_enumeration(weyl_q):
     w = Window.for_context(weyl_q, {"t": (0, 3)}, max_level=2)
     basis = w.a_basis(weyl_q)
-    assert [str(wfrom_a(a_from_coords(weyl_q, basis, {j: RATIONAL.one()}))) for j in range(4)] == [
+    assert [str(wfrom_a(a_from_coords(weyl_q, basis, {j: 1}))) for j in range(4)] == [
         "1", "t", "t^2", "t^3"
     ]
     multis = w.multi_indices(weyl_q)
@@ -156,7 +156,7 @@ def test_f1_elements_are_killed_and_central(weyl_f5):
     # central in the bracket against window operator monomials
     for u in elements:
         for alpha, m in w.ad_basis(ctx):
-            x = wbasis(ctx, alpha, a_from_coords(ctx, [m], {0: ctx.spec.one()}))
+            x = wbasis(ctx, alpha, a_from_coords(ctx, [m], {0: 1}))
             assert lie_bracket(wfrom_a(u), x).is_zero()
 
 
@@ -222,7 +222,7 @@ def test_theta_kernel_char2(weyl_f2):
     # kernel witnesses act as zero on every window monomial, exactly
     for k in verdict.witness:
         for m in w.a_basis(ctx):
-            assert act(k, a_from_coords(ctx, [m], {0: ctx.spec.one()})).is_zero()
+            assert act(k, a_from_coords(ctx, [m], {0: 1})).is_zero()
 
 
 def test_theta_kernel_char5_fermat(laurent_euler_f5):
@@ -686,7 +686,7 @@ def exhaustive_closure(ctx, seed, labels, coords, expand, stop=None, central=Non
     red.add(seed_vec)
     accepted = [seed]
     steps = []
-    stop_vec = None if stop is None else {index[stop]: ctx.spec.one()}
+    stop_vec = None if stop is None else {index[stop]: 1}
     if stop_vec is not None and red.contains(stop_vec):
         return red, index, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
     frontier = [0]
