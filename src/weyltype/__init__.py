@@ -13,13 +13,11 @@ from .errors import (
     BasisCapError,
     EvalError,
     ExponentCapError,
-    InternalError,
     ParseError,
     UsageError,
     ValidationError,
     VariableCapError,
     WeylTypeError,
-    WindowError,
 )
 from .fields import RATIONAL, FieldSpec
 from .multiindex import MultiIndex, p_adic_factor
@@ -42,5 +40,5 @@ __all__ = [
     "Window", "compute_f1", "theta_kernel", "d_simplicity_probe",
     "assoc_ideal_closure_probe", "lie_ideal_closure_probe",
     "WeylTypeError", "UsageError", "ValidationError", "ParseError", "EvalError",
-    "BasisCapError", "ExponentCapError", "VariableCapError", "WindowError", "InternalError",
+    "BasisCapError", "ExponentCapError", "VariableCapError",
 ]

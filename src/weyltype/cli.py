@@ -20,8 +20,8 @@ only on the commands shown with them; anywhere else they are a usage error.
 
 Exit codes: 0 success; 1 a probe verdict differs from the scenario's declared
 expectation (or a verify suite found a violation); 2 usage or validation
-error; 3 internal error (a failed self-check or any unexpected exception),
-reported as one `internal error: ...` line on stderr.
+error; 3 internal error (any exception that is not a usage or validation
+error, so a bug), reported as one `internal error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import sys
 
 from .checks import run_all_checks
 from .coefficients import format_a_element
-from .errors import InternalError, WeylTypeError
+from .errors import WeylTypeError
 from .operators import act, format_weyl, lie_bracket
 from .parser import evaluate_text
 from .reports import build_report, report_bytes
@@ -191,8 +191,6 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         return _COMMANDS[args.command](args, scenario)
-    except InternalError as exc:
-        return _internal_error(exc)
     except (WeylTypeError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,7 +31,7 @@ import re
 from functools import partial
 
 from .errors import UsageError, ValidationError, VariableCapError
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .multiindex import MultiIndex, _forget, _KeyedRef, _set_attribute, intern, merge_exponents
 
 POLYNOMIAL = "polynomial"
@@ -326,9 +326,6 @@ class Context:
         raise UsageError(f"derivation {d.name!r} is not registered in this context")
 
     # -- element factories --------------------------------------------------
-
-    def scalar(self, value) -> Scalar:
-        return self.spec.scalar(value)
 
     def zero(self) -> "AElement":
         return AElement(self, {})

@@ -41,17 +41,9 @@ class ExponentCapError(EvalError):
     """A power x^n has |n| above operators.MAX_EXPONENT; it would cost |n| products."""
 
 
-class WindowError(WeylTypeError):
-    """A window-based computation is indeterminate; widen the window."""
-
-
 class BasisCapError(WeylTypeError):
     """A truncation window enumerates more basis elements than the configured cap."""
 
 
 class VariableCapError(WeylTypeError):
     """Lazy variable creation would exceed the configured hard cap."""
-
-
-class InternalError(WeylTypeError):
-    """An internal self-check failed; indicates an arithmetic bug, not a math possibility."""

@@ -9,18 +9,19 @@ Prime residues are ``int``s in [0, p).  There is no floating point anywhere in
 this package.
 
 The kernel (coefficient terms, the product walk, row reduction) stores and
-combines these plain values inline, reducing mod p itself.  The FieldSpec
-helpers `value`, `inv` and `signed` serve the cold paths: coercing user
-input, inverting, printing.  `Scalar` boxes a value with its field; it is
-what `FieldSpec.scalar`, `from_int` and `parse_scalar` return, and the
-kernel unwraps it where user input enters.
+combines these plain values inline, reducing mod p itself, and the library
+takes and returns the same values: `parse_scalar` reads one from text, and
+the FieldSpec helpers `value`, `inv` and `signed` serve the cold paths:
+coercing user input, inverting, printing.
+
+`Scalar` boxes a value with its field.  Only the benchmark harness and the
+oracle tests use it; `FieldSpec.scalar` is its one constructor here.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 
 from .errors import UsageError
 
@@ -96,11 +97,7 @@ class FieldSpec:
         return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     def value(self, x):
-        """The plain value of an int, Fraction, str, or Scalar in this field."""
-        if isinstance(x, Scalar):
-            if x.spec != self:
-                raise UsageError("scalar belongs to a different field")
-            return x.value
+        """The plain value of an int, Fraction or str in this field."""
         if isinstance(x, bool):
             raise UsageError("booleans are not scalars")
         if isinstance(x, int):
@@ -110,7 +107,7 @@ class FieldSpec:
                 return _canonical(x)
             return x.numerator * self.inv(x.denominator % self.p) % self.p
         if isinstance(x, str):
-            return parse_scalar(x, self).value
+            return parse_scalar(x, self)
         raise UsageError(f"cannot coerce {x!r} into {self}")
 
     def inv(self, v):
@@ -130,22 +127,8 @@ class FieldSpec:
             return True, -v
         return False, v
 
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, n if self.p is None else n % self.p)
-
-    def from_fraction(self, q: Fraction) -> "Scalar":
-        return Scalar(self, self.value(q))
-
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, str, or Scalar into this field."""
-        if isinstance(value, Scalar) and value.spec == self:
-            return value
+        """An int, Fraction or str boxed as a Scalar of this field."""
         return Scalar(self, self.value(value))
 
     def __str__(self) -> str:
@@ -156,11 +139,17 @@ RATIONAL = FieldSpec(RATIONAL_KIND)
 
 
 class Scalar:
-    """A plain field value boxed with its FieldSpec, for the library surface.
+    """A plain field value boxed with its FieldSpec.
+
+    This is the benchmark harness's and the oracle tests' type: perfbench
+    counts and times its operators, and the tests use it as arithmetic
+    independent of the kernel's inline sums.  In the library only
+    FieldSpec.scalar returns one and only RowReducer.add accepts one.  ROADMAP
+    item 5 deletes it once item 2 has moved the harness onto plain values.
 
     `value` is in canonical form (see the module docstring) and is never
     changed after construction.  Arithmetic between Scalars checks that the
-    fields agree; the kernel never boxes its values in a Scalar.
+    fields agree; an int operand joins the Scalar's field.
     """
 
     __slots__ = ("spec", "value")
@@ -183,11 +172,8 @@ class Scalar:
                 raise UsageError("mixed field specs in scalar arithmetic")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.spec.from_int(other)
+            return Scalar(self.spec, self.spec.value(other))
         return NotImplemented  # type: ignore[return-value]
-
-    def is_zero(self) -> bool:
-        return not self.value
 
     def __bool__(self) -> bool:
         return bool(self.value)
@@ -241,15 +227,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         return Scalar(self.spec, self.spec.inv(self.value))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __str__(self) -> str:
-        return format_scalar(self)
-
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self.value})"
 
@@ -259,23 +236,13 @@ def _canonical(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-def binom_scalar(n: int, k: int, spec: FieldSpec) -> Scalar:
-    """C(n, k) computed over the integers, then mapped into the field.
-
-    Computing over Z first is what makes the normal-ordering product correct
-    in characteristic p.
-    """
-    if k < 0 or n < 0 or k > n:
-        raise UsageError(f"binomial C({n}, {k}) outside 0 <= k <= n")
-    return spec.from_int(comb(n, k))
-
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _RESIDUE_RE = re.compile(r"^\d+$")
 
 
-def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
-    """Parse the canonical textual scalar form, bit-exactly."""
+def parse_scalar(text: str, spec: FieldSpec):
+    """The plain value of a canonical textual scalar, parsed bit-exactly:
+    "n" or "n/d" over Q, a residue in [0, p) over F_p."""
     text = text.strip()
     if spec.kind == RATIONAL_KIND:
         m = _RATIONAL_RE.match(text)
@@ -285,15 +252,11 @@ def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
         den = int(m.group(2)) if m.group(2) else 1
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return Scalar(spec, _canonical(Fraction(num, den)))
+        return _canonical(Fraction(num, den))
     if not _RESIDUE_RE.match(text):
         raise UsageError(f"not a residue literal: {text!r}")
     n = int(text)
     if n >= spec.p:  # type: ignore[operator]
         raise UsageError(f"residue {n} not reduced mod {spec.p}")
-    return Scalar(spec, n)
+    return n
 
-
-def format_scalar(s: Scalar) -> str:
-    # str gives "n" for an int and "n/d" for a non-integral Fraction.
-    return str(s.value)

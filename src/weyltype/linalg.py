@@ -6,8 +6,9 @@ update makes over Q is stored as an int.  The reducer keeps its rows in
 reduced row-echelon form at all times; since RREF is unique for a given row
 space, the stored basis does not depend on insertion order.
 
-Rows of Scalars over Q work too, since perfbench/micro.py times inserts of
-such rows: the Scalar operators do their arithmetic, a Scalar pivot is
+RowReducer.add is the one place in the library that still accepts Scalars
+(see fields.py): perfbench/micro.py times inserts of rows of rational
+Scalars.  The Scalar operators then do the arithmetic, a Scalar pivot is
 inverted with its own inverse(), and only a Fraction is turned into an int.
 
 The rows live in one pivot -> row map; in pivot order they are the RREF

@@ -24,10 +24,11 @@ import itertools
 import threading
 import weakref
 from functools import partial, total_ordering
+from math import comb
 from typing import NamedTuple
 
 from .errors import UsageError
-from .fields import FieldSpec, Scalar, binom_scalar, is_prime
+from .fields import FieldSpec, is_prime
 
 
 class _MinusInfinity:
@@ -269,14 +270,15 @@ def lower_set(alpha: MultiIndex) -> list[MultiIndex]:
     return out
 
 
-def binom_product(alpha: MultiIndex, gamma: MultiIndex, spec: FieldSpec) -> Scalar:
-    """Product of componentwise binomial coefficients, in the field."""
+def binom_product(alpha: MultiIndex, gamma: MultiIndex, spec: FieldSpec):
+    """Product of componentwise binomial coefficients, taken over the integers
+    and mapped once into the field as a plain value."""
     if not gamma.le_componentwise(alpha):
         raise UsageError("gamma is not componentwise below alpha")
-    out = spec.one()
+    out = 1
     for i, g in gamma.entries:
-        out = out * binom_scalar(alpha.get(i), g, spec)
-    return out
+        out *= comb(alpha.get(i), g)
+    return spec.value(out)
 
 
 class PAdicFactor(NamedTuple):

@@ -26,6 +26,15 @@ Schema (all keys lowercase):
                      {"kind": "d_simplicity"|"assoc_closure"|"lie_closure",
                       "seed": expr, "expect": verdict?}, ...]
 
+An expected verdict must be one that its probe kind can return (VERDICTS):
+
+    theta_kernel                    kernel_zero | kernel_nonzero
+    d_simplicity, assoc_closure     reaches_identity | proper_invariant_subspace
+    lie_closure                     full_span_mod_f1 | proper_invariant_subspace
+
+Only theta_kernel takes restrict_to_f1, and only the closure probes take a
+seed.
+
 Derivation images and probe seeds are expression strings evaluated by the
 package's own parser, so one grammar serves both the CLI and configuration.
 """
@@ -56,14 +65,13 @@ from .probes import (
     Window,
 )
 
-PROBE_KINDS = ("theta_kernel", "d_simplicity", "assoc_closure", "lie_closure")
-VERDICT_KINDS = (
-    REACHES_IDENTITY,
-    FULL_SPAN_MOD_F1,
-    PROPER_INVARIANT_SUBSPACE,
-    KERNEL_NONZERO,
-    KERNEL_ZERO,
-)
+# Probe kind -> the verdicts it can return, so the expectations it may declare.
+VERDICTS = {
+    "theta_kernel": (KERNEL_ZERO, KERNEL_NONZERO),
+    "d_simplicity": (REACHES_IDENTITY, PROPER_INVARIANT_SUBSPACE),
+    "assoc_closure": (REACHES_IDENTITY, PROPER_INVARIANT_SUBSPACE),
+    "lie_closure": (FULL_SPAN_MOD_F1, PROPER_INVARIANT_SUBSPACE),
+}
 
 
 class ProbeRequest(NamedTuple):
@@ -311,12 +319,12 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         if not _typed(pdata, dict, f"probe {k}", violations):
             continue
         kind = pdata.get("kind")
-        if kind not in PROBE_KINDS:
+        if not isinstance(kind, str) or kind not in VERDICTS:
             violations.append(f"probe {k}: unknown kind {kind!r}")
             continue
         expect = pdata.get("expect")
-        if expect is not None and expect not in VERDICT_KINDS:
-            violations.append(f"probe {k}: unknown expected verdict {expect!r}")
+        if expect is not None and expect not in VERDICTS[kind]:
+            violations.append(f"probe {k}: {kind} never returns the expected verdict {expect!r}")
         seed_text = pdata.get("seed")
         seed = None
         if kind == "theta_kernel":
@@ -333,7 +341,12 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
                     violations.append(f"probe {k}: seed evaluates to zero")
             except WeylTypeError as exc:
                 violations.append(f"probe {k}: seed {seed_text!r}: {exc}")
-        restrict = _bool(pdata.get("restrict_to_f1", False), f"probe {k} restrict_to_f1", violations)
+        restrict = False
+        if "restrict_to_f1" in pdata:
+            if kind != "theta_kernel":
+                violations.append(f"probe {k}: {kind} takes no restrict_to_f1")
+            else:
+                restrict = _bool(pdata["restrict_to_f1"], f"probe {k} restrict_to_f1", violations)
         probes.append(ProbeRequest(kind, seed_text, expect, restrict_to_f1=restrict, seed=seed))
 
     if violations:

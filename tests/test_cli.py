@@ -13,7 +13,7 @@ import pytest
 from weyltype import cli, coefficients
 from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
-from weyltype.errors import InternalError, ValidationError
+from weyltype.errors import ValidationError
 from weyltype.parser import evaluate_text
 from weyltype.scenario import (
     bundled_scenario_names,
@@ -455,6 +455,7 @@ def test_validation_collects_all_violations():
         window={"max_level": 2, "bounds": {}},
         probes=[
             {"kind": "mystery"},
+            {"kind": ["theta_kernel"]},
             {"kind": "d_simplicity", "seed": "d1"},
             {"kind": "lie_closure"},
         ],
@@ -463,7 +464,8 @@ def test_validation_collects_all_violations():
         load_scenario_mapping(data)
     text = str(err.value)
     assert "no bounds" in text
-    assert "unknown kind" in text
+    assert "unknown kind 'mystery'" in text
+    assert "unknown kind ['theta_kernel']" in text
     assert "coefficient-only" in text
     assert "requires a seed" in text
 
@@ -620,8 +622,46 @@ def test_boolean_fields_accept_json_false():
     assert scenario.probes[0].restrict_to_f1 is False
 
 
+# Each probe kind with a verdict it can return and one it never returns.
+VERDICT_CASES = [
+    ({"kind": "theta_kernel"}, "kernel_zero", "reaches_identity"),
+    ({"kind": "d_simplicity", "seed": "t"}, "reaches_identity", "kernel_zero"),
+    ({"kind": "assoc_closure", "seed": "d1"}, "proper_invariant_subspace", "full_span_mod_f1"),
+    ({"kind": "lie_closure", "seed": "t*d1"}, "full_span_mod_f1", "reaches_identity"),
+]
+
+
+@pytest.mark.parametrize("probe, possible, impossible", VERDICT_CASES)
+def test_expect_must_be_a_verdict_of_the_probe_kind(capsys, tmp_path, probe, possible, impossible):
+    scenario = load_scenario_mapping(_scenario_dict(probes=[{**probe, "expect": possible}]))
+    assert scenario.probes[0].expect == possible
+    for expect in (impossible, "banana", 3, ["kernel_zero"]):
+        data = _scenario_dict(probes=[{**probe, "expect": expect}])
+        with pytest.raises(ValidationError) as err:
+            load_scenario_mapping(data)
+        assert err.value.violations == [
+            f"probe 0: {probe['kind']} never returns the expected verdict {expect!r}"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        err = _assert_usage_error(capsys, bad, "probe")
+        assert f"never returns the expected verdict {expect!r}" in err
+
+
+@pytest.mark.parametrize("value", [True, False, "yes"])
+@pytest.mark.parametrize("probe", [case[0] for case in VERDICT_CASES[1:]])
+def test_only_theta_kernel_takes_restrict_to_f1(capsys, tmp_path, probe, value):
+    data = _scenario_dict(probes=[{**probe, "restrict_to_f1": value}])
+    with pytest.raises(ValidationError) as err:
+        load_scenario_mapping(data)
+    assert err.value.violations == [f"probe 0: {probe['kind']} takes no restrict_to_f1"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    err = _assert_usage_error(capsys, bad, "probe")
+    assert "takes no restrict_to_f1" in err
+
+
 @pytest.mark.parametrize(
-    "exc", [RuntimeError("boom\nsecond line"), InternalError("self-check failed")]
+    "exc", [RuntimeError("boom\nsecond line"), AssertionError("self-check failed")]
 )
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, s_weyl, exc):
     def broken(args, scenario):

@@ -100,7 +100,7 @@ class SweepReducer:
     def _axpy(target, c, row):
         for j, v in row.items():
             nv = target[j] - c * v if j in target else -(c * v)
-            if nv.is_zero():
+            if not nv:
                 target.pop(j, None)
             else:
                 target[j] = nv
