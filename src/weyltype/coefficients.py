@@ -3,13 +3,14 @@ Laurent arithmetic over an exact field, plus derivations given by images on
 generators and extended by the Leibniz rule.
 
 A Context owns the field, the declared variables, the registered
-derivations and three caches: the first derivatives d(m) of monomials,
-the monomial-product memo that mul_terms reads, and the gamma trees of the
-product walk in operators.py.  Contexts are frozen after
-validation; the only mutation ever allowed afterwards is the lazy,
-append-only registration of new variables by a shift-rule derivation
-(bounded by a hard cap), and the caches only gain entries, apart from the
-product memo, which starts over once it reaches a fixed size.  Images and
+derivations and four caches: the first derivatives d(m) of monomials, the
+generator images d(x_i) they are built from, the monomial-product memo that
+mul_terms reads, and the gamma trees of the product walk in operators.py.
+Contexts are frozen after validation; the only mutation ever allowed
+afterwards is the lazy, append-only registration of new variables by a
+shift-rule derivation (bounded by a hard cap), and the caches only gain
+entries, apart from the product memo, which starts over once it reaches a
+fixed size.  Images and
 derivative-cache entries are raw {Monomial: value} dicts, and nothing in
 the caches points back at the Context, so refcounting alone frees a dropped
 Context.  Each AElement may also memoize its own derivatives (see
@@ -158,9 +159,6 @@ class Monomial:
         items = dict(mapping)
         return Monomial(tuple((int(i), int(e)) for i, e in sorted(items.items()) if e))
 
-    def to_dict(self) -> dict[int, int]:
-        return dict(self.exps)
-
     def exponent(self, index: int) -> int:
         for i, e in self.exps:
             if i == index:
@@ -233,6 +231,8 @@ class Context:
         self._frozen = False
         # (derivation index, m) -> raw terms of d(m).
         self._dcache: dict[tuple[int, Monomial], dict[Monomial, object]] = {}
+        # (derivation index, variable index) -> raw terms of d(x_i).
+        self._images: dict[tuple[int, int], dict[Monomial, object]] = {}
         # The gamma walk's index arithmetic (operators._walk): alpha -> root
         # of its lazily built gamma tree.
         self._gamma_trees: dict[MultiIndex, object] = {}
@@ -371,14 +371,15 @@ class Context:
         if cached is not None:
             return cached
         out: dict[Monomial, object] = {}
-        p = self.spec.p
+        p, images = self.spec.p, self._images
         for i, e in m.exps:
-            image = self._image(d, self.variables[i])  # may register a shift variable
+            image = images.get((d.index, i))
+            if image is None:  # may register a shift variable, even where c vanishes
+                image = images[(d.index, i)] = self._image(d, self.variables[i])
             c = e if p is None else e % p
             if c:  # e may vanish in characteristic p
-                rest = m.to_dict()
-                rest[i] = e - 1
-                mul_terms(out, {Monomial.make(rest): c}, image, self._products, p)
+                rest = Monomial(merge_exponents(m.exps, ((i, 1),), -1))
+                mul_terms(out, {rest: c}, image, self._products, p)
         out = self._dcache[key] = nonzero(out)
         return out
 

@@ -107,7 +107,8 @@ class RowReducer:
 
 
 def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
-    """Canonical (RREF) basis of {x : Mx = 0} for sparse constraint rows.
+    """Canonical (RREF) basis of {x : Mx = 0} for sparse constraint rows,
+    the same whatever their order.
 
     `constraints` may be any iterable, including a lazy generator.  Once the
     rows reach full column rank the kernel is {0} whatever rows follow, so

@@ -24,8 +24,8 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   cached per context on (derivation index, monomial).  Elements are never
   mutated, so an entry stays valid.  A closure probe brackets the same
   accepted elements with the same generators over and over, and
-  theta_kernel acts with columns that share their alphas on one element,
-  so each derivative is summed once.
+  theta_kernel reads d^alpha of each window monomial from this memo, once
+  per alpha, for all the columns at alpha.
 - w_mul and lie_bracket share one walk over the gammas of every term pair.
   It reads them from the context's gamma tree for alpha: a node holds
   gamma, alpha - gamma and C(alpha, gamma) as a plain field value (with its

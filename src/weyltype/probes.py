@@ -51,6 +51,8 @@ from .coefficients import (
     add_terms,
     format_monomial,
     monomial_sort_key,
+    mul_terms,
+    nonzero,
 )
 from .errors import BasisCapError, UsageError, ValidationError
 from .linalg import RowReducer, nullspace
@@ -58,7 +60,7 @@ from .multiindex import MultiIndex, ZERO_INDEX
 from .operators import (
     WeylElement,
     _from_buckets,
-    act,
+    _partial,
     format_weyl,
     lie_bracket,
     w_mul,
@@ -319,13 +321,11 @@ def compute_f1(ctx: Context, window: Window) -> SubspaceBasis:
     """
     labels = window.a_basis(ctx)
     rows: dict[tuple[int, Monomial], dict] = {}
-    for d_idx, d in enumerate(ctx.derivations):
+    for d in ctx.derivations:
         for j, m in enumerate(labels):
-            img = ctx.apply_derivation(d, _a_element(ctx, m))
-            for rm, c in img.terms.items():
-                rows.setdefault((d_idx, rm), {})[j] = c
-    ordered = [rows[k] for k in sorted(rows, key=lambda t: (t[0], monomial_sort_key(t[1])))]
-    kernel = nullspace(ordered, len(labels), ctx.spec)
+            for rm, c in ctx._monomial_derivative(d, m).items():
+                rows.setdefault((d.index, rm), {})[j] = c
+    kernel = nullspace(rows.values(), len(labels), ctx.spec)
     return SubspaceBasis.from_vectors(labels, kernel, ctx.spec)
 
 
@@ -351,6 +351,23 @@ def _outside_products(ctx: Context, window: Window, box: set):
                 yield m
 
 
+def _action_block(ctx: Context, multis: list, coeffs: list, a: AElement) -> dict:
+    """{row monomial: {j: value}} of column j = coeffs[j % n]*d^multis[j // n]
+    acting on a, n = len(coeffs)."""
+    p, products, n = ctx.spec.p, ctx._products, len(coeffs)
+    block = {}
+    for k, alpha in enumerate(multis):
+        dv = _partial(ctx, alpha, a)
+        if not dv:
+            continue
+        for j, u in enumerate(coeffs, k * n):
+            out = {}
+            mul_terms(out, u, dv, products, p)
+            for rm, c in nonzero(out).items():
+                block.setdefault(rm, {})[j] = c
+    return block
+
+
 def theta_kernel(
     ctx: Context,
     window: Window,
@@ -374,49 +391,37 @@ def theta_kernel(
     carries the window-restricted note; an empty kernel is evidence
     restricted to the window and is always labeled so.
 
-    Constraint rows are produced lazily, one monomial at a time, and row
-    reduction stops as soon as they reach full column rank: a full-rank
-    constraint matrix has kernel {0}, and adding rows cannot enlarge a
-    kernel, so the monomials after that point cannot change the verdict and
-    are never acted on.  A nonzero kernel consumes every row, so its
-    witnesses are those of the full matrix.
+    Constraint rows are produced lazily, one monomial at a time, unsorted,
+    and row reduction stops as soon as they reach full column rank: a
+    full-rank constraint matrix has kernel {0}, and adding rows cannot
+    enlarge a kernel, so the monomials after that point cannot change the
+    verdict and are never acted on.  A nonzero kernel consumes every row,
+    so its witnesses are those of the full matrix.
     """
     a_labels = window.a_basis(ctx)
     multis = window.multi_indices(ctx)
-    columns: list[WeylElement] = []
     if restrict_to_f1:
         base = f1 if f1 is not None else compute_f1(ctx, window)
-        coeffs = [a_from_coords(ctx, base.labels, vec) for vec in base.vectors()]
-        for alpha in multis:
-            for u in coeffs:
-                columns.append(WeylElement(ctx, {alpha: u}))
+        coeffs = [a_from_coords(ctx, base.labels, vec).terms for vec in base.vectors()]
     else:
-        for alpha in multis:
-            for m in a_labels:
-                columns.append(wbasis(ctx, alpha, _a_element(ctx, m)))
-    if len(columns) > window.basis_cap:
-        raise BasisCapError(f"{len(columns)} operator basis elements, cap {window.basis_cap}")
+        coeffs = [{m: 1} for m in a_labels]
+    n = len(coeffs)
+    ncols = n * len(multis)
+    if ncols > window.basis_cap:
+        raise BasisCapError(f"{ncols} operator basis elements, cap {window.basis_cap}")
 
     def constraint_rows():
         for am in itertools.chain(a_labels, _outside_products(ctx, window, set(a_labels))):
-            elem = _a_element(ctx, am)
-            block: dict[Monomial, dict] = {}
-            for col, b in enumerate(columns):
-                for rm, c in act(b, elem).terms.items():
-                    block.setdefault(rm, {})[col] = c
-            for rm in sorted(block, key=monomial_sort_key):
-                yield block[rm]
+            yield from _action_block(ctx, multis, coeffs, _a_element(ctx, am)).values()
 
-    kernel = nullspace(constraint_rows(), len(columns), ctx.spec)
-    ncols = len(columns)
+    kernel = nullspace(constraint_rows(), ncols, ctx.spec)
     coverage = Fraction(ncols - len(kernel), ncols) if ncols else Fraction(1)
     if kernel:
         witness = []
         for vec in kernel:
             buckets: dict[MultiIndex, dict] = {}
             for j, c in vec.items():
-                (alpha, u), = columns[j].terms.items()
-                add_terms(buckets.setdefault(alpha, {}), u.terms, ctx.spec.p, c)
+                add_terms(buckets.setdefault(multis[j // n], {}), coeffs[j % n], ctx.spec.p, c)
             witness.append(_from_buckets(ctx, buckets))
         shift = any(d.shift_prefix is not None for d in ctx.derivations)
         note = WINDOW_EVIDENCE_NOTE if shift else ""

@@ -241,3 +241,28 @@ def test_scalar_rows_give_the_rref_of_plain_rows():
         assert [ordered(v) for v in plain.vectors()] == [ordered(v) for v in scalars.vectors()]
         assert_canonical_rows(RATIONAL, plain.vectors())
         assert all(type(c) is Scalar for v in scalars.vectors() for c in v.values())
+
+
+@st.composite
+def permuted_matrices(draw):
+    spec = draw(st.sampled_from([RATIONAL] + SMALL_PRIMES))
+    ncols = draw(st.integers(1, 6))
+    if spec.p is None:
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    else:
+        entry = st.integers(0, spec.p - 1)
+    entry = entry.map(spec.value).filter(bool)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    rows = draw(st.lists(row, max_size=10))
+    return spec, ncols, rows, draw(st.permutations(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_matrices())
+def test_nullspace_does_not_depend_on_the_row_order(case):
+    # theta_kernel and compute_f1 hand nullspace their rows unsorted.
+    spec, ncols, rows, permuted = case
+    kernel = nullspace(iter(rows), ncols, spec)
+    again = nullspace(iter(permuted), ncols, spec)
+    assert [ordered(v) for v in again] == [ordered(v) for v in kernel]
+    assert_canonical_rows(spec, kernel)

@@ -255,20 +255,22 @@ def test_theta_kernel_restricted_variant(weyl_f2):
 def test_theta_kernel_stops_acting_at_full_rank(shift_ctx, monkeypatch):
     # The widened shift-family window: 256 operator columns, 64 monomials.
     # The constraint rows reach full rank within the first three monomials,
-    # so acting on all 64 (16,384 calls) would be wasted work.
-    calls = []
+    # so building the rows of all 64 would be wasted work.
+    acted_on = []
+    a_element = probes._a_element
 
-    def counted_act(x, a):
-        calls.append(1)
-        return act(x, a)
+    def recorded(ctx, m):
+        acted_on.append(m)
+        return a_element(ctx, m)
 
-    monkeypatch.setattr(probes, "act", counted_act)
+    monkeypatch.setattr(probes, "_a_element", recorded)
     bounds = {name: (0, 3) for name in ("x1", "x2", "x3")}
     w = Window.for_context(shift_ctx, bounds, max_level=3)
     verdict = theta_kernel(shift_ctx, w)
     assert verdict.kind == KERNEL_ZERO
     assert verdict.coverage == 1
-    assert len(calls) <= 1000
+    assert 1 <= len(acted_on) <= 3
+    assert acted_on == w.a_basis(shift_ctx)[: len(acted_on)]
 
 
 @pytest.mark.parametrize("restrict", [False, True])
