@@ -57,9 +57,9 @@ def random_scalar(rng: random.Random, ctx: Context, nonzero: bool = False):
 
 
 def random_monomial(rng: random.Random, ctx: Context, bounds: SampleBounds) -> Monomial:
-    nvars = bounds.n_variables or len(ctx.variables)
+    nvars = len(ctx.variables) if bounds.n_variables is None else bounds.n_variables
     exps: dict[int, int] = {}
-    for _ in range(rng.randint(0, bounds.max_degree)):
+    for _ in range(rng.randint(0, bounds.max_degree) if nvars else 0):
         var = ctx.variables[rng.randrange(nvars)]
         e = rng.choice((-1, 1)) if var.kind == LAURENT else 1
         exps[var.index] = exps.get(var.index, 0) + e

@@ -24,6 +24,9 @@ reduce inline.  Their buffers may hold cancelled zeros and integral
 Fractions; nonzero drops the one and turns the other into an int, so an
 AElement, built where a public function returns one, and a cache entry
 never hold either.
+
+VariableSpec, a fields._Value record, and the hash-consed Monomial (see
+multiindex.py) are immutable fields._Frozen subclasses.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import re
 from functools import partial
 
 from .errors import UsageError, ValidationError, VariableCapError
-from .fields import FieldSpec
-from .multiindex import MultiIndex, _forget, _KeyedRef, _set_attribute, intern, merge_exponents
+from .fields import FieldSpec, _Frozen, _Value, _set_attribute
+from .multiindex import MultiIndex, _forget, _KeyedRef, intern, merge_exponents
 
 POLYNOMIAL = "polynomial"
 LAURENT = "laurent"
@@ -90,7 +93,7 @@ def nonzero(terms: dict) -> dict:
     }
 
 
-class VariableSpec:
+class VariableSpec(_Value):
     """A coefficient variable; `declared` is False for one a shift rule registered."""
 
     __slots__ = ("name", "kind", "index", "declared")
@@ -101,23 +104,8 @@ class VariableSpec:
         for attr, value in zip(self.__slots__, (name, kind, index, declared)):
             _set_attribute(self, attr, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"VariableSpec is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"VariableSpec is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
         return VariableSpec, (self.name, self.kind, self.index, self.declared)
-
-    def __eq__(self, other):
-        return other.__class__ is VariableSpec and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        return f"VariableSpec{self.__reduce__()[1]!r}"
 
 
 # exps -> weak reference to the one live Monomial with those exponents.
@@ -125,7 +113,7 @@ _MONOMIALS: dict[tuple, _KeyedRef] = {}
 _forget_monomial = partial(_forget, _MONOMIALS)
 
 
-class Monomial:
+class Monomial(_Frozen):
     """Sorted tuple of (variable index, nonzero exponent) pairs; () is 1.
 
     Immutable and hash-consed like MultiIndex: equal monomials are one
@@ -147,12 +135,6 @@ class Monomial:
 
     def __reduce__(self):
         return Monomial, (self.exps,)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Monomial is immutable; cannot delete {name!r}")
 
     @staticmethod
     def make(mapping) -> "Monomial":
@@ -247,11 +229,13 @@ class Context:
             raise UsageError("context is frozen; cannot declare variables")
         return self._register_variable(name, kind, declared=True)
 
+    def _claim_name(self, name: str) -> None:
+        """Refuse a name that a variable or a derivation already holds."""
+        if name in self._by_name or name in self._der_by_name:
+            raise UsageError(f"name {name!r} already in use")
+
     def _register_variable(self, name: str, kind: str, declared: bool) -> VariableSpec:
-        if name in self._by_name:
-            raise UsageError(f"variable {name!r} already declared")
-        if name in self._der_by_name:
-            raise UsageError(f"name {name!r} already used by a derivation")
+        self._claim_name(name)
         if len(self.variables) >= self.variable_cap:
             raise VariableCapError(
                 f"variable cap {self.variable_cap} reached while declaring {name!r}"
@@ -269,8 +253,7 @@ class Context:
     ) -> Derivation:
         if self._frozen:
             raise UsageError("context is frozen; cannot add derivations")
-        if name in self._der_by_name or name in self._by_name:
-            raise UsageError(f"name {name!r} already in use")
+        self._claim_name(name)
         image_by_index: dict[int, dict[Monomial, object]] = {}
         for var_name, u in (images or {}).items():
             var = self.variable(var_name)

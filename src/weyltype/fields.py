@@ -16,6 +16,10 @@ coercing user input, inverting, printing.
 
 `Scalar` boxes a value with its field.  Only the benchmark harness and the
 oracle tests use it; `FieldSpec.scalar` is its one constructor here.
+
+`_Frozen` is the one base of the immutable slotted classes (FieldSpec,
+VariableSpec, Monomial, MultiIndex); `_Value` adds equality, hash and repr by
+`__reduce__` for the two that are not hash-consed.
 """
 
 from __future__ import annotations
@@ -61,7 +65,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+# Fills a _Frozen instance's slots, which its own __setattr__ refuses.
+_set_attribute = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable slotted classes: assignment and deletion raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
+class _Value(_Frozen):
+    """A _Frozen record that compares, hashes and prints by its __reduce__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self is other or (
+            other.__class__ is self.__class__ and self.__reduce__() == other.__reduce__()
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self.__reduce__()[1]!r}"
+
+
+class FieldSpec(_Value):
     """Which exact field scalars live in: the rationals, or F_p for prime p."""
 
     __slots__ = ("kind", "p")
@@ -75,26 +112,11 @@ class FieldSpec:
                 raise UsageError(f"modulus {p!r} is not prime")
         else:
             raise UsageError(f"unknown field kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FieldSpec is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FieldSpec is immutable; cannot delete {name!r}")
+        _set_attribute(self, "kind", kind)
+        _set_attribute(self, "p", p)
 
     def __reduce__(self):
         return FieldSpec, (self.kind, self.p)
-
-    def __eq__(self, other):
-        return other.__class__ is FieldSpec and self.kind == other.kind and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
-
-    def __repr__(self) -> str:
-        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     def value(self, x):
         """The plain value of an int, Fraction or str in this field."""

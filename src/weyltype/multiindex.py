@@ -8,10 +8,11 @@ index.
 
 MultiIndex here and Monomial in coefficients.py are hash-consed: each keeps
 one live instance per exponent tuple, so equal keys are the same object and
-compare and hash by identity, in C.  Their tables hold the instances
-weakly, so a key lives only while something else holds it, and the keys of
-a dropped Context's caches leave with it.  An identity hash depends on the
-address, so a set of keys iterates in no fixed order; key sets are used for
+compare and hash by identity, in C.  Both are immutable fields._Frozen
+subclasses whose inline __new__ fills the slots.  Their tables hold the
+instances weakly, so a key lives only while something else holds it, and
+the keys of a dropped Context's caches leave with it.  An identity hash
+depends on the address, so a set of keys iterates in no fixed order; key sets are used for
 membership only (the window guard of Window.guard, set(a_labels) in
 probes.theta_kernel) and are never iterated into output.  Dicts keep
 insertion order whatever the hash, so every dict keyed by them iterates as
@@ -28,7 +29,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import UsageError
-from .fields import FieldSpec, is_prime
+from .fields import FieldSpec, _Frozen, _set_attribute, is_prime
 
 
 class _MinusInfinity:
@@ -64,9 +65,6 @@ class _MinusInfinity:
 
 
 MINUS_INFINITY = _MinusInfinity()
-
-# Builds the immutable slotted classes (MultiIndex here; Monomial, VariableSpec in coefficients).
-_set_attribute = object.__setattr__
 
 
 class _KeyedRef(weakref.ref):
@@ -154,7 +152,7 @@ _forget_index = partial(_forget, _INDICES)
 
 
 @total_ordering
-class MultiIndex:
+class MultiIndex(_Frozen):
     """Sorted tuple of (derivation index, positive exponent) pairs.
 
     Immutable and hash-consed: building one returns the live instance with
@@ -180,12 +178,6 @@ class MultiIndex:
 
     def __reduce__(self):
         return MultiIndex, (self.entries,)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MultiIndex is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"MultiIndex is immutable; cannot delete {name!r}")
 
     @staticmethod
     def make(mapping) -> "MultiIndex":

@@ -105,15 +105,14 @@ class Window(NamedTuple):
             violations.append("max_level must be nonnegative")
         if not 1 <= basis_cap <= MAX_BASIS_CAP:
             violations.append(f"basis_cap must be in [1, {MAX_BASIS_CAP}], got {basis_cap}")
-        seen = set()
+        # A variable a shift rule registered stays at exponent 0 (bound_for).
+        unbounded = {var.name: var for var in ctx.variables if var.declared}
         entries = []
         for name, (lo, hi) in bounds_by_name.items():
-            try:
-                var = ctx.variable(name)
-            except UsageError:
+            var = unbounded.pop(name, None)
+            if var is None:
                 violations.append(f"window bounds name an unknown variable {name!r}")
                 continue
-            seen.add(var.index)
             if hi < 0:
                 violations.append(f"upper bound for {name} must be >= 0")
             if var.kind == POLYNOMIAL and lo != 0:
@@ -123,9 +122,8 @@ class Window(NamedTuple):
             if lo > hi:
                 violations.append(f"empty bound range for {name}")
             entries.append((var.index, lo, hi))
-        for var in ctx.variables:
-            if var.declared and var.index not in seen:
-                violations.append(f"window gives no bounds for variable {var.name}")
+        for name in unbounded:
+            violations.append(f"window gives no bounds for variable {name}")
         if violations:
             raise ValidationError(violations)
         entries.sort()
@@ -149,12 +147,14 @@ class Window(NamedTuple):
             n *= hi - lo + 1
         return n
 
+    def _check_cap(self, count: int, what: str) -> None:
+        """Refuse to enumerate more than basis_cap elements of one basis."""
+        if count > self.basis_cap:
+            raise BasisCapError(f"window has {count} {what}, cap {self.basis_cap}")
+
     def a_basis(self, ctx: Context) -> list[Monomial]:
         """Window coefficient monomials, ascending in the graded print order."""
-        if self.a_basis_size() > self.basis_cap:
-            raise BasisCapError(
-                f"window coefficient basis has {self.a_basis_size()} elements, cap {self.basis_cap}"
-            )
+        self._check_cap(self.a_basis_size(), "coefficient monomials")
         idxs = [i for i, _, _ in self.bounds]
         ranges = [range(lo, hi + 1) for _, lo, hi in self.bounds]
         out = [
@@ -168,9 +168,7 @@ class Window(NamedTuple):
         """All derivation multi-indices up to the level bound, ascending; their
         count is checked against the cap before any is listed."""
         n = len(ctx.derivations)
-        count = math.comb(self.max_level + n, n)
-        if count > self.basis_cap:
-            raise BasisCapError(f"window has {count} derivation multi-indices, cap {self.basis_cap}")
+        self._check_cap(math.comb(self.max_level + n, n), "derivation multi-indices")
         out = []
         for total in range(self.max_level + 1):
             for combo in _compositions(total, n):
@@ -179,24 +177,25 @@ class Window(NamedTuple):
 
     def ad_basis(self, ctx: Context) -> list[tuple[MultiIndex, Monomial]]:
         multis = self.multi_indices(ctx)
-        a_count = self.a_basis_size()
-        if a_count * len(multis) > self.basis_cap:
-            raise BasisCapError(
-                f"window operator basis has {a_count * len(multis)} elements, cap {self.basis_cap}"
-            )
+        self._check_cap(self.a_basis_size() * len(multis), "operator basis elements")
         mons = self.a_basis(ctx)
         return [(alpha, m) for alpha in multis for m in mons]
 
     def interior(self, margin: Fraction) -> "Window":
         """Shrink every bound by the margin fraction, truncating toward zero."""
-        if not (0 <= margin < 1):
-            raise UsageError("margin must satisfy 0 <= margin < 1")
-        keep = 1 - margin
+        keep = 1 - _check_margin(margin)
         shrink = lambda b: int(b * keep)
         return self._replace(
             bounds=tuple((i, shrink(lo), shrink(hi)) for i, lo, hi in self.bounds),
             max_level=shrink(self.max_level),
         )
+
+
+def _check_margin(margin: Fraction) -> Fraction:
+    """The margin itself; UsageError unless 0 <= margin < 1."""
+    if not (0 <= margin < 1):
+        raise UsageError("margin must satisfy 0 <= margin < 1")
+    return margin
 
 
 def _compositions(total: int, parts: int):
@@ -407,8 +406,7 @@ def theta_kernel(
         coeffs = [{m: 1} for m in a_labels]
     n = len(coeffs)
     ncols = n * len(multis)
-    if ncols > window.basis_cap:
-        raise BasisCapError(f"{ncols} operator basis elements, cap {window.basis_cap}")
+    window._check_cap(ncols, "operator basis elements")
 
     def constraint_rows():
         for am in itertools.chain(a_labels, _outside_products(ctx, window, set(a_labels))):
@@ -512,6 +510,20 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
     return done(STOP_EXHAUSTED)
 
 
+def _identity_closure(ctx: Context, seed, labels: list, coords, from_coords, expand,
+                      stop) -> ProbeVerdict:
+    """The verdict of a probe that closes the seed until its span holds the
+    `stop` label; `from_coords(ctx, labels, vec)` builds a witness."""
+    red, _, steps, stats = _closure(ctx, seed, labels, coords, expand, stop=stop)
+    return ProbeVerdict(
+        kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
+        coverage=Fraction(red.rank, len(labels)),
+        witness=[from_coords(ctx, labels, vec) for vec in red.vectors()],
+        steps=steps,
+        stats=stats,
+    )
+
+
 def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVerdict:
     """Closure of the seed under window-monomial multiplication and all
     derivations, with discard semantics.
@@ -528,14 +540,7 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
         for d in ctx.derivations:
             yield "derive", d.name, ctx.apply_derivation(d, e)
 
-    red, _, steps, stats = _closure(ctx, seed, labels, a_coords, expand, stop=ONE_MONOMIAL)
-    return ProbeVerdict(
-        kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
-        coverage=Fraction(red.rank, len(labels)),
-        witness=[a_from_coords(ctx, labels, vec) for vec in red.vectors()],
-        steps=steps,
-        stats=stats,
-    )
+    return _identity_closure(ctx, seed, labels, a_coords, a_from_coords, expand, ONE_MONOMIAL)
 
 
 def _window_generators(ctx: Context, window: Window) -> list[tuple[str, WeylElement]]:
@@ -602,14 +607,7 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
             yield "rmul", name, rmul
 
     stop = (ZERO_INDEX, ONE_MONOMIAL)
-    red, _, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, stop=stop)
-    return ProbeVerdict(
-        kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
-        coverage=Fraction(red.rank, len(labels)),
-        witness=[weyl_from_coords(ctx, labels, vec) for vec in red.vectors()],
-        steps=steps,
-        stats=stats,
-    )
+    return _identity_closure(ctx, seed, labels, weyl_coords, weyl_from_coords, expand, stop)
 
 
 def lie_ideal_closure_probe(

@@ -13,7 +13,8 @@ Schema (all keys lowercase):
     variable_cap    int, optional (lazy shift-variable hard cap, default 64)
     window          {"max_level": int, "bounds": {var: [lo, hi], ...}}
     basis_cap       int in [1, 20000], optional (default 5000)
-    margin          exact fraction string in [0, 1), optional (default "1/2")
+    margin          exact fraction string in [0, 1), optional (default
+                    probes.DEFAULT_MARGIN, 1/2)
     group_algebra   bool, optional; when true the scenario models a group
                     algebra on Laurent variables and every derivation must be
                     an euler_weights derivation whose integer weight matrix
@@ -63,6 +64,7 @@ from .probes import (
     PROPER_INVARIANT_SUBSPACE,
     REACHES_IDENTITY,
     Window,
+    _check_margin,
 )
 
 # Probe kind -> the verdicts it can return, so the expectations it may declare.
@@ -155,9 +157,7 @@ def parse_margin(text) -> Fraction:
         margin = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"malformed margin {text!r}") from None
-    if not (0 <= margin < 1):
-        raise UsageError("margin must satisfy 0 <= margin < 1")
-    return margin
+    return _check_margin(margin)
 
 
 def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
@@ -299,11 +299,12 @@ def load_scenario_mapping(data: dict, name_hint: str = "scenario") -> Scenario:
         except WeylTypeError as exc:
             violations.append(f"window: {exc}")
 
-    try:
-        margin = parse_margin(data.get("margin", "1/2"))
-    except UsageError as exc:
-        violations.append(str(exc))
-        margin = DEFAULT_MARGIN
+    margin = DEFAULT_MARGIN
+    if "margin" in data:
+        try:
+            margin = parse_margin(data["margin"])
+        except UsageError as exc:
+            violations.append(str(exc))
 
     sdata = _get(data, "sample", dict, {}, violations)
     sample = {}

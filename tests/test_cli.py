@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,15 @@ import pytest
 from weyltype import cli, coefficients
 from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
-from weyltype.errors import ValidationError
+from weyltype.errors import UsageError, ValidationError
 from weyltype.parser import evaluate_text
+from weyltype.probes import DEFAULT_MARGIN
 from weyltype.scenario import (
     bundled_scenario_names,
     bundled_scenario_path,
     load_bundled,
     load_scenario_mapping,
+    parse_margin,
 )
 
 ALL_SCENARIOS = bundled_scenario_names()
@@ -765,3 +768,46 @@ def test_window_level_is_checked_before_enumerating(capsys, tmp_path):
     wide.write_text(json.dumps(data))
     err = _assert_quick_usage_error(capsys, wide, "probe")
     assert "10827401 derivation multi-indices" in err
+
+
+def test_verify_runs_on_a_scenario_without_variables(capsys, tmp_path):
+    # The random monomials drew a variable from range(0), and n_variables = 0
+    # read as unset: both ended in "empty range for randrange()".
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(_scenario_dict(
+        variables=[], derivations=[{"name": "d1", "images": {}}],
+        window={"max_level": 2, "bounds": {}},
+    )))
+    code, out, err = run_cli(capsys, "verify", "--trials", "3", "--scenario", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6 and all(line.endswith(": pass (3 trials)") for line in lines)
+
+
+@pytest.mark.parametrize("shifts", [1, 2])
+def test_window_bounds_on_an_undeclared_variable_are_refused(capsys, tmp_path, shifts):
+    # With two shift derivations, freezing registers x2 and x3 while checking
+    # that they commute; bounds on x3 must be refused all the same.
+    path = tmp_path / "shift.json"
+    path.write_text(json.dumps(_scenario_dict(
+        variables=[{"name": "x1", "kind": "polynomial"}],
+        derivations=[{"name": f"d{k}", "shift_prefix": "x"} for k in range(1, shifts + 1)],
+        window={"max_level": 1, "bounds": {"x1": [0, 1], "x3": [0, 2]}},
+    )))
+    err = _assert_usage_error(capsys, path, "probe")
+    assert err == "error: window bounds name an unknown variable 'x3'\n"
+
+
+def test_missing_margin_is_the_probes_default():
+    scenario = load_scenario_mapping(_scenario_dict())
+    assert scenario.margin is DEFAULT_MARGIN
+
+
+@pytest.mark.parametrize("margin", ["1", "-1/2"])
+def test_margin_range_is_one_check(margin):
+    with pytest.raises(UsageError) as from_text:
+        parse_margin(margin)
+    window = load_scenario_mapping(_scenario_dict()).window
+    with pytest.raises(UsageError) as from_window:
+        window.interior(Fraction(margin))
+    assert str(from_text.value) == str(from_window.value) == "margin must satisfy 0 <= margin < 1"

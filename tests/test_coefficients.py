@@ -173,6 +173,23 @@ def test_duplicate_names_rejected():
         ctx.add_derivation("t", images={})
 
 
+def test_every_name_clash_has_one_message():
+    ctx = Context(RATIONAL)
+    ctx.add_variable("x1")
+    ctx.add_derivation("d1", shift_prefix="x")
+    ctx.add_derivation("x2", images={"x1": ctx.zero()})
+    for clash, name in (
+        (lambda: ctx.add_variable("x1"), "x1"),
+        (lambda: ctx.add_variable("d1"), "d1"),
+        (lambda: ctx.add_derivation("x1", images={}), "x1"),
+        (lambda: ctx.add_derivation("d1", images={}), "d1"),
+        (ctx.freeze, "x2"),  # d1(x1) registers the shift variable x2
+    ):
+        with pytest.raises(UsageError) as info:
+            clash()
+        assert str(info.value) == f"name {name!r} already in use"
+
+
 def test_negative_power_of_polynomial_variable_rejected(weyl_q):
     with pytest.raises(UsageError):
         weyl_q.monomial({"t": -1})

@@ -330,9 +330,8 @@ def test_theta_kernel_nonzero_with_a_shift_derivation_is_window_evidence():
     ctx.add_derivation("d1", images={"t": ctx.zero()}, shift_prefix="x")
     ctx.add_derivation("d2", images={"t": ctx.one()}, shift_prefix="x")
     ctx.freeze()
-    bounds = {v.name: (0, 0) for v in ctx.variables}  # freezing created x2, x3
-    bounds.update(t=(0, 2), x1=(0, 1))
-    w = Window.for_context(ctx, bounds, max_level=2)
+    # Freezing created x2 and x3, which take no bounds and stay at exponent 0.
+    w = Window.for_context(ctx, {"t": (0, 2), "x1": (0, 1)}, max_level=2)
     verdict = theta_kernel(ctx, w)
     assert verdict.kind == KERNEL_NONZERO
     assert verdict.note == "window-restricted evidence"

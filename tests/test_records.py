@@ -15,9 +15,10 @@ import pytest
 import weyltype
 from weyltype.checks import SampleBounds
 from weyltype.cli import main
-from weyltype.coefficients import POLYNOMIAL, VariableSpec
+from weyltype.coefficients import POLYNOMIAL, Monomial, VariableSpec
 from weyltype.errors import UsageError
 from weyltype.fields import RATIONAL, FieldSpec
+from weyltype.multiindex import MultiIndex
 from weyltype.probes import ClosureStep, Window
 from weyltype.scenario import bundled_scenario_path
 
@@ -45,6 +46,11 @@ def test_variable_specs_compare_and_hash_by_value():
     assert pickle.loads(pickle.dumps(t)) == t
 
 
+def test_value_records_print_their_constructor_arguments():
+    assert repr(FieldSpec("prime", 5)) == "FieldSpec('prime', 5)"
+    assert repr(VariableSpec("t", POLYNOMIAL, 0, True)) == "VariableSpec('t', 'polynomial', 0, True)"
+
+
 @pytest.mark.parametrize("args", [("real",), ("rational", 3), ("prime",), ("prime", 4), ("prime", 1)])
 def test_bad_field_specs_are_usage_errors(args):
     with pytest.raises(UsageError):
@@ -61,6 +67,8 @@ def test_bad_variable_kind_is_a_usage_error():
     [
         (FieldSpec("prime", 5), "p"),
         (VariableSpec("t", POLYNOMIAL, 0, True), "index"),
+        (Monomial(((0, 2),)), "exps"),
+        (MultiIndex(((1, 3),)), "entries"),
         (Window(bounds=((0, 0, 4),), max_level=2), "max_level"),
         (SampleBounds(), "max_terms"),
         (ClosureStep("bracket", "d1", -1, None), "parent"),
@@ -109,6 +117,18 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in names, f"{path.name} imports dataclasses"
+
+
+def test_only_the_frozen_base_refuses_assignment():
+    # Every immutable class inherits fields._Frozen rather than writing its own guard.
+    owners = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__"):
+                        owners.append((path.name, node.name, item.name))
+    assert owners == [("fields.py", "_Frozen", "__setattr__"), ("fields.py", "_Frozen", "__delattr__")]
 
 
 def test_no_class_is_a_dataclass():
