@@ -67,11 +67,11 @@ def test_bad_variable_kind_is_a_usage_error():
     [
         (FieldSpec("prime", 5), "p"),
         (VariableSpec("t", POLYNOMIAL, 0, True), "index"),
-        (Monomial(((0, 2),)), "exps"),
-        (MultiIndex(((1, 3),)), "entries"),
         (Window(bounds=((0, 0, 4),), max_level=2), "max_level"),
         (SampleBounds(), "max_terms"),
         (ClosureStep("bracket", "d1", -1, None), "parent"),
+        (Monomial(((0, 2),)), "exps"),
+        (MultiIndex(((1, 3),)), "entries"),
     ],
 )
 def test_records_refuse_assignment(record, attribute):
