@@ -14,6 +14,7 @@ from .errors import (
     EvalError,
     ExponentCapError,
     ParseError,
+    TermCapError,
     UsageError,
     ValidationError,
     VariableCapError,
@@ -40,5 +41,5 @@ __all__ = [
     "Window", "compute_f1", "theta_kernel", "d_simplicity_probe",
     "assoc_ideal_closure_probe", "lie_ideal_closure_probe",
     "WeylTypeError", "UsageError", "ValidationError", "ParseError", "EvalError",
-    "BasisCapError", "ExponentCapError", "VariableCapError",
+    "BasisCapError", "ExponentCapError", "TermCapError", "VariableCapError",
 ]

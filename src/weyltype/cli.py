@@ -159,7 +159,7 @@ def _stats_entry(scenario_name: str, k: int, request, verdict) -> dict:
     if request.seed_text is not None:
         entry["seed"] = request.seed_text
     if verdict.stats is not None:
-        for key in ("tried", "zero", "discarded", "in_span", "accepted", "ranks", "stop"):
+        for key in ("tried", "zero", "discarded", "in_span", "accepted", "skipped", "ranks", "stop"):
             entry[key] = getattr(verdict.stats, key)
     return entry
 

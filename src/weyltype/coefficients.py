@@ -10,11 +10,12 @@ Contexts are frozen after validation; the only mutation ever allowed
 afterwards is the lazy, append-only registration of new variables by a
 shift-rule derivation (bounded by a hard cap), and the caches only gain
 entries, apart from the product memo, which starts over once it reaches a
-fixed size.  Images and
-derivative-cache entries are raw {Monomial: value} dicts, and nothing in
-the caches points back at the Context, so refcounting alone frees a dropped
-Context.  Each AElement may also memoize its own derivatives (see
-AElement); they die with the element.
+fixed size.  Freezing also finds the exponent grading of the derivations,
+if they have one (Context._grading); the bracket closure uses it to skip
+steps.  Images and derivative-cache entries are raw {Monomial: value}
+dicts, and nothing in the caches points back at the Context, so
+refcounting alone frees a dropped Context.  Each AElement may also
+memoize its own derivatives (see AElement); they die with the element.
 
 A value is a plain field value (see fields.py): over Q an int, or a
 Fraction when it is not integral; over F_p an int in [0, p).  AElement.terms
@@ -221,6 +222,8 @@ class Context:
         # (m1, m2) -> m1 * m2 for the monomial products mul_terms forms,
         # at most PRODUCT_MEMO_CAP of them.
         self._products: dict[tuple[Monomial, Monomial], Monomial] = {}
+        # Per derivation, its exponent shift; found by freeze (see _grading).
+        self.grading: tuple[tuple[int, ...], ...] | None = None
 
     # -- declaration ------------------------------------------------------
 
@@ -281,7 +284,37 @@ class Context:
         if violations:
             raise ValidationError(violations)
         self._frozen = True
+        self.grading = self._grading()
         return self
+
+    def _grading(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per derivation d_j, the exponent shift delta_j (one entry per
+        variable) with d_j(x_i) in F*x^(e_i + delta_j) for every variable; a
+        zero image fits any shift.  None when a derivation has a shift rule,
+        an image that is not a single monomial, or images that disagree on
+        delta_j.  With a grading, m*d^alpha has degree m + sum alpha_j*delta_j
+        (see degree), and products and brackets of homogeneous operators are
+        homogeneous of the summed degree."""
+        n = len(self.variables)
+        shifts = []
+        for d in self.derivations:
+            if d.shift_prefix is not None:
+                return None
+            delta = None
+            for i, image in d.images.items():
+                if not image:
+                    continue
+                if len(image) != 1:
+                    return None
+                shift = [0] * n
+                for k, e in next(iter(image)).exps:
+                    shift[k] = e
+                shift[i] -= 1
+                if delta is not None and delta != shift:
+                    return None
+                delta = shift
+            shifts.append(tuple(delta or [0] * n))
+        return tuple(shifts)
 
     # -- lookup -----------------------------------------------------------
 
@@ -307,6 +340,17 @@ class Context:
         if d.index < len(self.derivations) and self.derivations[d.index] is d:
             return d.index
         raise UsageError(f"derivation {d.name!r} is not registered in this context")
+
+    def degree(self, alpha: MultiIndex, m: Monomial) -> tuple[int, ...]:
+        """The degree m + sum_j alpha_j*delta_j of m*d^alpha, one entry per
+        variable; only for a context with a grading."""
+        deg = [0] * len(self.variables)
+        for i, e in m.exps:
+            deg[i] = e
+        for j, a in alpha.entries:
+            for i, s in enumerate(self.grading[j]):
+                deg[i] += a * s
+        return tuple(deg)
 
     # -- element factories --------------------------------------------------
 

@@ -41,6 +41,11 @@ class ExponentCapError(EvalError):
     """A power x^n has |n| above operators.MAX_EXPONENT; it would cost |n| products."""
 
 
+class TermCapError(EvalError):
+    """A power, or a product in an expression, has more than
+    operators.MAX_TERMS terms; the next product would cost more still."""
+
+
 class BasisCapError(WeylTypeError):
     """A truncation window enumerates more basis elements than the configured cap."""
 

@@ -75,12 +75,17 @@ from .coefficients import (
     mul_terms,
     nonzero,
 )
-from .errors import ExponentCapError, UsageError
+from .errors import ExponentCapError, TermCapError, UsageError
 from .multiindex import MINUS_INFINITY, MultiIndex, ZERO_INDEX, compare
 
 # Largest |n| accepted in x^n: a power costs |n| products, so the cap
 # bounds the work an expression can ask for.
 MAX_EXPONENT = 10_000
+# Most terms a power, or a product in an expression, may have.  A product
+# costs at least the product of its factors' term counts, and (t + d1)^n
+# has about n^2/4 terms: uncapped, (t + d1)^200 ran 1.7 s, and at the cap
+# (t + d1)^88 is refused after 0.15 s (2 vCPUs, Python 3.11).
+MAX_TERMS = 2_000
 
 
 class WeylElement:
@@ -144,7 +149,7 @@ class WeylElement:
             raise ExponentCapError(f"exponent {n} exceeds the cap {MAX_EXPONENT}")
         out = widentity(self.ctx)
         for _ in range(n):
-            out = w_mul(out, self)
+            out = check_term_cap(w_mul(out, self))
         return out
 
     def a_part(self) -> AElement:
@@ -167,6 +172,14 @@ class WeylElement:
 
     def __repr__(self) -> str:
         return f"<W {format_weyl(self)}>"
+
+
+def check_term_cap(x: WeylElement) -> WeylElement:
+    """x itself; TermCapError when it has more than MAX_TERMS terms."""
+    n = sum(len(u.terms) for u in x.terms.values())
+    if n > MAX_TERMS:
+        raise TermCapError(f"product has {n} terms, above the cap {MAX_TERMS}")
+    return x
 
 
 def widentity(ctx: Context) -> WeylElement:

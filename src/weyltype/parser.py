@@ -12,7 +12,8 @@ integer literals only.  Tokens and syntax-tree nodes are NamedTuples; a
 BinOp holds its operator as a field, so trees that differ only in an
 operator compare unequal.  Evaluation is bottom-up with every product going
 through the normal-ordering multiplication, so results are canonical by
-construction.
+construction; a product or power with more than operators.MAX_TERMS terms
+is refused (TermCapError).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .coefficients import AElement, Context, LAURENT, Monomial
 from .errors import EvalError, ExponentCapError, ParseError
-from .operators import MAX_EXPONENT, WeylElement, w_mul, wderivation, wfrom_a, widentity
+from .operators import MAX_EXPONENT, WeylElement, check_term_cap, w_mul, wderivation, wfrom_a, widentity
 
 INT = "integer"
 IDENT = "identifier"
@@ -223,7 +224,7 @@ def evaluate(ast, ctx: Context) -> WeylElement:
         for node in reversed(spine):
             rhs = evaluate(node.right, ctx)
             if node.op == "*":
-                out = w_mul(out, rhs)
+                out = check_term_cap(w_mul(out, rhs))
             else:
                 out = out + rhs if node.op == "+" else out - rhs
         return out

@@ -13,8 +13,8 @@ A closure walk stops once its span holds the identity (for the probes that
 look for it), once the span fills the whole window (no later step can then
 be accepted, so the result is that of the exhaustive walk), or when a
 breadth-first round accepts nothing.  Each walk records what it did in a
-ProbeStats on its verdict: steps tried, zero, discarded, in the span and
-accepted, the rank after each round and the stop reason.
+ProbeStats on its verdict: steps tried, zero, discarded, in the span,
+accepted and skipped, the rank after each round and the stop reason.
 
 assoc_closure decides most of its discards before forming any product.  A
 is a polynomial or Laurent ring over a field, hence a domain, so the
@@ -30,6 +30,22 @@ and the walk counts two discards, exactly as it would for the products.
 The test is not used for brackets: the top level of [e, g] cancels, and the
 next one down (the Poisson bracket of the symbols) can vanish.
 
+lie_closure skips the brackets that their graded piece of the window cannot
+take.  When each derivation d_j shifts exponents by a fixed delta_j
+(Context.grading), m*d^alpha has degree m + sum alpha_j*delta_j, a bracket
+of homogeneous operators is homogeneous of the summed degree, and the
+window labels fall into graded pieces (Window.pieces).  Each generator g is
+one term, so [e, g] lies in the pieces at the degrees of e plus that of g.
+When each of those pieces is empty (it holds no window label), the bracket
+is zero or leaves the window.  When the seed is homogeneous, so is every
+accepted element, the span is the sum of its graded parts, and a piece
+whose rank equals its size already spans every bracket landing in it.
+Either way the step could only end in zero, a discard or the span, none of
+which changes the walk, so it is not formed: it counts as tried and
+skipped, and the accepted steps, span and stop are those of the walk that
+forms it.  The saturation stop is the case in which every piece is full.
+With an inhomogeneous seed only the empty pieces are skipped.
+
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
 """
@@ -38,7 +54,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .coefficients import (
@@ -181,6 +199,13 @@ class Window(NamedTuple):
         mons = self.a_basis(ctx)
         return [(alpha, m) for alpha in multis for m in mons]
 
+    def pieces(self, ctx: Context) -> Counter | None:
+        """The number of operator basis labels in each graded piece, keyed by
+        degree (Context.degree); None when the context has no grading."""
+        if ctx.grading is None:
+            return None
+        return Counter(ctx.degree(alpha, m) for alpha, m in self.ad_basis(ctx))
+
     def interior(self, margin: Fraction) -> "Window":
         """Shrink every bound by the margin fraction, truncating toward zero."""
         keep = 1 - _check_margin(margin)
@@ -284,14 +309,15 @@ class ClosureStep(NamedTuple):
 class ProbeStats:
     """What one closure walk did; reports never serialize it.
 
-    Every step result is counted once as tried and then as exactly one of
-    zero, discarded (it left the window), in_span or accepted.  `ranks` holds
-    the span's rank after seeding and after each breadth-first round, the
-    last entry taken where the walk stopped.
+    Every step is counted once as tried and then as exactly one of zero,
+    discarded (it left the window), in_span, accepted or skipped (not
+    formed, see the module docstring).  `ranks` holds the span's rank after
+    seeding and after each breadth-first round, the last entry taken where
+    the walk stopped.
     """
 
     def __init__(self, ranks: list | None = None, stop: str = ""):
-        self.tried = self.zero = self.discarded = self.in_span = self.accepted = 0
+        self.tried = self.zero = self.discarded = self.in_span = self.accepted = self.skipped = 0
         self.ranks = [] if ranks is None else ranks
         self.stop = stop
 
@@ -430,16 +456,24 @@ def theta_kernel(
 # -- ideal-closure probes ------------------------------------------------------
 
 
-def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, central=None):
+def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, central=None,
+             room=None):
     """Breadth-first closure of the seed inside a window, with discard semantics.
 
     `labels` enumerate the window basis and `coords(z, index)` gives an
     element's coordinates over it, or None when the element leaves the window.
     `expand(elem)` yields the `(op, generator name, result)` of every closure
     step from one accepted element, in a fixed order; a result of None says
-    the step left the window.
+    the step left the window, and an int n in place of a step counts n steps
+    skipped unformed.
     Results that are zero or leave the window are dropped, never projected.
     A seed lying in `central` (a SubspaceBasis) is refused.
+
+    `room`, for a graded window of operators, maps each piece's degree to its
+    size.  With a homogeneous seed every accepted element is homogeneous,
+    and the walk keeps each entry at size - rank by taking one from the
+    piece of each element it accepts, the seed included; `expand` may read
+    it.
 
     The walk stops for one of three reasons, checked in this order after
     seeding and after each accepted step:
@@ -469,6 +503,10 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
     accepted = [seed]
     steps: list[ClosureStep] = []
     stats = ProbeStats(ranks=[red.rank])
+    graded = room is not None and len(_degrees(seed)) == 1
+    if graded:
+        (degree,) = _degrees(seed)
+        room[degree] -= 1
 
     def done(reason: str):
         if stats.ranks[-1] != red.rank:
@@ -485,7 +523,12 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for op, gname, z in expand(accepted[pi]):
+            for step in expand(accepted[pi]):
+                if step.__class__ is int:
+                    stats.tried += step
+                    stats.skipped += step
+                    continue
+                op, gname, z = step
                 stats.tried += 1
                 if z is not None and z.is_zero():
                     stats.zero += 1
@@ -498,6 +541,9 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
                     stats.in_span += 1
                     continue
                 stats.accepted += 1
+                if graded:
+                    (degree,) = _degrees(z)
+                    room[degree] -= 1
                 accepted.append(z)
                 steps.append(ClosureStep(op, gname, pi, z))
                 next_frontier.append(len(accepted) - 1)
@@ -610,6 +656,44 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -
     return _identity_closure(ctx, seed, labels, weyl_coords, weyl_from_coords, expand, stop)
 
 
+def _degrees(x: WeylElement) -> set:
+    """The degrees of the terms of x, in a context with a grading."""
+    degree = x.ctx.degree
+    return {degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms}
+
+
+def _graded_brackets(gens: list, guard: tuple, room: dict):
+    """The `expand` of a bracket closure on a graded window (see the module
+    docstring): it forms [e, g] only while a piece at a degree of e plus that
+    of g has room, in generator order, and counts each run of the other
+    steps as one int.  Room only shrinks, so a generator degree with no room
+    when e's steps begin is passed over whole."""
+    by_degree: dict[tuple, list[int]] = {}  # degree -> generator positions
+    for k, (_, g) in enumerate(gens):
+        (degree,) = _degrees(g)
+        by_degree.setdefault(degree, []).append(k)
+
+    def expand(e):
+        degrees = _degrees(e)
+        reach = {}  # position of a generator worth trying -> its bracket's pieces
+        for shift, ks in by_degree.items():
+            pieces = [tuple(map(add, d, shift)) for d in degrees]
+            if any(room.get(piece) for piece in pieces):
+                reach.update(dict.fromkeys(ks, pieces))
+        done = 0  # steps before this position are formed or counted
+        for k in sorted(reach):
+            if any(room.get(piece) for piece in reach[k]):  # may have filled since
+                if k > done:
+                    yield k - done
+                name, g = gens[k]
+                yield "bracket", name, lie_bracket(e, g, guard)
+                done = k + 1
+        if done < len(gens):
+            yield len(gens) - done
+
+    return expand
+
+
 def lie_ideal_closure_probe(
     ctx: Context,
     seed: WeylElement,
@@ -635,12 +719,14 @@ def lie_ideal_closure_probe(
     labels = window.ad_basis(ctx)
     guard = window.guard(ctx)
     gens = _window_generators(ctx, window)
-
-    def expand(e):
-        for name, g in gens:
-            yield "bracket", name, lie_bracket(e, g, guard)
-
-    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, central=f1)
+    room = window.pieces(ctx)
+    if room is None:
+        def expand(e):
+            for name, g in gens:
+                yield "bracket", name, lie_bracket(e, g, guard)
+    else:
+        expand = _graded_brackets(gens, guard, room)
+    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, central=f1, room=room)
 
     # A fresh reducer, so that the closure's own one never holds the f1 rows.
     combined = RowReducer(ctx.spec)

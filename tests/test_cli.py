@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from weyltype import cli, coefficients
+from weyltype import cli, coefficients, probes
 from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
 from weyltype.errors import UsageError, ValidationError
@@ -135,27 +135,32 @@ def test_probe_writes_its_report_to_a_text_only_stdout():
 
 
 @pytest.mark.parametrize("name", ["weyl_polynomial", "char2_poly"])
-def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, name):
-    code, out, err = run_cli(capsys, "probe", "--stats", "--scenario", str(bundled_scenario_path(name)))
-    assert code == 0
-    assert out.encode("ascii") == _golden_report(name)
-    entries = [json.loads(line) for line in err.splitlines()]
+def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, monkeypatch, name):
     requests = load_bundled(name).probes
-    assert [(e["scenario"], e["probe"], e["kind"]) for e in entries] == [
-        (name, k, r.kind) for k, r in enumerate(requests)
-    ]
-    for entry, request in zip(entries, requests):
-        assert entry.get("seed") == request.seed_text
-        if request.kind == "theta_kernel":
-            assert "tried" not in entry
-            continue
-        assert set(entry) == {
-            "scenario", "probe", "kind", "seed",
-            "tried", "zero", "discarded", "in_span", "accepted", "ranks", "stop",
-        }
-        assert entry["tried"] == sum(entry[k] for k in ("zero", "discarded", "in_span", "accepted"))
-        assert entry["stop"] in ("identity", "saturated", "exhausted")
-        assert entry["ranks"][0] == 1 and entry["ranks"] == sorted(entry["ranks"])
+    for skip in (True, False):
+        if not skip:  # the graded skip off: every step is formed
+            monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+        code, out, err = run_cli(capsys, "probe", "--stats", "--scenario", str(bundled_scenario_path(name)))
+        assert code == 0
+        assert out.encode("ascii") == _golden_report(name)
+        entries = [json.loads(line) for line in err.splitlines()]
+        assert [(e["scenario"], e["probe"], e["kind"]) for e in entries] == [
+            (name, k, r.kind) for k, r in enumerate(requests)
+        ]
+        for entry, request in zip(entries, requests):
+            assert entry.get("seed") == request.seed_text
+            if request.kind == "theta_kernel":
+                assert "tried" not in entry
+                continue
+            assert set(entry) == {
+                "scenario", "probe", "kind", "seed",
+                "tried", "zero", "discarded", "in_span", "accepted", "skipped", "ranks", "stop",
+            }
+            outcomes = ("zero", "discarded", "in_span", "accepted", "skipped")
+            assert entry["tried"] == sum(entry[k] for k in outcomes)
+            assert entry["skipped"] == 0 or (skip and entry["kind"] == "lie_closure")
+            assert entry["stop"] in ("identity", "saturated", "exhausted")
+            assert entry["ranks"][0] == 1 and entry["ranks"] == sorted(entry["ranks"])
 
 
 def _assert_matches_recorded_digest(capsys, name):
@@ -169,9 +174,10 @@ def _assert_matches_recorded_digest(capsys, name):
 
 def test_probe_widened_window_matches_recorded_digest(capsys):
     # The benchmark's widened weyl_polynomial window (t in [0, 12], level 5)
-    # makes 1,072 closure brackets (6,006 before closures stopped on a full
-    # span), most of which cancel heavily; any change to a bracket's value
-    # moves this report's digest.
+    # tries 1,072 closure brackets and forms 98 of them (6,006 before
+    # closures stopped on a full span, 1,072 before the graded skip), most
+    # of which cancel heavily; any change to a bracket's value moves this
+    # report's digest.
     _assert_matches_recorded_digest(capsys, "closure_wide")
 
 
@@ -685,6 +691,16 @@ def test_huge_exponent_is_rejected_at_once(capsys, s_weyl, expr):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "exceeds the cap" in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["(t+d1)^400", "(t+d1)^87*(t+d1)"])
+def test_a_product_past_the_term_cap_is_refused_at_once(capsys, s_weyl, expr):
+    # Uncapped, (t+d1)^200 alone took 1.7 s; (t+d1)^88 is the first power
+    # past the cap, whether a power or the product fold forms it.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", expr, "--scenario", s_weyl)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: product has 2025 terms, above the cap 2000\n")
 
 
 def test_deeply_nested_expression_is_a_parse_error(capsys, s_weyl):

@@ -1,6 +1,8 @@
 """The widened windows of scripts/heavy_windows.py load, validate and give
 their pinned reports, about a second for all five; the kernel_wide
-assoc_closure also bounds the work of the principal-symbol test."""
+assoc_closure also bounds the work of the principal-symbol test, and on
+these windows, the bundled scenarios and the benchmark's scenarios the
+graded skip of lie_closure changes no report and no step chain."""
 
 import importlib.util
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from weyltype import probes
-from weyltype.scenario import load_bundled, load_scenario
+from weyltype.reports import build_report, report_bytes
+from weyltype.scenario import bundled_scenario_names, load_bundled, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "heavy_windows.py"
@@ -51,8 +54,8 @@ ASSOC_WORK = {
 
 
 def _load(name):
-    if name == "closure_wide":
-        return load_scenario(ROOT / "perfbench" / "scenarios" / "closure_wide.json")
+    if name in ("closure_wide", "action_wide"):
+        return load_scenario(ROOT / "perfbench" / "scenarios" / f"{name}.json")
     if name in heavy_windows.WINDOWS:
         return heavy_windows.load_window(name)
     return load_bundled(name)
@@ -82,3 +85,29 @@ def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
             discarded += verdict.stats.discarded
     assert (calls[0], discarded) == ASSOC_WORK[name]
     assert outside[0] == 0
+
+
+def _report_chains_and_stats(name):
+    verdicts = []
+    report = report_bytes(build_report(_load(name), verdicts))
+    chains = [[(s.op, s.generator, s.parent, str(s.element)) for s in v.steps] for v in verdicts]
+    return report, chains, [v.stats for v in verdicts]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(bundled_scenario_names()) + ["closure_wide", "action_wide"] + sorted(heavy_windows.WINDOWS)
+)
+def test_graded_skip_changes_no_report_and_no_step_chain(name, monkeypatch):
+    # A skipped step could only have ended in zero, a discard or the span:
+    # the walk that forms every step gives the same bytes and chains, tries
+    # and accepts the same steps, and ends those it skips in the other ways.
+    report, chains, stats = _report_chains_and_stats(name)
+    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+    unskipped_report, unskipped_chains, unskipped_stats = _report_chains_and_stats(name)
+    assert (unskipped_report, unskipped_chains) == (report, chains)
+    for on, off in zip(stats, unskipped_stats):
+        if on is None:  # theta_kernel
+            continue
+        assert off.skipped == 0
+        assert (on.tried, on.accepted, on.ranks, on.stop) == (off.tried, off.accepted, off.ranks, off.stop)
+        assert on.zero + on.discarded + on.in_span + on.skipped == off.zero + off.discarded + off.in_span

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from weyltype import ExponentCapError, MultiIndex, UsageError, w_mul, wbasis, widentity
+from weyltype import ExponentCapError, MultiIndex, TermCapError, UsageError, w_mul, wbasis, widentity
 from weyltype.coefficients import AElement
 from weyltype.multiindex import MINUS_INFINITY
+from weyltype import operators
 from weyltype.operators import (
     MAX_EXPONENT,
     WeylElement,
@@ -211,3 +212,16 @@ def test_power_exponent_is_capped(weyl_q):
         d ** (MAX_EXPONENT + 1)
     with pytest.raises(UsageError, match="negative"):
         d**-1
+
+
+def test_power_term_count_is_capped(weyl_q, monkeypatch):
+    # (t + d1)^88 has 45^2 terms, one power past the cap.
+    x = wderivation(weyl_q, "d1") + wfrom_a(weyl_q.var("t"))
+    assert sum(len(u.terms) for u in (x**87).terms.values()) == 44 * 45 <= operators.MAX_TERMS
+    with pytest.raises(TermCapError, match="product has 2025 terms, above the cap 2000"):
+        x**88
+    # A result of exactly MAX_TERMS terms passes: (t + 1)^2 has three.
+    monkeypatch.setattr(operators, "MAX_TERMS", 3)
+    assert format_weyl(wfrom_a(weyl_q.var("t") + weyl_q.one()) ** 2) == "t^2 + 2*t + 1"
+    with pytest.raises(TermCapError, match="product has 4 terms, above the cap 3"):
+        x**2

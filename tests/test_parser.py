@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from weyltype import EvalError, ParseError, evaluate_text, w_mul, widentity
 from weyltype.operators import act, wderivation, wfrom_a
 from weyltype.checks import SampleBounds, random_a, random_weyl
 from weyltype.operators import format_weyl
+from weyltype.scenario import load_bundled
 from weyltype.parser import (
     MAX_NESTING,
     BinOp,
@@ -232,3 +235,13 @@ def test_long_flat_chains_evaluate_without_deep_recursion(weyl_q):
     assert format_weyl(evaluate_text(" - ".join(["t"] * 3001), weyl_q)) == "-2999*t"
     assert format_weyl(evaluate_text("*".join(["t"] * 1500), weyl_q)) == "t^1500"
     assert format_weyl(evaluate_text("d1*t*t - t*t*d1", weyl_q)) == "2*t"
+
+
+def test_benchmark_expressions_stay_within_the_term_cap():
+    # The benchmark's normalize expressions, with their recorded normal forms
+    # (at most 96 terms); the product term cap refuses none of them.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "normalize.json"
+    for scenario_name, forms in json.loads(path.read_text()).items():
+        ctx = load_bundled(scenario_name).ctx
+        for expression, form in forms.items():
+            assert format_weyl(evaluate_text(expression, ctx)) == form

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from weyltype import (
     widentity,
 )
 from weyltype import operators, probes
+from weyltype.coefficients import AElement
 from weyltype.checks import SampleBounds, random_scalar, random_weyl
 from weyltype.linalg import RowReducer
 from weyltype.operators import act, format_weyl, lie_bracket, wderivation, wfrom_a
@@ -670,11 +672,19 @@ def _unguarded(bracket):
     return lambda x, y, guard=None: bracket(x, y)
 
 
-def exhaustive_closure(ctx, seed, labels, coords, expand, stop=None, central=None):
+def skip_off(monkeypatch):
+    """Turn lie_closure's graded skip off: every window reads as ungraded,
+    so the walk forms every step."""
+    monkeypatch.setattr(Window, "pieces", lambda self, ctx: None)
+
+
+def exhaustive_closure(ctx, seed, labels, coords, expand, stop=None, central=None, room=None):
     """The closure engine before it stopped on a full span: the BFS runs on
     until a round accepts nothing, unless the `stop` label enters the span.
     The oracle for probes._closure; of its ProbeStats it fills only the stop
-    reason, and a None step result is a discard."""
+    reason, and a None step result is a discard.  It forms every step, so
+    the graded skip must be off (skip_off)."""
+    assert room is None, "turn the graded skip off first"
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     index = {lab: j for j, lab in enumerate(labels)}
@@ -743,6 +753,7 @@ def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch):
         return report, [v.name for v in scenario.ctx.variables]
 
     engine = run()
+    skip_off(monkeypatch)
     monkeypatch.setattr(probes, "_closure", exhaustive_closure)
     assert run() == engine
 
@@ -807,24 +818,161 @@ def _bundled_step_totals() -> Counter:
             if request.kind == "theta_kernel":
                 assert stats is None and verdict.stop == ""
                 continue
-            assert stats.tried == stats.zero + stats.discarded + stats.in_span + stats.accepted
+            assert stats.tried == sum(getattr(stats, k) for k in STEP_OUTCOMES)
             assert stats.accepted == len(verdict.steps)
             assert stats.ranks[0] == 1 and stats.ranks == sorted(stats.ranks)
             assert stats.ranks[-1] == len(verdict.witness)
             assert verdict.stop == stats.stop
-            totals.update({k: getattr(stats, k) for k in ("tried", "zero", "discarded", "in_span", "accepted")})
+            totals.update({k: getattr(stats, k) for k in ("tried", *STEP_OUTCOMES)})
     return totals
 
 
+STEP_OUTCOMES = ("zero", "discarded", "in_span", "accepted", "skipped")
+
+
 def test_closure_stats_equal_those_of_forming_every_product(monkeypatch):
-    # The counts are those of a walk that forms every product, in full, and
-    # reads each one's coordinates: a step that the principal symbol or a
-    # guarded bracket finds to leave the window is discarded all the same.
+    # With the graded skip off, the counts are those of a walk that forms
+    # every product, in full, and reads each one's coordinates: a step that
+    # the principal symbol or a guarded bracket finds to leave the window is
+    # discarded all the same.  With it on, the same steps are tried and
+    # accepted, and the skipped ones leave zero, discarded and in_span.
     totals = _bundled_step_totals()
-    assert totals == {"tried": 3_429, "zero": 317, "discarded": 1_796, "in_span": 1_010, "accepted": 306}
+    assert totals == {
+        "tried": 3_429, "zero": 102, "discarded": 1_310, "in_span": 577, "accepted": 306, "skipped": 1_134,
+    }
+    skip_off(monkeypatch)
+    unskipped = _bundled_step_totals()
+    assert unskipped == {
+        "tried": 3_429, "zero": 317, "discarded": 1_796, "in_span": 1_010, "accepted": 306, "skipped": 0,
+    }
     monkeypatch.setattr(probes, "_symbol_leaves", lambda room, shift: False)
     monkeypatch.setattr(probes, "lie_bracket", _unguarded(lie_bracket))
-    assert _bundled_step_totals() == totals
+    assert _bundled_step_totals() == unskipped
+
+
+def test_graded_skip_forms_98_of_the_closure_wide_brackets(monkeypatch):
+    # closure_wide's lie_closure tries 1,072 steps; 974 of them land in a
+    # piece of the window that is empty or already spanned, and only the
+    # other 98 are formed.
+    scenario = load_scenario(PERFBENCH / "scenarios" / "closure_wide.json")
+    f1 = compute_f1(scenario.ctx, scenario.window)
+    request, = [r for r in scenario.probes if r.kind == "lie_closure"]
+    calls = [0]
+
+    def counted(x, y, guard=None):
+        calls[0] += 1
+        return lie_bracket(x, y, guard)
+
+    monkeypatch.setattr(probes, "lie_bracket", counted)
+    stats = run_probe(scenario, request, f1).stats
+    assert (stats.tried, stats.skipped, stats.accepted) == (1_072, 974, 77)
+    assert calls[0] == stats.tried - stats.skipped == 98
+
+
+# -- the exponent grading ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, grading",
+    [
+        ("mixed_flavors", None),  # d2 sends t2 to 1 but x2 to x2
+        ("shift_family", None),
+        ("weyl_polynomial", ((-1,),)),
+        ("char2_poly", ((-1,),)),
+        ("nonsimple_euler", ((0,),)),
+        ("laurent_euler", ((0,),)),
+        ("char5_laurent_euler", ((0,),)),
+        ("group_algebra_z2", ((0, 0), (0, 0))),
+    ],
+)
+def test_context_finds_the_exponent_grading(name, grading):
+    assert load_bundled(name).ctx.grading == grading
+
+
+def test_grading_of_hand_built_derivations():
+    def grading(**images):
+        ctx = Context(RATIONAL)
+        ctx.add_variable("t", "polynomial")
+        ctx.add_variable("s", "laurent")
+        ctx.add_derivation("d1", images={v: evaluate_text(x, ctx).a_part() for v, x in images.items()})
+        return ctx.freeze().grading
+
+    assert grading(t="t^2", s="0") == ((1, 0),)
+    assert grading(t="0", s="t*s") == ((1, 0),)
+    assert grading(t="2*t*s", s="s^2") == ((0, 1),)
+    assert grading(t="0", s="0") == ((0, 0),)
+    assert grading(t="s", s="t*s^2") is None  # shifts (-1, 1) and (1, 1) disagree
+    assert grading(t="1 + t", s="0") is None  # not a single monomial
+
+
+GRADED_SCENARIOS = sorted(set(bundled_scenario_names()) - {"mixed_flavors", "shift_family"})
+
+
+def _homogeneous_element(ctx, rng, labels_by_degree):
+    degree = rng.choice(sorted(labels_by_degree))
+    labels = labels_by_degree[degree]
+    x = None
+    for alpha, m in rng.sample(labels, rng.randint(1, min(3, len(labels)))):
+        term = wbasis(ctx, alpha, AElement(ctx, {m: random_scalar(rng, ctx, nonzero=True)}))
+        x = term if x is None else x + term
+    assume(not x.is_zero())
+    return degree, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(GRADED_SCENARIOS), seed=st.integers(0, 10**6))
+def test_degrees_add_under_products_and_brackets(name, seed):
+    scenario = load_bundled(name)
+    ctx, window = scenario.ctx, scenario.window
+    labels_by_degree = {}
+    for alpha, m in window.ad_basis(ctx):
+        labels_by_degree.setdefault(ctx.degree(alpha, m), []).append((alpha, m))
+    assert {d: len(labs) for d, labs in labels_by_degree.items()} == window.pieces(ctx)
+    rng = random.Random(seed)
+    (dx, x), (dy, y) = (_homogeneous_element(ctx, rng, labels_by_degree) for _ in range(2))
+    assert probes._degrees(x) == {dx} and probes._degrees(y) == {dy}
+    total = tuple(map(add, dx, dy))
+    # A is a domain, so the principal symbol of x*y is not zero.
+    assert probes._degrees(w_mul(x, y)) == {total}
+    bracket = lie_bracket(x, y)
+    event(f"bracket is zero: {bracket.is_zero()}")
+    assert probes._degrees(bracket) <= {total}
+
+
+def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch):
+    # t*d1 + t^2*d1 has terms of degrees 1 and 2, so the span is not graded
+    # and a full piece shows nothing; a step is skipped only when every
+    # piece its bracket can reach holds no window label.
+    scenario = load_bundled("nonsimple_euler")
+    ctx, window = scenario.ctx, scenario.window
+    f1 = compute_f1(ctx, window)
+    seed = evaluate_text("t*d1 + t^2*d1", ctx)
+    pieces = window.pieces(ctx)
+    formed = []
+    original = probes.lie_bracket
+
+    def recorded(x, y, guard=None):
+        formed.append((x, y))
+        return original(x, y, guard)
+
+    def run():
+        formed.clear()
+        monkeypatch.setattr(probes, "lie_bracket", recorded)
+        verdict = lie_ideal_closure_probe(ctx, seed, window, f1)
+        chain = [(s.op, s.generator, s.parent, format_weyl(s.element)) for s in verdict.steps]
+        return (verdict.kind, verdict.coverage, chain), verdict.stats, list(formed)
+
+    graded, stats, formed_graded = run()
+    skip_off(monkeypatch)
+    unskipped, stats_off, formed_all = run()
+    empty = [
+        (e, g) for e, g in formed_all
+        if all(tuple(map(add, d, dg)) not in pieces for d in probes._degrees(e) for dg in probes._degrees(g))
+    ]
+    assert graded == unskipped
+    assert stats.tried == stats_off.tried
+    assert stats.skipped == len(empty) > 0
+    assert len(formed_graded) == len(formed_all) - len(empty)
 
 
 def _symbol_context(kind: str) -> Context:

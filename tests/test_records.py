@@ -83,28 +83,40 @@ def test_records_refuse_assignment(record, attribute):
     assert getattr(record, attribute) == before
 
 
-# `probe --stats` for weyl_polynomial, recorded before ProbeStats stopped
-# being a dataclass: the keys come in the order of its former fields.
+# `probe --stats` for weyl_polynomial.  The keys come in the order of the
+# fields of the former ProbeStats dataclass, with `skipped` after
+# `accepted`.
 WEYL_POLYNOMIAL_STATS = "".join(line + "\n" for line in (
     '{"scenario": "weyl_polynomial", "probe": 0, "kind": "theta_kernel"}',
     '{"scenario": "weyl_polynomial", "probe": 1, "kind": "d_simplicity", "seed": "t", "tried": 7, '
-    '"zero": 0, "discarded": 1, "in_span": 0, "accepted": 6, "ranks": [1, 7], "stop": "identity"}',
+    '"zero": 0, "discarded": 1, "in_span": 0, "accepted": 6, "skipped": 0, "ranks": [1, 7], '
+    '"stop": "identity"}',
     '{"scenario": "weyl_polynomial", "probe": 2, "kind": "assoc_closure", "seed": "d1", "tried": 2, '
-    '"zero": 0, "discarded": 0, "in_span": 0, "accepted": 2, "ranks": [1, 3], "stop": "identity"}',
+    '"zero": 0, "discarded": 0, "in_span": 0, "accepted": 2, "skipped": 0, "ranks": [1, 3], '
+    '"stop": "identity"}',
     '{"scenario": "weyl_polynomial", "probe": 3, "kind": "assoc_closure", "seed": "t^2", "tried": 44, '
-    '"zero": 0, "discarded": 12, "in_span": 12, "accepted": 20, "ranks": [1, 21], "stop": "identity"}',
+    '"zero": 0, "discarded": 12, "in_span": 12, "accepted": 20, "skipped": 0, "ranks": [1, 21], '
+    '"stop": "identity"}',
     '{"scenario": "weyl_polynomial", "probe": 4, "kind": "assoc_closure", "seed": "t*d1", "tried": 121, '
-    '"zero": 0, "discarded": 50, "in_span": 46, "accepted": 25, "ranks": [1, 25, 26], "stop": "identity"}',
+    '"zero": 0, "discarded": 50, "in_span": 46, "accepted": 25, "skipped": 0, "ranks": [1, 25, 26], '
+    '"stop": "identity"}',
     '{"scenario": "weyl_polynomial", "probe": 5, "kind": "lie_closure", "seed": "t*d1", "tried": 214, '
-    '"zero": 42, "discarded": 45, "in_span": 100, "accepted": 27, "ranks": [1, 25, 28], '
+    '"zero": 3, "discarded": 0, "in_span": 7, "accepted": 27, "skipped": 177, "ranks": [1, 25, 28], '
     '"stop": "saturated"}',
 ))
 
+# The lie_closure counts with the graded skip off, as they read before it.
+GRADED_COUNTS = '"zero": 3, "discarded": 0, "in_span": 7, "accepted": 27, "skipped": 177'
+UNSKIPPED_COUNTS = '"zero": 42, "discarded": 45, "in_span": 100, "accepted": 27, "skipped": 0'
 
-def test_probe_stats_lines_are_unchanged(capsys):
+
+def test_probe_stats_lines_are_unchanged(capsys, monkeypatch):
     path = str(bundled_scenario_path("weyl_polynomial"))
     assert main(["probe", "--scenario", path, "--stats"]) == 0
     assert capsys.readouterr().err == WEYL_POLYNOMIAL_STATS
+    monkeypatch.setattr(Window, "pieces", lambda self, ctx: None)
+    assert main(["probe", "--scenario", path, "--stats"]) == 0
+    assert capsys.readouterr().err == WEYL_POLYNOMIAL_STATS.replace(GRADED_COUNTS, UNSKIPPED_COUNTS)
 
 
 def test_no_module_imports_dataclasses():
