@@ -48,6 +48,12 @@ WINDOWS = {
         ("lie_closure", "t1^2*d1", PROPER),
         "d62033696174e11bd4dacf5c81f4958f68a3c750e6174aee485871e26846c4f8",
     ),
+    "assoc_exhaust": (
+        "nonsimple_euler",
+        {"window": {"max_level": 6, "bounds": {"t": [0, 16]}}},
+        ("assoc_closure", "t", PROPER),
+        "454952f672cb211c87216d0ec87461474815a73614399487614708ca116c31f8",
+    ),
     "kernel_wide": (
         "char2_poly",
         {"window": {"max_level": 6, "bounds": {"t": [0, 30]}}},

@@ -43,7 +43,8 @@ class ExponentCapError(EvalError):
 
 class TermCapError(EvalError):
     """A power, or a product in an expression, has more than
-    operators.MAX_TERMS terms; the next product would cost more still."""
+    operators.MAX_TERMS terms (the next product would cost more still), or
+    its factors' term counts multiply past operators.MAX_TERM_PAIRS."""
 
 
 class BasisCapError(WeylTypeError):

@@ -12,8 +12,9 @@ integer literals only.  Tokens and syntax-tree nodes are NamedTuples; a
 BinOp holds its operator as a field, so trees that differ only in an
 operator compare unequal.  Evaluation is bottom-up with every product going
 through the normal-ordering multiplication, so results are canonical by
-construction; a product or power with more than operators.MAX_TERMS terms
-is refused (TermCapError).
+construction; a product or power with more than operators.MAX_TERMS terms,
+or whose factors' term counts multiply past operators.MAX_TERM_PAIRS, is
+refused (TermCapError).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 from .coefficients import AElement, Context, LAURENT, Monomial
 from .errors import EvalError, ExponentCapError, ParseError
-from .operators import MAX_EXPONENT, WeylElement, check_term_cap, w_mul, wderivation, wfrom_a, widentity
+from .operators import MAX_EXPONENT, WeylElement, capped_product, wderivation, wfrom_a, widentity
 
 INT = "integer"
 IDENT = "identifier"
@@ -224,7 +225,7 @@ def evaluate(ast, ctx: Context) -> WeylElement:
         for node in reversed(spine):
             rhs = evaluate(node.right, ctx)
             if node.op == "*":
-                out = check_term_cap(w_mul(out, rhs))
+                out = capped_product(out, rhs)
             else:
                 out = out + rhs if node.op == "+" else out - rhs
         return out

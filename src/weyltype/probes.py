@@ -30,21 +30,26 @@ and the walk counts two discards, exactly as it would for the products.
 The test is not used for brackets: the top level of [e, g] cancels, and the
 next one down (the Poisson bracket of the symbols) can vanish.
 
-lie_closure skips the brackets that their graded piece of the window cannot
-take.  When each derivation d_j shifts exponents by a fixed delta_j
-(Context.grading), m*d^alpha has degree m + sum alpha_j*delta_j, a bracket
-of homogeneous operators is homogeneous of the summed degree, and the
-window labels fall into graded pieces (Window.pieces).  Each generator g is
-one term, so [e, g] lies in the pieces at the degrees of e plus that of g.
-When each of those pieces is empty (it holds no window label), the bracket
-is zero or leaves the window.  When the seed is homogeneous, so is every
-accepted element, the span is the sum of its graded parts, and a piece
-whose rank equals its size already spans every bracket landing in it.
-Either way the step could only end in zero, a discard or the span, none of
-which changes the walk, so it is not formed: it counts as tried and
-skipped, and the accepted steps, span and stop are those of the walk that
-forms it.  The saturation stop is the case in which every piece is full.
-With an inhomogeneous seed only the empty pieces are skipped.
+Both operator closures, lie_closure and assoc_closure, skip the steps that
+their graded piece of the window cannot take.  When each derivation d_j
+shifts exponents by a fixed delta_j (Context.grading), m*d^alpha has degree
+m + sum alpha_j*delta_j, products and brackets of homogeneous operators are
+homogeneous of the summed degree, and the window labels fall into graded
+pieces (Window.pieces).  Each generator g is one term, so g*e, e*g and
+[e, g] lie in the pieces at the degrees of e plus that of g.  When each of
+those pieces is empty (it holds no window label), the step is zero or
+leaves the window.  When the seed is homogeneous, so is every accepted
+element, the span is the sum of its graded parts, and a piece whose rank
+equals its size already spans every step landing in it.  Either way the
+step could only end in zero, a discard or the span, none of which changes
+the walk, so it is not formed: it counts as tried and skipped (both
+products of an assoc_closure generator, as two steps), and the accepted
+steps, span and stop are those of the walk that forms it.  The saturation
+stop is the case in which every piece is full.  With an inhomogeneous seed
+only the empty pieces are skipped.  The symbol test runs on every
+generator that is formed, and on an ungraded window (Context.grading is
+None) it is the only test that decides assoc_closure's discards before
+forming a product.
 
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
@@ -79,6 +84,7 @@ from .operators import (
     WeylElement,
     _from_buckets,
     _partial,
+    format_multi_index,
     format_weyl,
     lie_bracket,
     w_mul,
@@ -310,10 +316,11 @@ class ProbeStats:
     """What one closure walk did; reports never serialize it.
 
     Every step is counted once as tried and then as exactly one of zero,
-    discarded (it left the window), in_span, accepted or skipped (not
-    formed, see the module docstring).  `ranks` holds the span's rank after
-    seeding and after each breadth-first round, the last entry taken where
-    the walk stopped.
+    discarded (it left the window), in_span, accepted or skipped.  A skipped
+    step is one the graded skip of lie_closure or assoc_closure did not
+    form (see the module docstring); each skipped assoc_closure generator
+    counts two.  `ranks` holds the span's rank after seeding and after each
+    breadth-first round, the last entry taken where the walk stopped.
     """
 
     def __init__(self, ranks: list | None = None, stop: str = ""):
@@ -456,12 +463,13 @@ def theta_kernel(
 # -- ideal-closure probes ------------------------------------------------------
 
 
-def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, central=None,
+def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central=None,
              room=None):
     """Breadth-first closure of the seed inside a window, with discard semantics.
 
-    `labels` enumerate the window basis and `coords(z, index)` gives an
-    element's coordinates over it, or None when the element leaves the window.
+    `index` maps each label of the window basis to its column and
+    `coords(z, index)` gives an element's coordinates over that basis, or
+    None when the element leaves the window.
     `expand(elem)` yields the `(op, generator name, result)` of every closure
     step from one accepted element, in a fixed order; a result of None says
     the step left the window, and an int n in place of a step counts n steps
@@ -484,12 +492,11 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
     - "exhausted": a round accepted nothing.
     A full span holds the `stop` label, so a probe with one never saturates.
 
-    Returns the reducer holding the span, the label index, the accepted
-    steps and the walk's ProbeStats.
+    Returns the reducer holding the span, the accepted steps and the walk's
+    ProbeStats.
     """
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
-    index = {lab: j for j, lab in enumerate(labels)}
     seed_vec = coords(seed, index)
     if seed_vec is None:
         raise UsageError("seed does not fit inside the window")
@@ -512,12 +519,12 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
         if stats.ranks[-1] != red.rank:
             stats.ranks.append(red.rank)
         stats.stop = reason
-        return red, index, steps, stats
+        return red, steps, stats
 
     stop_vec = None if stop is None else {index[stop]: 1}
     if stop_vec is not None and red.contains(stop_vec):
         return done(STOP_IDENTITY)
-    if red.rank == len(labels):
+    if red.rank == len(index):
         return done(STOP_SATURATED)
     frontier = [0]
     while frontier:
@@ -549,18 +556,18 @@ def _closure(ctx: Context, seed, labels: list, coords, expand, stop=None, centra
                 next_frontier.append(len(accepted) - 1)
                 if stop_vec is not None and red.contains(stop_vec):
                     return done(STOP_IDENTITY)
-                if red.rank == len(labels):
+                if red.rank == len(index):
                     return done(STOP_SATURATED)
         frontier = next_frontier
         stats.ranks.append(red.rank)
     return done(STOP_EXHAUSTED)
 
 
-def _identity_closure(ctx: Context, seed, labels: list, coords, from_coords, expand,
-                      stop) -> ProbeVerdict:
+def _identity_closure(ctx: Context, seed, labels: list, index: dict, coords, from_coords, expand,
+                      stop, room=None) -> ProbeVerdict:
     """The verdict of a probe that closes the seed until its span holds the
     `stop` label; `from_coords(ctx, labels, vec)` builds a witness."""
-    red, _, steps, stats = _closure(ctx, seed, labels, coords, expand, stop=stop)
+    red, steps, stats = _closure(ctx, seed, index, coords, expand, stop=stop, room=room)
     return ProbeVerdict(
         kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
@@ -586,17 +593,8 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVer
         for d in ctx.derivations:
             yield "derive", d.name, ctx.apply_derivation(d, e)
 
-    return _identity_closure(ctx, seed, labels, a_coords, a_from_coords, expand, ONE_MONOMIAL)
-
-
-def _window_generators(ctx: Context, window: Window) -> list[tuple[str, WeylElement]]:
-    out = []
-    for alpha, m in window.ad_basis(ctx):
-        if alpha.is_zero() and m.is_one():
-            continue
-        g = wbasis(ctx, alpha, _a_element(ctx, m))
-        out.append((format_weyl(g), g))
-    return out
+    index = {m: j for j, m in enumerate(labels)}
+    return _identity_closure(ctx, seed, labels, index, a_coords, a_from_coords, expand, ONE_MONOMIAL)
 
 
 def _symbol_room(e: WeylElement, window: Window) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -631,67 +629,128 @@ def _symbol_leaves(room: tuple, shift: tuple) -> bool:
     return False
 
 
-def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window) -> ProbeVerdict:
+class ClosureTables(NamedTuple):
+    """What the operator closure probes on one window share (closure_tables).
+
+    `gens` holds each window generator g = m*d^beta but the identity as
+    (name, g, symbol shift); `by_degree` maps a degree to the positions of
+    its generators and `pieces` is Window.pieces, both None when ungraded.
+    """
+
+    labels: list
+    index: dict
+    gens: list
+    by_degree: dict | None
+    guard: tuple
+    pieces: Counter | None
+
+
+def closure_tables(ctx: Context, window: Window) -> ClosureTables:
+    labels = window.ad_basis(ctx)
+    pieces = window.pieces(ctx)
+    gens, by_degree = [], None if pieces is None else {}
+    for alpha, m in labels:
+        if alpha.is_zero() and m.is_one():
+            continue
+        g = wbasis(ctx, alpha, _a_element(ctx, m))
+        # Byte-equal to format_weyl(g).
+        name = format_monomial(ctx, m) if alpha.is_zero() else format_multi_index(ctx, alpha)
+        if not (alpha.is_zero() or m.is_one()):
+            name = f"{format_monomial(ctx, m)}*{name}"
+        if pieces is not None:
+            by_degree.setdefault(ctx.degree(alpha, m), []).append(len(gens))
+        gens.append((name, g, _generator_shift(g, window)))
+    index = {lab: j for j, lab in enumerate(labels)}
+    return ClosureTables(labels, index, gens, by_degree, window.guard(ctx), pieces)
+
+
+def _degrees(x: WeylElement) -> frozenset:
+    """The degrees of the terms of x, in a context with a grading."""
+    degree = x.ctx.degree
+    return frozenset(degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms)
+
+
+def _graded_expand(tables: ClosureTables, form, width: int):
+    """The `expand` of an operator closure walk (see the module docstring)
+    and the room it reads, a fresh copy of the tables' pieces for `_closure`.
+
+    `form(e)` gives the function that forms, from e, the `width` steps of
+    the generator at a position.  On an ungraded window (no room) every
+    step is formed, in generator order.  Otherwise a generator's steps are
+    formed only while a piece at a degree of e plus that of the generator
+    has room, and each run of the others counts as one int.
+    """
+    count = len(tables.gens)
+    room = None if tables.pieces is None else Counter(tables.pieces)
+    plans = {}  # the degrees of a parent -> its plan
+
+    def plan(degrees):
+        # The (position, piece) of each generator whose steps can land in a
+        # nonempty piece, in order.  Room shrinks only in a homogeneous walk,
+        # all of whose elements have one degree, so only a homogeneous
+        # parent's one piece (else None) needs looking at again.
+        out = []
+        for shift, ks in tables.by_degree.items():
+            pieces = [tuple(map(add, d, shift)) for d in degrees]
+            if any(piece in tables.pieces for piece in pieces):
+                out.extend((k, pieces[0] if len(pieces) == 1 else None) for k in ks)
+        return sorted(out)
+
+    def expand(e):
+        steps = form(e)
+        if room is None:
+            for k in range(count):
+                yield from steps(k)
+            return
+        degrees = _degrees(e)
+        todo = plans.get(degrees)
+        if todo is None:
+            todo = plans[degrees] = plan(degrees)
+        done = 0  # steps before this position are formed or counted
+        for k, piece in todo:
+            if piece is None or room[piece]:
+                if k > done:
+                    yield width * (k - done)
+                yield from steps(k)
+                done = k + 1
+        if done < count:
+            yield width * (count - done)
+
+    return expand, room
+
+
+def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,
+                              tables: ClosureTables | None = None) -> ProbeVerdict:
     """Two-sided multiplicative closure of the seed, with discard semantics.
 
     Reaching the identity certifies that the two-sided ideal generated by
     the seed is the whole operator algebra.  A step whose products the
     principal symbol shows to leave the window forms neither of them.
+    `tables` are the window's closure_tables, built here when not given.
     """
-    labels = window.ad_basis(ctx)
-    gens = [(name, g, _generator_shift(g, window)) for name, g in _window_generators(ctx, window)]
+    if tables is None:
+        tables = closure_tables(ctx, window)
+    gens = tables.gens
+    # The two discards of a generator whose products the symbol test shows to leave.
+    leave = [(("lmul", name, None), ("rmul", name, None)) for name, _, _ in gens]
 
-    def expand(e):
-        room = _symbol_room(e, window)
-        for name, g, shift in gens:
-            lmul = rmul = None
-            if not _symbol_leaves(room, shift):
-                # Both products are formed before either is looked at: on a
-                # shift family a product registers variables.
-                lmul, rmul = w_mul(g, e), w_mul(e, g)
-            yield "lmul", name, lmul
-            yield "rmul", name, rmul
+    def form(e):
+        symbol_room = _symbol_room(e, window)
 
+        def steps(k):
+            name, g, shift = gens[k]
+            if _symbol_leaves(symbol_room, shift):
+                return leave[k]
+            # Both products are formed before either is looked at: on a
+            # shift family a product registers variables.
+            return ("lmul", name, w_mul(g, e)), ("rmul", name, w_mul(e, g))
+
+        return steps
+
+    expand, room = _graded_expand(tables, form, 2)
     stop = (ZERO_INDEX, ONE_MONOMIAL)
-    return _identity_closure(ctx, seed, labels, weyl_coords, weyl_from_coords, expand, stop)
-
-
-def _degrees(x: WeylElement) -> set:
-    """The degrees of the terms of x, in a context with a grading."""
-    degree = x.ctx.degree
-    return {degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms}
-
-
-def _graded_brackets(gens: list, guard: tuple, room: dict):
-    """The `expand` of a bracket closure on a graded window (see the module
-    docstring): it forms [e, g] only while a piece at a degree of e plus that
-    of g has room, in generator order, and counts each run of the other
-    steps as one int.  Room only shrinks, so a generator degree with no room
-    when e's steps begin is passed over whole."""
-    by_degree: dict[tuple, list[int]] = {}  # degree -> generator positions
-    for k, (_, g) in enumerate(gens):
-        (degree,) = _degrees(g)
-        by_degree.setdefault(degree, []).append(k)
-
-    def expand(e):
-        degrees = _degrees(e)
-        reach = {}  # position of a generator worth trying -> its bracket's pieces
-        for shift, ks in by_degree.items():
-            pieces = [tuple(map(add, d, shift)) for d in degrees]
-            if any(room.get(piece) for piece in pieces):
-                reach.update(dict.fromkeys(ks, pieces))
-        done = 0  # steps before this position are formed or counted
-        for k in sorted(reach):
-            if any(room.get(piece) for piece in reach[k]):  # may have filled since
-                if k > done:
-                    yield k - done
-                name, g = gens[k]
-                yield "bracket", name, lie_bracket(e, g, guard)
-                done = k + 1
-        if done < len(gens):
-            yield len(gens) - done
-
-    return expand
+    return _identity_closure(ctx, seed, tables.labels, tables.index, weyl_coords, weyl_from_coords,
+                             expand, stop, room)
 
 
 def lie_ideal_closure_probe(
@@ -700,6 +759,7 @@ def lie_ideal_closure_probe(
     window: Window,
     f1: SubspaceBasis,
     margin: Fraction = DEFAULT_MARGIN,
+    tables: ClosureTables | None = None,
 ) -> ProbeVerdict:
     """Bracket closure of the seed, judged modulo the central kernel on an
     interior sub-window.
@@ -708,6 +768,7 @@ def lie_ideal_closure_probe(
     the verdict is positive only if every interior basis monomial lies in
     the closure span plus the central kernel.  A sub-window whose targets all
     lie in the kernel would make that verdict vacuous, so it is refused.
+    `tables` are the window's closure_tables, built here when not given.
     """
     inner = window.interior(margin)
     targets = inner.ad_basis(ctx)
@@ -716,17 +777,19 @@ def lie_ideal_closure_probe(
         m in f1.index and f1.contains({f1.index[m]: 1}) for _, m in targets
     ):
         raise UsageError("interior sub-window holds no target outside the derivation kernel")
-    labels = window.ad_basis(ctx)
-    guard = window.guard(ctx)
-    gens = _window_generators(ctx, window)
-    room = window.pieces(ctx)
-    if room is None:
-        def expand(e):
-            for name, g in gens:
-                yield "bracket", name, lie_bracket(e, g, guard)
-    else:
-        expand = _graded_brackets(gens, guard, room)
-    red, index, steps, stats = _closure(ctx, seed, labels, weyl_coords, expand, central=f1, room=room)
+    if tables is None:
+        tables = closure_tables(ctx, window)
+    labels, index, gens, guard = tables.labels, tables.index, tables.gens, tables.guard
+
+    def form(e):
+        def steps(k):
+            name, g, _ = gens[k]
+            return (("bracket", name, lie_bracket(e, g, guard)),)
+
+        return steps
+
+    expand, room = _graded_expand(tables, form, 1)
+    red, steps, stats = _closure(ctx, seed, index, weyl_coords, expand, central=f1, room=room)
 
     # A fresh reducer, so that the closure's own one never holds the f1 rows.
     combined = RowReducer(ctx.spec)

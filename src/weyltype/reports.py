@@ -17,6 +17,7 @@ from .probes import (
     compute_f1,
     a_from_coords,
     assoc_ideal_closure_probe,
+    closure_tables,
     d_simplicity_probe,
     lie_ideal_closure_probe,
     theta_kernel,
@@ -28,16 +29,18 @@ def fraction_text(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def run_probe(scenario: Scenario, request: ProbeRequest, f1) -> ProbeVerdict:
+def run_probe(scenario: Scenario, request: ProbeRequest, f1, tables=None) -> ProbeVerdict:
+    """One probe's verdict; `tables` are the window's closure_tables, which
+    an operator closure probe builds itself when they are not given."""
     ctx, window, seed = scenario.ctx, scenario.window, request.seed
     if request.kind == "theta_kernel":
         return theta_kernel(ctx, window, restrict_to_f1=request.restrict_to_f1, f1=f1)
     if request.kind == "d_simplicity":
         return d_simplicity_probe(ctx, seed.a_part(), window)
     if request.kind == "assoc_closure":
-        return assoc_ideal_closure_probe(ctx, seed, window)
+        return assoc_ideal_closure_probe(ctx, seed, window, tables)
     if request.kind == "lie_closure":
-        return lie_ideal_closure_probe(ctx, seed, window, f1, margin=scenario.margin)
+        return lie_ideal_closure_probe(ctx, seed, window, f1, margin=scenario.margin, tables=tables)
     raise AssertionError(f"unhandled probe kind {request.kind}")
 
 
@@ -75,8 +78,11 @@ def build_report(scenario: Scenario, verdicts: list | None = None) -> dict:
         "probes": [],
     }
     all_expected = True
+    tables = None  # built once, for the first operator closure probe
     for request in scenario.probes:
-        verdict = run_probe(scenario, request, f1)
+        if tables is None and request.kind in ("assoc_closure", "lie_closure"):
+            tables = closure_tables(ctx, window)
+        verdict = run_probe(scenario, request, f1, tables)
         if verdicts is not None:
             verdicts.append(verdict)
         entry: dict = {

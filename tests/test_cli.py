@@ -158,9 +158,12 @@ def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, monkeypatch
             }
             outcomes = ("zero", "discarded", "in_span", "accepted", "skipped")
             assert entry["tried"] == sum(entry[k] for k in outcomes)
-            assert entry["skipped"] == 0 or (skip and entry["kind"] == "lie_closure")
             assert entry["stop"] in ("identity", "saturated", "exhausted")
             assert entry["ranks"][0] == 1 and entry["ranks"] == sorted(entry["ranks"])
+        # Both operator closure walks skip steps on these graded windows; nothing else does.
+        skipping = {e["kind"] for e in entries if e.get("skipped")}
+        closures = {r.kind for r in requests} & {"assoc_closure", "lie_closure"}
+        assert skipping == (closures if skip else set())
 
 
 def _assert_matches_recorded_digest(capsys, name):
@@ -701,6 +704,17 @@ def test_a_product_past_the_term_cap_is_refused_at_once(capsys, s_weyl, expr):
     code, out, err = run_cli(capsys, "normalize", expr, "--scenario", s_weyl)
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (2, "", "error: product has 2025 terms, above the cap 2000\n")
+
+
+def test_a_product_of_large_factors_is_refused_before_it_is_formed(capsys, s_weyl):
+    # Each factor has 961 terms, under the term cap, but the one product
+    # walks 961*961 term pairs: formed, it ran 8.3 s before its result was
+    # refused.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "normalize", "(t+d1)^60*(t+d1)^60", "--scenario", s_weyl)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: product of 961-term and 961-term factors, above the cap 100000 term pairs\n"
 
 
 def test_deeply_nested_expression_is_a_parse_error(capsys, s_weyl):

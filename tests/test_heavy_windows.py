@@ -1,15 +1,17 @@
 """The widened windows of scripts/heavy_windows.py load, validate and give
-their pinned reports, about a second for all five; the kernel_wide
-assoc_closure also bounds the work of the principal-symbol test, and on
-these windows, the bundled scenarios and the benchmark's scenarios the
-graded skip of lie_closure changes no report and no step chain."""
+their pinned reports, about a second for all six; the assoc_closure probes
+also bound the work of the principal-symbol test and of the graded skip,
+and on these windows, the bundled scenarios and the benchmark's scenarios
+the graded skip of both closure walks changes no report and no step
+chain."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from weyltype import probes
+from weyltype import probes, reports
+from weyltype.operators import format_weyl
 from weyltype.reports import build_report, report_bytes
 from weyltype.scenario import bundled_scenario_names, load_bundled, load_scenario
 
@@ -41,15 +43,17 @@ def test_heavy_window_report_matches_its_pinned_sha256(name):
     assert digest == pinned
 
 
-# Per scenario, over its assoc_closure probes: the products formed and the
-# steps discarded.  Forming every product took 66,960 on kernel_wide.
+# Per scenario, over its assoc_closure probes: the products formed with the
+# graded skip on, and the products formed and the steps discarded with it
+# off.  Forming every product took 66,960 on kernel_wide.
 ASSOC_WORK = {
-    "char2_poly": (42, 238),
-    "laurent_euler": (68, 22),
-    "nonsimple_euler": (372, 924),
-    "weyl_polynomial": (106, 62),
-    "closure_wide": (318, 98),
-    "kernel_wide": (14_570, 52_390),
+    "char2_poly": (42, (42, 238)),
+    "laurent_euler": (66, (68, 22)),
+    "nonsimple_euler": (46, (372, 924)),
+    "weyl_polynomial": (74, (106, 62)),
+    "closure_wide": (198, (318, 98)),
+    "assoc_exhaust": (222, (7_392, 19_040)),
+    "kernel_wide": (14_348, (14_570, 52_390)),
 }
 
 
@@ -61,11 +65,7 @@ def _load(name):
     return load_bundled(name)
 
 
-@pytest.mark.parametrize("name", sorted(ASSOC_WORK))
-def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
-    # The principal symbol decides every discard of these probes, so each
-    # product they form fits the window.
-    scenario = _load(name)
+def _assoc_work(scenario, monkeypatch):
     index = {lab: j for j, lab in enumerate(scenario.window.ad_basis(scenario.ctx))}
     calls, outside = [0], [0]
     original = probes.w_mul
@@ -83,8 +83,21 @@ def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
             verdict = probes.assoc_ideal_closure_probe(scenario.ctx, request.seed, scenario.window)
             assert verdict.kind == request.expect
             discarded += verdict.stats.discarded
-    assert (calls[0], discarded) == ASSOC_WORK[name]
     assert outside[0] == 0
+    return calls[0], discarded
+
+
+@pytest.mark.parametrize("name", sorted(ASSOC_WORK))
+def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
+    # The principal symbol decides every discard of these probes, so each
+    # product they form fits the window; the graded skip forms fewer still.
+    formed, unskipped = ASSOC_WORK[name]
+    assert _assoc_work(_load(name), monkeypatch)[0] == formed
+    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+    assert _assoc_work(_load(name), monkeypatch) == unskipped
+
+
+ALL_WINDOWS = sorted(bundled_scenario_names()) + ["closure_wide", "action_wide"] + sorted(heavy_windows.WINDOWS)
 
 
 def _report_chains_and_stats(name):
@@ -94,9 +107,7 @@ def _report_chains_and_stats(name):
     return report, chains, [v.stats for v in verdicts]
 
 
-@pytest.mark.parametrize(
-    "name", sorted(bundled_scenario_names()) + ["closure_wide", "action_wide"] + sorted(heavy_windows.WINDOWS)
-)
+@pytest.mark.parametrize("name", ALL_WINDOWS)
 def test_graded_skip_changes_no_report_and_no_step_chain(name, monkeypatch):
     # A skipped step could only have ended in zero, a discard or the span:
     # the walk that forms every step gives the same bytes and chains, tries
@@ -111,3 +122,43 @@ def test_graded_skip_changes_no_report_and_no_step_chain(name, monkeypatch):
         assert off.skipped == 0
         assert (on.tried, on.accepted, on.ranks, on.stop) == (off.tried, off.accepted, off.ranks, off.stop)
         assert on.zero + on.discarded + on.in_span + on.skipped == off.zero + off.discarded + off.in_span
+
+
+@pytest.mark.parametrize("name", ALL_WINDOWS)
+def test_generator_names_are_their_canonical_forms(name):
+    scenario = _load(name)
+    tables = probes.closure_tables(scenario.ctx, scenario.window)
+    assert len(tables.gens) == len(tables.labels) - 1  # every label but the identity
+    for gname, g, _ in tables.gens:
+        assert gname == format_weyl(g)
+
+
+def test_one_report_builds_the_closure_tables_once(monkeypatch):
+    # closure_wide runs four closure probes on one window; each probe called
+    # without the tables builds its own and gives the same verdict.
+    scenario = _load("closure_wide")
+    built = [0]
+    original = probes.closure_tables
+
+    def counted(ctx, window):
+        built[0] += 1
+        return original(ctx, window)
+
+    monkeypatch.setattr(probes, "closure_tables", counted)
+    monkeypatch.setattr(reports, "closure_tables", counted)
+    verdicts = []
+    build_report(scenario, verdicts)
+    assert built[0] == 1
+    kinds = ("assoc_closure", "lie_closure")
+    closures = [(r, v) for r, v in zip(scenario.probes, verdicts) if r.kind in kinds]
+    assert len(closures) == 4 and {r.kind for r, _ in closures} == set(kinds)
+
+    def summary(v):
+        chain = [(s.op, s.generator, s.parent, format_weyl(s.element)) for s in v.steps]
+        witness = [format_weyl(w) for w in v.witness]
+        return v.kind, v.coverage, witness, v.unreached, v.note, chain, vars(v.stats)
+
+    f1 = probes.compute_f1(scenario.ctx, scenario.window)
+    for request, verdict in closures:
+        assert summary(reports.run_probe(scenario, request, f1)) == summary(verdict)
+    assert built[0] == 1 + len(closures)

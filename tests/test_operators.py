@@ -18,6 +18,7 @@ from weyltype.operators import (
     wfrom_a,
 )
 from weyltype.checks import SampleBounds, random_a, random_weyl
+from weyltype.parser import evaluate_text
 
 mk = MultiIndex.make
 
@@ -225,3 +226,26 @@ def test_power_term_count_is_capped(weyl_q, monkeypatch):
     assert format_weyl(wfrom_a(weyl_q.var("t") + weyl_q.one()) ** 2) == "t^2 + 2*t + 1"
     with pytest.raises(TermCapError, match="product has 4 terms, above the cap 3"):
         x**2
+
+
+def test_term_pairs_are_capped_before_the_product(weyl_q, monkeypatch):
+    # (t + d1)^2 has four terms; times t + d1 it walks eight term pairs.
+    x = wderivation(weyl_q, "d1") + wfrom_a(weyl_q.var("t"))
+    square = x**2
+    assert format_weyl(square) == "d1^2 + 2*t*d1 + t^2 + 1"
+    monkeypatch.setattr(operators, "MAX_TERM_PAIRS", 4)
+    assert x**2 == square  # 1*2 and then 2*2 pairs
+    calls = [0]
+    original = operators.w_mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(operators, "w_mul", counted)
+    with pytest.raises(TermCapError, match="product of 4-term and 2-term factors, above the cap 4 term pairs"):
+        x**3
+    with pytest.raises(TermCapError, match="above the cap 4 term pairs"):
+        evaluate_text("(t + d1)^2*(t + d1)", weyl_q)
+    # x**3 forms its first two products; neither refusal forms the third.
+    assert calls[0] == 2 + 2
