@@ -1,19 +1,22 @@
-"""Compare two checkouts on one benchmark workload, in alternating pairs.
+"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \
-        --pairs N --seconds S [--seed K]
+        [--workload W2 ...] --pairs N --seconds S [--seed K]
 
-Pair k runs `perfbench/run.py --trace 0 --seed K+k` once in each checkout,
-each from its own root; even pairs run the parent first and odd pairs the
-change first, so a drift in machine speed does not favour one side.  For
-each end-to-end metric the script prints both sides' median and quartiles,
-the change of the medians, the number of pairs the change won and, apart,
-the number tied, and whether the gap between the medians exceeds the
-parent's interquartile range.  A gain may be claimed only when the change
-wins at least nine pairs in ten, ties counting for neither side, and the
-gap exceeds that range.  The direction of each metric comes from the change
-checkout's BENCHMARK.json (lower is better when it does not say).  A run
-that prints no result stops the script with its standard error.
+`--workload all` stands for every workload of the change checkout's
+BENCHMARK.json.  The workloads run one after the other, each with its own
+pairs and its own block of output.  Pair k runs `perfbench/run.py --trace 0
+--seed K+k` once in each checkout, each from its own root; even pairs run
+the parent first and odd pairs the change first, so a drift in machine
+speed does not favour one side.  For each workload and end-to-end metric
+the script prints both sides' median and quartiles, the change of the
+medians, the number of pairs the change won and, apart, the number tied,
+and whether the gap between the medians exceeds the parent's interquartile
+range.  A gain may be claimed only when the change wins at least nine pairs
+in ten, ties counting for neither side, and the gap exceeds that range.  The
+direction of each metric comes from the change checkout's BENCHMARK.json
+(lower is better when it does not say).  A run that prints no result stops
+the script with its standard error.
 """
 
 from __future__ import annotations
@@ -79,38 +82,60 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{root}: no result ({exc}): {proc.stderr.strip()}") from exc
 
 
-def directions(root: Path) -> dict[str, str]:
+def benchmark_spec(root: Path) -> dict:
     path = root / "BENCHMARK.json"
-    if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text())
+    return json.loads(path.read_text()) if path.is_file() else {}
+
+
+def directions(spec: dict) -> dict[str, str]:
     return {m["name"]: m.get("better", "lower") for m in spec.get("end_to_end", [])}
+
+
+def workload_names(requested: list[str], spec: dict) -> list[str]:
+    """The requested workloads in order, once each, with `all` standing for
+    every workload of the BENCHMARK.json spec."""
+    every = [w["name"] for w in spec.get("workloads", [])]
+    names: list[str] = []
+    for name in requested:
+        if name == "all" and not every:
+            raise SystemExit("--workload all needs the workloads of a BENCHMARK.json")
+        for n in every if name == "all" else [name]:
+            if n not in names:
+                names.append(n)
+    return names
+
+
+def compare(parent: Path, change: Path, workload: str, pairs: int, seconds: float, seed: int) -> list:
+    """(parent result, change result) for each pair, printing one line a pair."""
+    out, roots = [], {"parent": parent, "change": change}
+    for k in range(pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        result = {side: run_once(roots[side], workload, seed + k, seconds) for side in order}
+        out.append((result["parent"], result["change"]))
+        print(f"{workload} pair {k + 1}/{pairs} (seed {seed + k}, {order[0]} first): "
+              f"wall_s {result['parent']['metrics']['wall_s']['value']:.6g} -> "
+              f"{result['change']['metrics']['wall_s']['value']:.6g}", flush=True)
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload, or all; repeat for several")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    pairs = []
-    for k in range(args.pairs):
-        seed = args.seed + k
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        result = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
-                  for side in order}
-        pairs.append((result["parent"], result["change"]))
-        print(f"pair {k + 1}/{args.pairs} (seed {seed}, {order[0]} first): "
-              f"wall_s {result['parent']['metrics']['wall_s']['value']:.6g} -> "
-              f"{result['change']['metrics']['wall_s']['value']:.6g}", flush=True)
-    print(f"{args.workload}, {args.pairs} pairs, {args.seconds:g} s a run:")
-    for line in summarize(pairs, directions(args.change)):
-        print(f"  {line}")
+    spec = benchmark_spec(args.change)
+    for workload in workload_names(args.workload, spec):
+        pairs = compare(args.parent, args.change, workload, args.pairs, args.seconds, args.seed)
+        print(f"{workload}, {args.pairs} pairs, {args.seconds:g} s a run:")
+        for line in summarize(pairs, directions(spec)):
+            print(f"  {line}")
     return 0
 
 

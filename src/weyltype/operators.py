@@ -48,7 +48,15 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
 - lie_bracket walks the pairs of x*y with sign +1 and those of y*x with
   sign -1 together and skips gamma = 0 in both.  The gamma = 0 term of
   (u, alpha)(v, beta) is u*v at alpha + beta, and that of (v, beta)(u, alpha)
-  is v*u there; A is commutative, so they cancel.
+  is v*u there; A is commutative, so they cancel.  w_mul adds its gamma = 0
+  terms, whose binomial is 1, while it schedules the pairs.
+- Constant coefficients: a derivation kills constants, so d^gamma(c) = 0
+  for every gamma > 0.  A pair whose v has 1 as its only monomial therefore
+  contributes its gamma = 0 term u*c to a product and nothing to a bracket.
+  The walk decides this once per term pair, before any gamma, and starts
+  no gamma tree for such a pair: it builds and visits no child and derives
+  nothing.  So d1^k * d1 and each step of (d1+d2+d3)^n derive nothing, and
+  in a bracket with a pure derivation the half with it on the right drops.
 - Without a window guard, every pair starts at once and the walk runs to
   the end.  lie_bracket takes a guard (max_level, monomials): a pair with
   |alpha| + |beta| = s starts at output level s, so step by step the walk
@@ -66,6 +74,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .coefficients import (
+    ONE_MONOMIAL,
     AElement,
     Context,
     Monomial,
@@ -309,26 +318,47 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
     """Sum sign * x*y over the (x, y, sign) in `products`, one gamma level per step.
 
     Each step moves every started term pair one gamma level deeper and adds
-    its terms u * C(alpha, gamma) * d^gamma(v) at beta + (alpha - gamma).  With
-    skip_gamma_zero the gamma = 0 terms u*v are left out, since they cancel
-    in a bracket.  The guard, if any, schedules the pairs by output level,
-    and the walk returns None once a finished level leaves the window (see
-    the module docstring).
+    its terms u * C(alpha, gamma) * d^gamma(v) at beta + (alpha - gamma).
+    With skip_gamma_zero (a bracket) the gamma = 0 terms u*v are left out,
+    since they cancel; otherwise (a product, every sign +1) they are added
+    while the pairs are scheduled.  A pair whose v is a constant has no
+    other terms and starts no walk (see the module docstring).  Unguarded,
+    every other pair starts at the children of its root.  The guard, which
+    only a bracket takes, schedules the roots by output level instead, and
+    the walk returns None once a finished level leaves the window.
     """
     spec = ctx.spec
     p = spec.p
     trees = ctx._gamma_trees
     monomial_products = ctx._products
+    out: dict[MultiIndex, dict[Monomial, object]] = {}
     # One entry per gamma of this step: (gamma node, beta, terms of u, v, sign).
     pairs = []
     for x, y, sign in products:
+        yterms = y.terms.items()
         for alpha, u in x.terms.items():
             root = trees.get(alpha)
             if root is None:
                 root = trees[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
-            for beta, v in y.terms.items():
-                pairs.append((root, beta, u.terms, v, sign))
-    out: dict[MultiIndex, dict[Monomial, object]] = {}
+            uterms = u.terms
+            outputs = root.outputs
+            children = root.children
+            for beta, v in yterms:
+                vterms = v.terms
+                if not skip_gamma_zero:
+                    idx = outputs.get(beta)
+                    if idx is None:
+                        idx = outputs[beta] = beta.add(alpha)
+                    mul_terms(out.setdefault(idx, {}), vterms, uterms, monomial_products, p)
+                if len(vterms) == 1 and ONE_MONOMIAL in vterms:
+                    continue  # a constant v: d^gamma(v) = 0 for every gamma > 0
+                if guard is not None:
+                    pairs.append((root, beta, uterms, v, sign))
+                    continue
+                if children is None:
+                    children = root.expand(spec)
+                for child in children:
+                    pairs.append((child, beta, uterms, v, sign))
     if guard is None:
         active, waiting = pairs, []
     else:
@@ -349,7 +379,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
         deeper = []
         for node, beta, uterms, v, sign in active:
             gamma = node.gamma
-            if gamma.entries or not skip_gamma_zero:
+            if gamma.entries:  # a root comes here only in a guarded bracket
                 dv = _partial(ctx, gamma, v)
                 if not dv:
                     continue

@@ -75,3 +75,37 @@ def test_summary_counts_ties_apart_from_wins_and_applies_the_claim_rule():
              for p in (1.0, 1.1, 1.2, 1.3)]
     wall, *_ = bench_pairs.summarize(pairs, {})
     assert wall.endswith("change better in 4/4, tied in 0  median gap 0.65 exceeds parent IQR 0.25")
+
+
+def test_workload_names_expand_all_and_keep_the_first_of_repeats():
+    spec = {"workloads": [{"name": "a"}, {"name": "b"}, {"name": "c"}]}
+    assert bench_pairs.workload_names(["b"], spec) == ["b"]
+    assert bench_pairs.workload_names(["c", "all", "a"], spec) == ["c", "a", "b"]
+    assert bench_pairs.workload_names(["b", "b", "x"], spec) == ["b", "x"]
+    with pytest.raises(SystemExit):
+        bench_pairs.workload_names(["all"], {})
+
+
+def test_main_prints_one_block_per_workload(tmp_path, monkeypatch, capsys):
+    spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": [{"name": "wall_s"}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+
+    def fake_run_once(root, workload, seed, seconds):
+        runs.append((root.name, workload, seed))
+        return json.loads(result_line(1.0 if root.name == "parent" else 0.5, 29.0))
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    parent, change = tmp_path / "parent", tmp_path
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "all",
+            "--pairs", "2", "--seconds", "1", "--seed", "5"]
+    assert bench_pairs.main(argv) == 0
+    change_name = change.name
+    assert runs == [
+        ("parent", "w1", 5), (change_name, "w1", 5), (change_name, "w1", 6), ("parent", "w1", 6),
+        ("parent", "w2", 5), (change_name, "w2", 5), (change_name, "w2", 6), ("parent", "w2", 6),
+    ]
+    out = capsys.readouterr().out
+    blocks = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert [b for b in blocks if "pairs," in b] == ["w1, 2 pairs, 1 s a run:", "w2, 2 pairs, 1 s a run:"]
+    assert out.count("wall_s: parent 1 [1, 1]  change 0.5 [0.5, 0.5]  -50.0%  change better in 2/2") == 2

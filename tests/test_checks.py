@@ -3,7 +3,17 @@
 import hashlib
 import random
 
-from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials, random_a, random_weyl
+import pytest
+
+from weyltype.checks import (
+    MAX_SAMPLE_BOUND,
+    MAX_TRIALS,
+    SampleBounds,
+    max_trials,
+    random_a,
+    random_weyl,
+    randbelow,
+)
 from weyltype.operators import format_weyl
 from weyltype.scenario import bundled_scenario_names, load_bundled
 
@@ -22,6 +32,26 @@ def test_seeded_draws_are_pinned():
             h.update(f"{random_a(rng, ctx, sample, nonzero=k % 2 == 1)}\n".encode())
             h.update(f"{format_weyl(random_weyl(rng, ctx, sample, nonzero=k % 3 == 0))}\n".encode())
     assert h.hexdigest() == DRAWS_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, "draws"])
+def test_randbelow_draws_what_the_stdlib_draws(seed):
+    # Same value and same generator state after each draw, for randrange(n)
+    # and for the randint and choice calls the random_* functions used to make.
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for n in range(1, 71):
+        for _ in range(3):
+            assert randbelow(ours.getrandbits, n) == stdlib.randrange(n)
+        assert ours.random() == stdlib.random()
+    for _ in range(50):
+        assert randbelow(ours.getrandbits, 13) - 6 == stdlib.randint(-6, 6)
+        assert (-1, 1)[randbelow(ours.getrandbits, 2)] == stdlib.choice((-1, 1))
+    assert ours.getstate() == stdlib.getstate()
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            stdlib.randrange(n)
+        with pytest.raises(ValueError):
+            randbelow(ours.getrandbits, n)
 
 
 def test_trial_cap_keeps_the_default_bounds_and_shrinks_above_them():

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from weyltype import Context, FieldSpec, MultiIndex, RATIONAL, Window, probes, w_mul, wbasis
 from weyltype import coefficients, multiindex, operators
-from weyltype.coefficients import LAURENT, AElement, Monomial
-from weyltype.multiindex import binom_product, lower_set
+from weyltype.coefficients import LAURENT, ONE_MONOMIAL, AElement, Monomial
+from weyltype.multiindex import ZERO_INDEX, binom_product, lower_set
 from weyltype.operators import WeylElement, act, apply_multi, lie_bracket, wfrom_a
 from weyltype.checks import SampleBounds, random_a, random_multi_index, random_weyl
 from weyltype.parser import evaluate_text
@@ -449,6 +449,46 @@ def test_pruned_gamma_subtrees_are_never_built(weyl_q):
     assert depth == 2 and node.gamma == mk({0: 2})
 
 
+# A pair whose right coefficient is a constant c contributes only its
+# gamma = 0 term, since d^gamma(c) = 0 for gamma > 0, and nothing to a
+# bracket; the walk starts no gamma tree for it.
+
+
+@pytest.mark.parametrize("fixture_name", CONTEXTS)
+def test_constant_coefficient_pairs_match_the_reference(fixture_name, request):
+    ctx = request.getfixturevalue(fixture_name)
+    rng = random.Random(f"constants:{fixture_name}")
+    bounds = SampleBounds(max_degree=3, max_level=3, max_terms=3, n_variables=min(3, len(ctx.variables)))
+    d = [wbasis(ctx, MultiIndex.single(i)) for i in range(len(ctx.derivations))]
+    d1, d2 = d[0], d[min(1, len(d) - 1)]
+    power = wbasis(ctx, ZERO_INDEX)
+    for _ in range(8):  # d1^k * d1
+        assert w_mul(power, d1) == reference_w_mul(power, d1)
+        power = w_mul(power, d1)
+    total, power = sum(d[1:], d1), wbasis(ctx, ZERO_INDEX)
+    for _ in range(4):  # (d1 + ... + dn)^k * (d1 + ... + dn)
+        assert w_mul(power, total) == reference_w_mul(power, total)
+        power = w_mul(power, total)
+    two = wfrom_a(ctx.one() * 2)
+    for y in (d1, w_mul(d1, d2), two, d1 + two + wbasis(ctx, mk({0: 2}), ctx.var(ctx.variables[0].name))):
+        for _ in range(10):
+            x = random_weyl(rng, ctx, bounds) + d2.scale(3)
+            assert w_mul(x, y) == reference_w_mul(x, y)
+            assert w_mul(y, x) == reference_w_mul(y, x)
+            assert lie_bracket(x, y) == reference_w_mul(x, y) - reference_w_mul(y, x)
+            assert lie_bracket(y, x) == reference_w_mul(y, x) - reference_w_mul(x, y)
+
+
+def test_power_of_derivation_builds_no_gamma_tree(weyl_q, monkeypatch):
+    # d1^400 is 400 products d1^k * d1, each with the constant coefficient 1
+    # on the right: nothing is derived and no gamma tree grows below a root.
+    calls = _count_coefficient_work(monkeypatch)
+    assert evaluate_text("d1^400", weyl_q) == wbasis(weyl_q, mk({0: 400}))
+    assert calls["apply_multi"] == 0
+    roots = [weyl_q._gamma_trees[mk({0: k})] for k in range(400)]
+    assert all(root.children is None for root in roots)
+
+
 # Each context memoizes its monomial products, and each coefficient element
 # the raw terms of its derivatives d^gamma(v), so a repeated product or
 # action redoes no coefficient work.
@@ -538,7 +578,11 @@ def test_warm_memos_give_what_a_fresh_context_gives(spec, seed):
     # act(x, a) memoizes d^alpha(a) for every alpha of x, alpha = 0 included.
     assert all(alpha in (a._partials or {}) for alpha in x.terms)
     if x and y:
-        assert warm._products and next(iter(y.terms.values()))._partials is not None
+        assert warm._products
+    # x*y memoizes d^gamma(v) for gamma > 0, so for every v of y that is not a
+    # constant when x has a derivation term; a constant's are all zero.
+    if not x.is_a_only():
+        assert all(v._partials is not None for v in y.terms.values() if set(v.terms) != {ONE_MONOMIAL})
 
 
 def test_memos_shared_by_threads_give_single_threaded_results():
