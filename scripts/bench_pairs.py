@@ -12,11 +12,14 @@ speed does not favour one side.  For each workload and end-to-end metric
 the script prints both sides' median and quartiles, the change of the
 medians, the number of pairs the change won and, apart, the number tied,
 and whether the gap between the medians exceeds the parent's interquartile
-range.  A gain may be claimed only when the change wins at least nine pairs
-in ten, ties counting for neither side, and the gap exceeds that range.  The
-direction of each metric comes from the change checkout's BENCHMARK.json
-(lower is better when it does not say).  A run that prints no result stops
-the script with its standard error.
+range.  Each line ends in the metric's verdict: `gain` when the change wins
+at least nine pairs in ten, ties counting for neither side, and the gap
+exceeds that range; `regression` when the parent wins as often and the gap
+exceeds that range; else `no change`.  The direction of each metric comes
+from the change checkout's BENCHMARK.json (lower is better when it does not
+say).  A run that prints no result stops the script with its standard
+error.  Runs shorter than 10 s get a warning on standard error: 5 s runs
+could not resolve a few percent on probe_bundled.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_SECONDS = 10  # shorter runs get a warning
 
 
 def parse_result(stdout: str) -> dict:
@@ -45,6 +50,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(wins: int, losses: int, pairs: int, gap: float, spread: float) -> str:
+    """`gain`, `regression` or `no change`, by the claim rule and its mirror."""
+    if gap > spread:
+        if 10 * wins >= 9 * pairs:
+            return "gain"
+        if 10 * losses >= 9 * pairs:
+            return "regression"
+    return "no change"
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
     """Report lines for (parent result, change result) pairs of one workload."""
     lines = []
@@ -53,6 +68,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         change = [c["metrics"][name]["value"] for _, c in pairs]
         sign = -1 if better.get(name, "lower") == "lower" else 1
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
         ties = sum(1 for p, c in zip(parent, change) if c == p)
         pq1, pmed, pq3 = quartiles(parent)
         cq1, cmed, cq3 = quartiles(change)
@@ -63,7 +79,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
             f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  {delta}  "
             f"change better in {wins}/{len(pairs)}, tied in {ties}  "
             f"median gap {gap:.6g} {'exceeds' if gap > spread else 'within'} "
-            f"parent IQR {spread:.6g}"
+            f"parent IQR {spread:.6g}  {verdict(wins, losses, len(pairs), gap, spread)}"
         )
     for side, k in (("parent", 0), ("change", 1)):
         failed = sum(pair[k]["failed"] for pair in pairs)
@@ -130,6 +146,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.seconds < MIN_SECONDS:
+        print(f"warning: runs of {args.seconds:g} s are shorter than {MIN_SECONDS} s and may not "
+              "resolve a few percent", file=sys.stderr)
     spec = benchmark_spec(args.change)
     for workload in workload_names(args.workload, spec):
         pairs = compare(args.parent, args.change, workload, args.pairs, args.seconds, args.seed)

@@ -44,8 +44,9 @@ LAURENT = "laurent"
 
 DEFAULT_VARIABLE_CAP = 64
 
-# The monomial-product memo is cleared on a miss once it holds this many
-# entries; each entry is a pure function of its key, so only work changes.
+# The monomial-product memo and the derivative cache are each cleared on a
+# miss once they hold this many entries; each entry is a pure function of
+# its key, so only work changes.
 PRODUCT_MEMO_CAP = 1 << 15
 
 
@@ -74,14 +75,21 @@ def mul_terms(out: dict, left: dict, right: dict, products: dict, p: int | None,
         for m2, c2 in right.items():
             m = products.get((m1, m2))
             if m is None:
-                if len(products) >= PRODUCT_MEMO_CAP:
-                    products.clear()
-                m = products[(m1, m2)] = m1 * m2
+                m = memo_product(products, m1, m2)
             t = c1 * c2
             cur = out.get(m)
             if cur:
                 t = cur + t
             out[m] = t if p is None else t % p
+
+
+def memo_product(products: dict, m1: "Monomial", m2: "Monomial") -> "Monomial":
+    """m1 * m2, stored in the memo `products` on a miss of its lookup; the
+    memo is cleared first once it holds PRODUCT_MEMO_CAP entries."""
+    if len(products) >= PRODUCT_MEMO_CAP:
+        products.clear()
+    m = products[(m1, m2)] = m1 * m2
+    return m
 
 
 def nonzero(terms: dict) -> dict:
@@ -212,7 +220,8 @@ class Context:
         self._by_name: dict[str, VariableSpec] = {}
         self._der_by_name: dict[str, Derivation] = {}
         self._frozen = False
-        # (derivation index, m) -> raw terms of d(m).
+        # (derivation index, m) -> raw terms of d(m), at most
+        # PRODUCT_MEMO_CAP of them.
         self._dcache: dict[tuple[int, Monomial], dict[Monomial, object]] = {}
         # (derivation index, variable index) -> raw terms of d(x_i).
         self._images: dict[tuple[int, int], dict[Monomial, object]] = {}
@@ -407,6 +416,8 @@ class Context:
             if c:  # e may vanish in characteristic p
                 rest = Monomial(merge_exponents(m.exps, ((i, 1),), -1))
                 mul_terms(out, {rest: c}, image, self._products, p)
+        if len(self._dcache) >= PRODUCT_MEMO_CAP:
+            self._dcache.clear()
         out = self._dcache[key] = nonzero(out)
         return out
 

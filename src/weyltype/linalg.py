@@ -19,6 +19,14 @@ subtractions, in the same order, as a sweep over every row.
 Likewise an insertion clears its new pivot column only from the rows that
 hold it, which a non-pivot column -> holder pivots index lists; the index
 is updated for every row a subtraction changes, and may keep empty sets.
+
+A one-entry vector {j: c} on a column j that is not yet a pivot is its own
+residue, and its RREF row is the unit row {j: 1}: add stores that and
+deletes column j from the rows that hold it, with no reduction, scaling or
+inverse.  The unit row holds the int 1 also when c is a Scalar, which the
+Scalar operators take as the field's one.  A one-entry vector on a pivot
+column is reduced as any other, since that pivot's row may hold more
+entries.  Many of theta_kernel's constraint rows take this path.
 """
 
 from __future__ import annotations
@@ -73,6 +81,13 @@ class RowReducer:
 
     def add(self, vec: dict) -> bool:
         """Insert vec's residue as a new pivot row; False if already in span."""
+        if len(vec) == 1:
+            (pivot,) = vec
+            if pivot not in self._by_pivot:
+                for k in self._holders.pop(pivot, ()):
+                    del self._by_pivot[k][pivot]
+                self._by_pivot[pivot] = {pivot: 1}
+                return True
         work = self.reduce(vec)
         if not work:
             return False
@@ -114,10 +129,15 @@ def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
     rows reach full column rank the kernel is {0} whatever rows follow, so
     iteration stops there and the remaining rows are never produced.
     """
+    return kernel_reducer(constraints, ncols, spec).vectors()
+
+
+def kernel_reducer(constraints, ncols: int, spec: FieldSpec) -> RowReducer:
+    """A reducer whose rows are nullspace's canonical kernel basis."""
     red = RowReducer(spec)
     for row in constraints:
         if red.add(row) and red.rank == ncols:
-            return []
+            return RowReducer(spec)
     # Free column f spans the vector that is 1 at f and -row[f] at each pivot.
     by_pivot, p = red._by_pivot, spec.p
     kernel = {f: {f: 1} for f in range(ncols) if f not in by_pivot}
@@ -129,4 +149,4 @@ def nullspace(constraints, ncols: int, spec: FieldSpec) -> list[dict]:
     canon = RowReducer(spec)
     for vec in kernel.values():
         canon.add(vec)
-    return canon.vectors()
+    return canon

@@ -73,12 +73,12 @@ from .coefficients import (
     POLYNOMIAL,
     add_terms,
     format_monomial,
-    monomial_sort_key,
+    memo_product,
     mul_terms,
     nonzero,
 )
 from .errors import BasisCapError, UsageError, ValidationError
-from .linalg import RowReducer, nullspace
+from .linalg import RowReducer, kernel_reducer, nullspace
 from .multiindex import MultiIndex, ZERO_INDEX
 from .operators import (
     WeylElement,
@@ -159,17 +159,14 @@ class Window(NamedTuple):
                 return lo, hi
         return (0, 0)  # variables created after the window was built
 
-    def guard(self, ctx: Context) -> tuple[int, frozenset]:
+    def guard(self, ctx: Context, mons: list | None = None) -> tuple[int, frozenset]:
         """The (max_level, monomials) guard under which lie_bracket is None for
         a bracket that leaves the window; it agrees with weyl_coords over
         ad_basis, so a variable created after the window falls outside."""
-        return self.max_level, frozenset(self.a_basis(ctx))
+        return self.max_level, frozenset(self.a_basis(ctx) if mons is None else mons)
 
     def a_basis_size(self) -> int:
-        n = 1
-        for _, lo, hi in self.bounds:
-            n *= hi - lo + 1
-        return n
+        return math.prod(hi - lo + 1 for _, lo, hi in self.bounds)
 
     def _check_cap(self, count: int, what: str) -> None:
         """Refuse to enumerate more than basis_cap elements of one basis."""
@@ -179,14 +176,12 @@ class Window(NamedTuple):
     def a_basis(self, ctx: Context) -> list[Monomial]:
         """Window coefficient monomials, ascending in the graded print order."""
         self._check_cap(self.a_basis_size(), "coefficient monomials")
-        idxs = [i for i, _, _ in self.bounds]
-        ranges = [range(lo, hi + 1) for _, lo, hi in self.bounds]
-        out = [
-            Monomial.make(dict(zip(idxs, choice)))
-            for choice in itertools.product(*ranges)
-        ]
-        out.sort(key=monomial_sort_key)
-        return out
+        # The bounds ascend by variable index, so each exps tuple is sorted,
+        # and (degree, exps) is monomial_sort_key.
+        ranges = [[((i, e),) if e else () for e in range(lo, hi + 1)] for i, lo, hi in self.bounds]
+        keyed = [(sum(abs(e) for _, e in exps), exps)
+                 for exps in (sum(choice, ()) for choice in itertools.product(*ranges))]
+        return [Monomial(exps) for _, exps in sorted(keyed)]
 
     def multi_indices(self, ctx: Context) -> list[MultiIndex]:
         """All derivation multi-indices up to the level bound, ascending; their
@@ -199,18 +194,19 @@ class Window(NamedTuple):
                 out.append(MultiIndex.make(dict(enumerate(combo))))
         return out
 
-    def ad_basis(self, ctx: Context) -> list[tuple[MultiIndex, Monomial]]:
+    def ad_basis(self, ctx: Context, mons: list | None = None) -> list[tuple[MultiIndex, Monomial]]:
         multis = self.multi_indices(ctx)
         self._check_cap(self.a_basis_size() * len(multis), "operator basis elements")
-        mons = self.a_basis(ctx)
+        mons = self.a_basis(ctx) if mons is None else mons
         return [(alpha, m) for alpha in multis for m in mons]
 
-    def pieces(self, ctx: Context) -> Counter | None:
-        """The number of operator basis labels in each graded piece, keyed by
-        degree (Context.degree); None when the context has no grading."""
+    def pieces(self, ctx: Context, labels: list | None = None) -> Counter | None:
+        """The number of ad_basis `labels` in each graded piece, keyed by degree
+        (Context.degree); None when the context has no grading."""
         if ctx.grading is None:
             return None
-        return Counter(ctx.degree(alpha, m) for alpha, m in self.ad_basis(ctx))
+        labels = self.ad_basis(ctx) if labels is None else labels
+        return Counter(ctx.degree(alpha, m) for alpha, m in labels)
 
     def interior(self, margin: Fraction) -> "Window":
         """Shrink every bound by the margin fraction, truncating toward zero."""
@@ -246,13 +242,6 @@ class SubspaceBasis:
         self.labels = list(labels)
         self.reducer = reducer
         self.index = {label: j for j, label in enumerate(self.labels)}
-
-    @staticmethod
-    def from_vectors(labels: list, vectors, spec) -> "SubspaceBasis":
-        red = RowReducer(spec)
-        for vec in vectors:
-            red.add(vec)
-        return SubspaceBasis(labels, red)
 
     @property
     def dim(self) -> int:
@@ -357,8 +346,7 @@ def compute_f1(ctx: Context, window: Window) -> SubspaceBasis:
         for j, m in enumerate(labels):
             for rm, c in ctx._monomial_derivative(d, m).items():
                 rows.setdefault((d.index, rm), {})[j] = c
-    kernel = nullspace(rows.values(), len(labels), ctx.spec)
-    return SubspaceBasis.from_vectors(labels, kernel, ctx.spec)
+    return SubspaceBasis(labels, kernel_reducer(rows.values(), len(labels), ctx.spec))
 
 
 # -- faithfulness -------------------------------------------------------------
@@ -385,7 +373,11 @@ def _outside_products(ctx: Context, window: Window, box: set):
 
 def _action_block(ctx: Context, multis: list, coeffs: list, a: AElement) -> dict:
     """{row monomial: {j: value}} of column j = coeffs[j % n]*d^multis[j // n]
-    acting on a, n = len(coeffs)."""
+    acting on a, n = len(coeffs).
+
+    A coefficient is a term dict or a Monomial u standing for {u: 1}, whose
+    column holds c at u*m for each term c*m of d^alpha(a): the u*m are
+    distinct and d^alpha(a) holds no zero, so no sum is formed."""
     p, products, n = ctx.spec.p, ctx._products, len(coeffs)
     block = {}
     for k, alpha in enumerate(multis):
@@ -393,6 +385,11 @@ def _action_block(ctx: Context, multis: list, coeffs: list, a: AElement) -> dict
         if not dv:
             continue
         for j, u in enumerate(coeffs, k * n):
+            if u.__class__ is Monomial:
+                for m, c in dv.items():
+                    rm = products.get((u, m)) or memo_product(products, u, m)
+                    block.setdefault(rm, {})[j] = c
+                continue
             out = {}
             mul_terms(out, u, dv, products, p)
             for rm, c in nonzero(out).items():
@@ -409,7 +406,8 @@ def theta_kernel(
     """Kernel of the action map on the window operators.
 
     Columns are the window operator basis (or, in the restricted variant,
-    kernel-coefficient multiples of the derivation monomials).  The
+    kernel-coefficient multiples of the derivation monomials); the labels of
+    `f1`, the window's compute_f1, built when not given, are its a_basis.  The
     constraint rows say that a column combination kills every window
     coefficient monomial and then every product of at most max_level
     generators (the variables, and the inverses of the Laurent ones) that
@@ -430,13 +428,12 @@ def theta_kernel(
     verdict and are never acted on.  A nonzero kernel consumes every row,
     so its witnesses are those of the full matrix.
     """
-    a_labels = window.a_basis(ctx)
+    if f1 is None and restrict_to_f1:
+        f1 = compute_f1(ctx, window)
+    a_labels = window.a_basis(ctx) if f1 is None else f1.labels
     multis = window.multi_indices(ctx)
-    if restrict_to_f1:
-        base = f1 if f1 is not None else compute_f1(ctx, window)
-        coeffs = [a_from_coords(ctx, base.labels, vec).terms for vec in base.vectors()]
-    else:
-        coeffs = [{m: 1} for m in a_labels]
+    coeffs = ([{a_labels[j]: c for j, c in vec.items()} for vec in f1.vectors()]
+              if restrict_to_f1 else a_labels)
     n = len(coeffs)
     ncols = n * len(multis)
     window._check_cap(ncols, "operator basis elements")
@@ -448,11 +445,12 @@ def theta_kernel(
     kernel = nullspace(constraint_rows(), ncols, ctx.spec)
     coverage = Fraction(ncols - len(kernel), ncols) if ncols else Fraction(1)
     if kernel:
+        terms = coeffs if restrict_to_f1 else [{m: 1} for m in coeffs]
         witness = []
         for vec in kernel:
             buckets: dict[MultiIndex, dict] = {}
             for j, c in vec.items():
-                add_terms(buckets.setdefault(multis[j // n], {}), coeffs[j % n], ctx.spec.p, c)
+                add_terms(buckets.setdefault(multis[j // n], {}), terms[j % n], ctx.spec.p, c)
             witness.append(_from_buckets(ctx, buckets))
         shift = any(d.shift_prefix is not None for d in ctx.derivations)
         note = WINDOW_EVIDENCE_NOTE if shift else ""
@@ -645,9 +643,10 @@ class ClosureTables(NamedTuple):
     pieces: Counter | None
 
 
-def closure_tables(ctx: Context, window: Window) -> ClosureTables:
-    labels = window.ad_basis(ctx)
-    pieces = window.pieces(ctx)
+def closure_tables(ctx: Context, window: Window, mons: list | None = None) -> ClosureTables:
+    mons = window.a_basis(ctx) if mons is None else mons
+    labels = window.ad_basis(ctx, mons)
+    pieces = window.pieces(ctx, labels)
     gens, by_degree = [], None if pieces is None else {}
     for alpha, m in labels:
         if alpha.is_zero() and m.is_one():
@@ -661,7 +660,7 @@ def closure_tables(ctx: Context, window: Window) -> ClosureTables:
             by_degree.setdefault(ctx.degree(alpha, m), []).append(len(gens))
         gens.append((name, g, _generator_shift(g, window)))
     index = {lab: j for j, lab in enumerate(labels)}
-    return ClosureTables(labels, index, gens, by_degree, window.guard(ctx), pieces)
+    return ClosureTables(labels, index, gens, by_degree, window.guard(ctx, mons), pieces)
 
 
 def _degrees(x: WeylElement) -> frozenset:

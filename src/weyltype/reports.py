@@ -78,10 +78,12 @@ def build_report(scenario: Scenario, verdicts: list | None = None) -> dict:
         "probes": [],
     }
     all_expected = True
+    # The window's a_basis is built once, as f1's labels, and shared with
+    # theta_kernel (through f1) and the closure tables.
     tables = None  # built once, for the first operator closure probe
     for request in scenario.probes:
         if tables is None and request.kind in ("assoc_closure", "lie_closure"):
-            tables = closure_tables(ctx, window)
+            tables = closure_tables(ctx, window, f1.labels)
         verdict = run_probe(scenario, request, f1, tables)
         if verdicts is not None:
             verdicts.append(verdict)

@@ -45,9 +45,9 @@ def test_summary_gives_medians_quartiles_and_wins():
     lines = bench_pairs.summarize(pairs, {"wall_s": "lower", "peak_rss_mib": "lower"})
     assert lines == [
         "wall_s: parent 0.12 [0.105, 0.135]  change 0.09 [0.075, 0.11]  -25.0%  "
-        "change better in 4/5, tied in 0  median gap 0.03 within parent IQR 0.03",
+        "change better in 4/5, tied in 0  median gap 0.03 within parent IQR 0.03  no change",
         "peak_rss_mib: parent 29 [29, 29]  change 30 [30, 30]  +3.4%  "
-        "change better in 0/5, tied in 0  median gap 1 exceeds parent IQR 0",
+        "change better in 0/5, tied in 0  median gap 1 exceeds parent IQR 0  regression",
         "parent failed 0 of 50 items",
         "change failed 1 of 50 items",
     ]
@@ -56,9 +56,9 @@ def test_summary_gives_medians_quartiles_and_wins():
 def test_summary_follows_the_metric_direction():
     pairs = [(json.loads(result_line(1.0, 1.0)), json.loads(result_line(2.0, 1.0)))]
     (wall, rss, *_) = bench_pairs.summarize(pairs, {"wall_s": "higher"})
-    assert wall.endswith("+100.0%  change better in 1/1, tied in 0  median gap 1 exceeds parent IQR 0")
+    assert wall.endswith("+100.0%  change better in 1/1, tied in 0  median gap 1 exceeds parent IQR 0  gain")
     assert wall.startswith("wall_s: parent 1 [1, 1]  change 2 [2, 2]")
-    assert rss.endswith("+0.0%  change better in 0/1, tied in 1  median gap 0 within parent IQR 0")
+    assert rss.endswith("+0.0%  change better in 0/1, tied in 1  median gap 0 within parent IQR 0  no change")
 
 
 def test_summary_counts_ties_apart_from_wins_and_applies_the_claim_rule():
@@ -69,12 +69,36 @@ def test_summary_counts_ties_apart_from_wins_and_applies_the_claim_rule():
     walls = [(1.0, 0.5), (2.0, 2.0), (3.0, 1.0), (4.0, 5.0)]
     pairs = [(json.loads(result_line(p, 29.0)), json.loads(result_line(c, 29.0))) for p, c in walls]
     wall, rss, *_ = bench_pairs.summarize(pairs, {})
-    assert wall.endswith("change better in 2/4, tied in 1  median gap 1 within parent IQR 2.5")
-    assert rss.endswith("change better in 0/4, tied in 4  median gap 0 within parent IQR 0")
+    assert wall.endswith("change better in 2/4, tied in 1  median gap 1 within parent IQR 2.5  no change")
+    assert rss.endswith("change better in 0/4, tied in 4  median gap 0 within parent IQR 0  no change")
     pairs = [(json.loads(result_line(p, 29.0)), json.loads(result_line(0.5, 29.0)))
              for p in (1.0, 1.1, 1.2, 1.3)]
     wall, *_ = bench_pairs.summarize(pairs, {})
-    assert wall.endswith("change better in 4/4, tied in 0  median gap 0.65 exceeds parent IQR 0.25")
+    assert wall.endswith("change better in 4/4, tied in 0  median gap 0.65 exceeds parent IQR 0.25  gain")
+
+
+@pytest.mark.parametrize(
+    "wins, losses, gap, spread, expected",
+    [
+        (9, 1, 2.0, 1.0, "gain"),
+        (9, 0, 2.0, 1.0, "gain"),  # a tie counts for neither side
+        (8, 0, 2.0, 1.0, "no change"),
+        (10, 0, 1.0, 1.0, "no change"),  # the gap must exceed the parent's IQR
+        (1, 9, 2.0, 1.0, "regression"),
+        (0, 8, 2.0, 1.0, "no change"),
+        (0, 10, 0.5, 1.0, "no change"),
+    ],
+)
+def test_verdict_applies_the_claim_rule_and_its_mirror(wins, losses, gap, spread, expected):
+    assert bench_pairs.verdict(wins, losses, 10, gap, spread) == expected
+
+
+def test_summary_reads_regression_when_the_parent_wins_nine_in_ten():
+    walls = [(1.0 + k / 100, 2.0 + k / 100) for k in range(9)] + [(1.5, 1.0)]
+    pairs = [(json.loads(result_line(p, 29.0)), json.loads(result_line(c, 29.0))) for p, c in walls]
+    wall, *_ = bench_pairs.summarize(pairs, {})
+    assert "change better in 1/10, tied in 0" in wall
+    assert wall.endswith("  regression")
 
 
 def test_workload_names_expand_all_and_keep_the_first_of_repeats():
@@ -105,7 +129,19 @@ def test_main_prints_one_block_per_workload(tmp_path, monkeypatch, capsys):
         ("parent", "w1", 5), (change_name, "w1", 5), (change_name, "w1", 6), ("parent", "w1", 6),
         ("parent", "w2", 5), (change_name, "w2", 5), (change_name, "w2", 6), ("parent", "w2", 6),
     ]
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: runs of 1 s are shorter than 10 s")
+    out = captured.out
     blocks = [line for line in out.splitlines() if not line.startswith(" ")]
     assert [b for b in blocks if "pairs," in b] == ["w1, 2 pairs, 1 s a run:", "w2, 2 pairs, 1 s a run:"]
     assert out.count("wall_s: parent 1 [1, 1]  change 0.5 [0.5, 0.5]  -50.0%  change better in 2/2") == 2
+
+
+def test_main_warns_only_for_runs_shorter_than_ten_seconds(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s"}]}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: json.loads(result_line(1.0, 29.0)))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w", "--pairs", "1"]
+    assert bench_pairs.main(argv + ["--seconds", "9.5"]) == 0
+    assert "shorter than 10 s" in capsys.readouterr().err
+    assert bench_pairs.main(argv + ["--seconds", "10"]) == 0
+    assert capsys.readouterr().err == ""

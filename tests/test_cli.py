@@ -139,7 +139,7 @@ def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, monkeypatch
     requests = load_bundled(name).probes
     for skip in (True, False):
         if not skip:  # the graded skip off: every step is formed
-            monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+            monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
         code, out, err = run_cli(capsys, "probe", "--stats", "--scenario", str(bundled_scenario_path(name)))
         assert code == 0
         assert out.encode("ascii") == _golden_report(name)
@@ -294,6 +294,24 @@ def test_capped_product_memo_changes_no_verify_output(capsys, monkeypatch):
     capped = run()
     assert capped[:3] == (code, out, err) and code == 0
     assert capped[3] <= 64 < uncapped
+
+
+def test_capped_memos_change_no_report(capsys, monkeypatch):
+    # Both coefficient memos, the monomial products and the derivative cache,
+    # start over at the cap; with a cap of 4 they start over all the time,
+    # which changes the work but no report byte.
+    loaded = []
+    load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda p: loaded.append(load(p)) or loaded[-1])
+    monkeypatch.setattr(coefficients, "PRODUCT_MEMO_CAP", 4)
+    for name in ALL_SCENARIOS:
+        code, out, _ = run_cli(capsys, "probe", "--scenario", str(bundled_scenario_path(name)))
+        assert code == 0 and out.encode("ascii") == _golden_report(name)
+    _assert_matches_recorded_digest(capsys, "closure_wide")
+    _assert_matches_recorded_digest(capsys, "action_wide")
+    assert len(loaded) == len(ALL_SCENARIOS) + 2
+    for scenario in loaded:
+        assert len(scenario.ctx._dcache) <= 4 and len(scenario.ctx._products) <= 4
 
 
 def test_verify_zero_trials_vacuous(capsys, s_weyl):

@@ -93,7 +93,7 @@ def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
     # product they form fits the window; the graded skip forms fewer still.
     formed, unskipped = ASSOC_WORK[name]
     assert _assoc_work(_load(name), monkeypatch)[0] == formed
-    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
     assert _assoc_work(_load(name), monkeypatch) == unskipped
 
 
@@ -113,7 +113,7 @@ def test_graded_skip_changes_no_report_and_no_step_chain(name, monkeypatch):
     # the walk that forms every step gives the same bytes and chains, tries
     # and accepts the same steps, and ends those it skips in the other ways.
     report, chains, stats = _report_chains_and_stats(name)
-    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx: None)
+    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
     unskipped_report, unskipped_chains, unskipped_stats = _report_chains_and_stats(name)
     assert (unskipped_report, unskipped_chains) == (report, chains)
     for on, off in zip(stats, unskipped_stats):
@@ -140,9 +140,9 @@ def test_one_report_builds_the_closure_tables_once(monkeypatch):
     built = [0]
     original = probes.closure_tables
 
-    def counted(ctx, window):
+    def counted(ctx, window, mons=None):
         built[0] += 1
-        return original(ctx, window)
+        return original(ctx, window, mons)
 
     monkeypatch.setattr(probes, "closure_tables", counted)
     monkeypatch.setattr(reports, "closure_tables", counted)
@@ -162,3 +162,22 @@ def test_one_report_builds_the_closure_tables_once(monkeypatch):
     for request, verdict in closures:
         assert summary(reports.run_probe(scenario, request, f1)) == summary(verdict)
     assert built[0] == 1 + len(closures)
+
+
+@pytest.mark.parametrize("name", ["action_wide", "closure_wide", "weyl_polynomial"])
+def test_one_report_builds_the_window_basis_once(name, monkeypatch):
+    # compute_f1 builds the window's coefficient basis, and theta_kernel and
+    # the closure tables read it from f1; only d_simplicity builds its own.
+    # The interior window of lie_closure is another window.
+    scenario = _load(name)
+    built = []
+    original = probes.Window.a_basis
+
+    def counted(window, ctx):
+        built.append(window)
+        return original(window, ctx)
+
+    monkeypatch.setattr(probes.Window, "a_basis", counted)
+    build_report(scenario)
+    kinds = [r.kind for r in scenario.probes]
+    assert built.count(scenario.window) == 1 + kinds.count("d_simplicity")

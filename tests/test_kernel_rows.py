@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from weyltype import Window, probes
-from weyltype.coefficients import Derivation, monomial_sort_key
+from weyltype.coefficients import Derivation, Monomial, monomial_sort_key
 from weyltype.linalg import nullspace
 from weyltype.operators import WeylElement, act, format_weyl, wbasis
 from weyltype.probes import KERNEL_NONZERO, KERNEL_ZERO, a_from_coords, compute_f1, theta_kernel
@@ -110,17 +110,41 @@ def variable_names(ctx):
     return [v.name for v in ctx.variables]
 
 
+def theta_coeffs(name, restrict):
+    """The column coefficients theta_kernel hands _action_block, on a load
+    of its own; Monomials belong to no context, so they serve any load."""
+    seen = []
+    block = probes._action_block
+
+    def record(ctx, multis, coeffs, a):
+        seen.append(coeffs)
+        return block(ctx, multis, coeffs, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probes, "_action_block", record)
+        scenario = load(name)
+        theta_kernel(scenario.ctx, scenario.window, restrict_to_f1=restrict)
+    assert all(coeffs is seen[0] for coeffs in seen)
+    return seen[0]
+
+
 @pytest.mark.parametrize("restrict", [False, True])
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_rows_per_monomial_equal_the_act_oracle(name, restrict):
+    # Every monomial's block is built from the coefficients theta_kernel
+    # uses: window Monomials, which take _action_block's monomial path, or
+    # f1's coefficient term dicts.
     new, old = load(name), load(name)
     ctx, window = new.ctx, new.window
     multis = window.multi_indices(ctx)
+    coeffs = theta_coeffs(name, restrict)
     if restrict:
         f1 = compute_f1(ctx, window)
-        coeffs = [a_from_coords(ctx, f1.labels, vec).terms for vec in f1.vectors()]
+        assert coeffs == [a_from_coords(ctx, f1.labels, vec).terms for vec in f1.vectors()]
+        assert all(type(u) is dict for u in coeffs)
     else:
-        coeffs = [{m: 1} for m in window.a_basis(ctx)]
+        assert coeffs == window.a_basis(ctx)
+        assert all(type(u) is Monomial for u in coeffs)
     columns = oracle_columns(old.ctx, old.window, restrict)
     assert len(columns) == len(multis) * len(coeffs)
     blocks = list(oracle_blocks(old.ctx, old.window, columns))

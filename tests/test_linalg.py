@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,3 +267,58 @@ def test_nullspace_does_not_depend_on_the_row_order(case):
     again = nullspace(iter(permuted), ncols, spec)
     assert [ordered(v) for v in again] == [ordered(v) for v in kernel]
     assert_canonical_rows(spec, kernel)
+
+
+def check_against_sweep(spec, script, box=False):
+    """Run (vec, expected add result) inserts on RowReducer and SweepReducer;
+    with `box` the RowReducer gets Scalar rows too, as perfbench/micro.py
+    gives it."""
+    red, oracle = RowReducer(spec), SweepReducer(spec)
+    for vec, accepted in script:
+        assert red.add(boxed(spec, vec) if box else vec) is accepted
+        assert oracle.add(boxed(spec, vec)) is accepted
+        assert [ordered(v) for v in red.vectors()] == [ordered(v) for v in oracle.vectors()]
+        assert holder_index(red) == holders_of(zip(red.pivots(), red.vectors()))
+    return red
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, F5])
+def test_unit_row_on_a_free_column_clears_it_from_its_holders(spec):
+    red = check_against_sweep(spec, [
+        ({0: 1, 2: 3, 3: 1}, True),
+        ({1: 2, 2: 4}, True),
+        ({2: 3}, True),  # column 2 is free, held by both rows
+        ({3: 2}, True),  # column 3 is free, held by row 0 only
+    ])
+    assert red.vectors() == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    assert holder_index(red) == {}
+
+
+@pytest.mark.parametrize("spec", [RATIONAL, F5])
+def test_one_entry_on_a_pivot_column_is_reduced_like_any_vector(spec):
+    # Pivot 0's row also holds column 2, so {0: 4} leaves the residue
+    # -12 at column 2 and is accepted; a pivot's unit row spans {1: 3}.
+    red = check_against_sweep(spec, [
+        ({0: 1, 2: 3}, True),
+        ({1: 1}, True),
+        ({0: 4}, True),
+        ({1: 3}, False),
+        ({2: 2}, False),
+    ])
+    assert red.vectors() == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_one_entry_scalar_rows_reduce_like_plain_ones():
+    # The unit row of a one-entry Scalar row holds the int 1; later Scalar
+    # rows are reduced against it as against any row.
+    row = {j: Fraction(j + 1, 3) for j in range(5)}
+    red = check_against_sweep(RATIONAL, [
+        (row, True),
+        ({2: Fraction(-7, 2)}, True),
+        ({1: Fraction(5, 4), 4: 2}, True),
+        ({4: Fraction(1, 9)}, True),
+        ({2: Fraction(3, 5), 4: 1}, False),
+        ({0: 2, 3: 8}, False),
+    ], box=True)
+    assert [ordered(v) for v in red.vectors()] == [[(0, 1), (3, 4)], [(1, 1)], [(2, 1)], [(4, 1)]]
+    assert [type(v[p]) for p, v in zip(red.pivots(), red.vectors())] == [Scalar, Scalar, int, int]

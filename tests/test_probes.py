@@ -675,7 +675,7 @@ def _unguarded(bracket):
 def skip_off(monkeypatch):
     """Turn the graded skip of both closure walks off: every window reads as ungraded,
     so the walk forms every step."""
-    monkeypatch.setattr(Window, "pieces", lambda self, ctx: None)
+    monkeypatch.setattr(Window, "pieces", lambda self, ctx, labels=None: None)
 
 
 def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None, room=None):

@@ -125,7 +125,7 @@ def test_probe_stats_lines_are_unchanged(capsys, monkeypatch):
     for on, off in SKIP_COUNTS:
         assert unskipped.count(on) == 1
         unskipped = unskipped.replace(on, off)
-    monkeypatch.setattr(Window, "pieces", lambda self, ctx: None)
+    monkeypatch.setattr(Window, "pieces", lambda self, ctx, labels=None: None)
     assert main(["probe", "--scenario", path, "--stats"]) == 0
     assert capsys.readouterr().err == unskipped
 
