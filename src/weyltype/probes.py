@@ -49,7 +49,10 @@ stop is the case in which every piece is full.  With an inhomogeneous seed
 only the empty pieces are skipped.  The symbol test runs on every
 generator that is formed, and on an ungraded window (Context.grading is
 None) it is the only test that decides assoc_closure's discards before
-forming a product.
+forming a product.  The skip runs on integer piece ids (closure_tables):
+a walk reads an element's pieces from the columns of its coordinates and
+computes no degree, and the plans of which generators can land where are
+shared by every walk on the same tables.
 
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from operator import add
 from typing import NamedTuple
@@ -188,11 +190,8 @@ class Window(NamedTuple):
         count is checked against the cap before any is listed."""
         n = len(ctx.derivations)
         self._check_cap(math.comb(self.max_level + n, n), "derivation multi-indices")
-        out = []
-        for total in range(self.max_level + 1):
-            for combo in _compositions(total, n):
-                out.append(MultiIndex.make(dict(enumerate(combo))))
-        return out
+        return [MultiIndex.make(dict(enumerate(combo)))
+                for total in range(self.max_level + 1) for combo in _compositions(total, n)]
 
     def ad_basis(self, ctx: Context, mons: list | None = None) -> list[tuple[MultiIndex, Monomial]]:
         multis = self.multi_indices(ctx)
@@ -200,13 +199,15 @@ class Window(NamedTuple):
         mons = self.a_basis(ctx) if mons is None else mons
         return [(alpha, m) for alpha in multis for m in mons]
 
-    def pieces(self, ctx: Context, labels: list | None = None) -> Counter | None:
-        """The number of ad_basis `labels` in each graded piece, keyed by degree
-        (Context.degree); None when the context has no grading."""
+    def pieces(self, ctx: Context, labels: list | None = None) -> tuple[list, dict] | None:
+        """The graded pieces of the ad_basis `labels`: the piece id of each
+        label and {degree (Context.degree): piece id}, ids counting up in
+        order of first label; None when the context has no grading."""
         if ctx.grading is None:
             return None
         labels = self.ad_basis(ctx) if labels is None else labels
-        return Counter(ctx.degree(alpha, m) for alpha, m in labels)
+        ids: dict = {}
+        return [ids.setdefault(ctx.degree(alpha, m), len(ids)) for alpha, m in labels], ids
 
     def interior(self, margin: Fraction) -> "Window":
         """Shrink every bound by the margin fraction, truncating toward zero."""
@@ -297,8 +298,9 @@ class ClosureStep(NamedTuple):
 
     op: str
     generator: str
-    parent: int  # index into the accepted list; -1 means the seed
+    parent: int  # index into [seed, *steps]; -1 for the seed's own entry in _closure
     element: object
+    pieces: frozenset | None = None  # the element's piece ids; None when ungraded
 
 
 class ProbeStats:
@@ -397,12 +399,8 @@ def _action_block(ctx: Context, multis: list, coeffs: list, a: AElement) -> dict
     return block
 
 
-def theta_kernel(
-    ctx: Context,
-    window: Window,
-    restrict_to_f1: bool = False,
-    f1: SubspaceBasis | None = None,
-) -> ProbeVerdict:
+def theta_kernel(ctx: Context, window: Window, restrict_to_f1: bool = False,
+                 f1: SubspaceBasis | None = None) -> ProbeVerdict:
     """Kernel of the action map on the window operators.
 
     Columns are the window operator basis (or, in the restricted variant,
@@ -462,24 +460,25 @@ def theta_kernel(
 
 
 def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central=None,
-             room=None):
+             grading=None):
     """Breadth-first closure of the seed inside a window, with discard semantics.
 
     `index` maps each label of the window basis to its column and
     `coords(z, index)` gives an element's coordinates over that basis, or
     None when the element leaves the window.
-    `expand(elem)` yields the `(op, generator name, result)` of every closure
-    step from one accepted element, in a fixed order; a result of None says
-    the step left the window, and an int n in place of a step counts n steps
-    skipped unformed.
+    `expand(elem, pieces)` yields the `(op, generator name, result)` of
+    every closure step from one accepted element, in a fixed order; a
+    result of None says the step left the window, and an int n in place of
+    a step counts n steps skipped unformed.
     Results that are zero or leave the window are dropped, never projected.
     A seed lying in `central` (a SubspaceBasis) is refused.
 
-    `room`, for a graded window of operators, maps each piece's degree to its
-    size.  With a homogeneous seed every accepted element is homogeneous,
-    and the walk keeps each entry at size - rank by taking one from the
-    piece of each element it accepts, the seed included; `expand` may read
-    it.
+    `grading`, for a graded window of operators, is (piece_of, room): the
+    piece id of each column and a list of each piece's size.  The walk keeps
+    each element's frozenset of piece ids (else None) for `expand`.  With a
+    homogeneous seed every accepted element lies in the one piece of any of
+    its columns, and the walk keeps each entry of room at size - rank by
+    taking one for each element it accepts, the seed included.
 
     The walk stops for one of three reasons, checked in this order after
     seeding and after each accepted step:
@@ -505,19 +504,20 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
 
     red = RowReducer(ctx.spec)
     red.add(seed_vec)
-    accepted = [seed]
-    steps: list[ClosureStep] = []
+    piece_of, room = grading or (None, None)
+    pieces = None if piece_of is None else frozenset([piece_of[j] for j in seed_vec])
+    accepted = [ClosureStep("", "", -1, seed, pieces)]  # the seed, then the steps
     stats = ProbeStats(ranks=[red.rank])
-    graded = room is not None and len(_degrees(seed)) == 1
-    if graded:
-        (degree,) = _degrees(seed)
-        room[degree] -= 1
+    homogeneous = room is not None and len(pieces) == 1
+    if homogeneous:
+        room[next(iter(pieces))] -= 1
+    singles = {}  # piece id -> its one frozenset, shared by a homogeneous walk
 
     def done(reason: str):
         if stats.ranks[-1] != red.rank:
             stats.ranks.append(red.rank)
         stats.stop = reason
-        return red, steps, stats
+        return red, accepted[1:], stats
 
     stop_vec = None if stop is None else {index[stop]: 1}
     if stop_vec is not None and red.contains(stop_vec):
@@ -528,7 +528,8 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for step in expand(accepted[pi]):
+            parent = accepted[pi]
+            for step in expand(parent.element, parent.pieces):
                 if step.__class__ is int:
                     stats.tried += step
                     stats.skipped += step
@@ -546,11 +547,13 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
                     stats.in_span += 1
                     continue
                 stats.accepted += 1
-                if graded:
-                    (degree,) = _degrees(z)
-                    room[degree] -= 1
-                accepted.append(z)
-                steps.append(ClosureStep(op, gname, pi, z))
+                if homogeneous:
+                    piece = piece_of[next(iter(vec))]
+                    room[piece] -= 1
+                    pieces = singles.setdefault(piece, frozenset((piece,)))
+                elif piece_of is not None:
+                    pieces = frozenset([piece_of[j] for j in vec])
+                accepted.append(ClosureStep(op, gname, pi, z, pieces))
                 next_frontier.append(len(accepted) - 1)
                 if stop_vec is not None and red.contains(stop_vec):
                     return done(STOP_IDENTITY)
@@ -562,10 +565,10 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
 
 
 def _identity_closure(ctx: Context, seed, labels: list, index: dict, coords, from_coords, expand,
-                      stop, room=None) -> ProbeVerdict:
+                      stop, grading=None) -> ProbeVerdict:
     """The verdict of a probe that closes the seed until its span holds the
     `stop` label; `from_coords(ctx, labels, vec)` builds a witness."""
-    red, steps, stats = _closure(ctx, seed, index, coords, expand, stop=stop, room=room)
+    red, steps, stats = _closure(ctx, seed, index, coords, expand, stop=stop, grading=grading)
     return ProbeVerdict(
         kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
         coverage=Fraction(red.rank, len(labels)),
@@ -575,17 +578,19 @@ def _identity_closure(ctx: Context, seed, labels: list, index: dict, coords, fro
     )
 
 
-def d_simplicity_probe(ctx: Context, seed: AElement, window: Window) -> ProbeVerdict:
+def d_simplicity_probe(ctx: Context, seed: AElement, window: Window,
+                       labels: list | None = None) -> ProbeVerdict:
     """Closure of the seed under window-monomial multiplication and all
     derivations, with discard semantics.
 
     Reaching the identity certifies that the derivation-stable ideal
-    generated by the seed is the whole coefficient algebra.
+    generated by the seed is the whole coefficient algebra.  `labels` are
+    the window's a_basis, built here when not given.
     """
-    labels = window.a_basis(ctx)
+    labels = window.a_basis(ctx) if labels is None else labels
     gens = [(format_monomial(ctx, m), _a_element(ctx, m)) for m in labels if not m.is_one()]
 
-    def expand(e):
+    def expand(e, _pieces):
         for name, g in gens:
             yield "mul", name, e * g
         for d in ctx.derivations:
@@ -631,24 +636,29 @@ class ClosureTables(NamedTuple):
     """What the operator closure probes on one window share (closure_tables).
 
     `gens` holds each window generator g = m*d^beta but the identity as
-    (name, g, symbol shift); `by_degree` maps a degree to the positions of
-    its generators and `pieces` is Window.pieces, both None when ungraded.
+    (name, g, symbol shift).  `piece_of` and `piece_ids` are Window.pieces,
+    `sizes` counts the labels of each piece and `shifts` holds the piece id
+    of each generator; they are None (`shifts` empty) when ungraded.
+    `plans` caches _plan.
     """
 
     labels: list
     index: dict
     gens: list
-    by_degree: dict | None
     guard: tuple
-    pieces: Counter | None
+    piece_of: list | None
+    piece_ids: dict | None
+    sizes: list | None
+    shifts: list
+    plans: dict
 
 
 def closure_tables(ctx: Context, window: Window, mons: list | None = None) -> ClosureTables:
     mons = window.a_basis(ctx) if mons is None else mons
     labels = window.ad_basis(ctx, mons)
-    pieces = window.pieces(ctx, labels)
-    gens, by_degree = [], None if pieces is None else {}
-    for alpha, m in labels:
+    piece_of, piece_ids = window.pieces(ctx, labels) or (None, None)
+    gens, shifts = [], []
+    for j, (alpha, m) in enumerate(labels):
         if alpha.is_zero() and m.is_one():
             continue
         g = wbasis(ctx, alpha, _a_element(ctx, m))
@@ -656,55 +666,56 @@ def closure_tables(ctx: Context, window: Window, mons: list | None = None) -> Cl
         name = format_monomial(ctx, m) if alpha.is_zero() else format_multi_index(ctx, alpha)
         if not (alpha.is_zero() or m.is_one()):
             name = f"{format_monomial(ctx, m)}*{name}"
-        if pieces is not None:
-            by_degree.setdefault(ctx.degree(alpha, m), []).append(len(gens))
         gens.append((name, g, _generator_shift(g, window)))
+        if piece_of is not None:
+            shifts.append(piece_of[j])
+    sizes = None if piece_of is None else [0] * len(piece_ids)
+    for p in piece_of or ():
+        sizes[p] += 1
     index = {lab: j for j, lab in enumerate(labels)}
-    return ClosureTables(labels, index, gens, by_degree, window.guard(ctx, mons), pieces)
+    return ClosureTables(labels, index, gens, window.guard(ctx, mons), piece_of, piece_ids, sizes,
+                         shifts, {})
 
 
-def _degrees(x: WeylElement) -> frozenset:
-    """The degrees of the terms of x, in a context with a grading."""
-    degree = x.ctx.degree
-    return frozenset(degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms)
+def _plan(tables: ClosureTables, pieces: frozenset) -> list:
+    """The (position, target piece id) of each generator whose steps from a
+    parent in `pieces` can land in a nonempty piece, in generator order,
+    cached in tables.plans.  Room shrinks only in a homogeneous walk, whose
+    elements each lie in one piece, so a parent in several gets None."""
+    ids = tables.piece_ids
+    degrees = list(ids)
+    # Per piece p of the parent and piece id q, the id of the piece at p + q.
+    rows = [[ids.get(tuple(map(add, degrees[p], d))) for d in degrees] for p in pieces]
+    if len(rows) == 1:
+        plan = [(k, rows[0][q]) for k, q in enumerate(tables.shifts) if rows[0][q] is not None]
+    else:
+        plan = [(k, None) for k, q in enumerate(tables.shifts) if any(row[q] is not None for row in rows)]
+    tables.plans[pieces] = plan
+    return plan
 
 
 def _graded_expand(tables: ClosureTables, form, width: int):
     """The `expand` of an operator closure walk (see the module docstring)
-    and the room it reads, a fresh copy of the tables' pieces for `_closure`.
+    and the walk's `grading`: None when ungraded, else the tables' piece_of
+    and the room that `expand` reads, a fresh list of their sizes.
 
     `form(e)` gives the function that forms, from e, the `width` steps of
     the generator at a position.  On an ungraded window (no room) every
-    step is formed, in generator order.  Otherwise a generator's steps are
-    formed only while a piece at a degree of e plus that of the generator
+    step is formed, in generator order.  Otherwise only the generators in
+    the plan of e's pieces (_plan) are formed, each while its target piece
     has room, and each run of the others counts as one int.
     """
     count = len(tables.gens)
-    room = None if tables.pieces is None else Counter(tables.pieces)
-    plans = {}  # the degrees of a parent -> its plan
+    room = None if tables.sizes is None else list(tables.sizes)
+    plans = tables.plans
 
-    def plan(degrees):
-        # The (position, piece) of each generator whose steps can land in a
-        # nonempty piece, in order.  Room shrinks only in a homogeneous walk,
-        # all of whose elements have one degree, so only a homogeneous
-        # parent's one piece (else None) needs looking at again.
-        out = []
-        for shift, ks in tables.by_degree.items():
-            pieces = [tuple(map(add, d, shift)) for d in degrees]
-            if any(piece in tables.pieces for piece in pieces):
-                out.extend((k, pieces[0] if len(pieces) == 1 else None) for k in ks)
-        return sorted(out)
-
-    def expand(e):
+    def expand(e, pieces):
         steps = form(e)
         if room is None:
             for k in range(count):
                 yield from steps(k)
             return
-        degrees = _degrees(e)
-        todo = plans.get(degrees)
-        if todo is None:
-            todo = plans[degrees] = plan(degrees)
+        todo = plans[pieces] if pieces in plans else _plan(tables, pieces)
         done = 0  # steps before this position are formed or counted
         for k, piece in todo:
             if piece is None or room[piece]:
@@ -715,7 +726,7 @@ def _graded_expand(tables: ClosureTables, form, width: int):
         if done < count:
             yield width * (count - done)
 
-    return expand, room
+    return expand, None if room is None else (tables.piece_of, room)
 
 
 def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,
@@ -746,20 +757,15 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,
 
         return steps
 
-    expand, room = _graded_expand(tables, form, 2)
+    expand, grading = _graded_expand(tables, form, 2)
     stop = (ZERO_INDEX, ONE_MONOMIAL)
     return _identity_closure(ctx, seed, tables.labels, tables.index, weyl_coords, weyl_from_coords,
-                             expand, stop, room)
+                             expand, stop, grading)
 
 
-def lie_ideal_closure_probe(
-    ctx: Context,
-    seed: WeylElement,
-    window: Window,
-    f1: SubspaceBasis,
-    margin: Fraction = DEFAULT_MARGIN,
-    tables: ClosureTables | None = None,
-) -> ProbeVerdict:
+def lie_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window, f1: SubspaceBasis,
+                            margin: Fraction = DEFAULT_MARGIN,
+                            tables: ClosureTables | None = None) -> ProbeVerdict:
     """Bracket closure of the seed, judged modulo the central kernel on an
     interior sub-window.
 
@@ -787,13 +793,12 @@ def lie_ideal_closure_probe(
 
         return steps
 
-    expand, room = _graded_expand(tables, form, 1)
-    red, steps, stats = _closure(ctx, seed, index, weyl_coords, expand, central=f1, room=room)
+    expand, grading = _graded_expand(tables, form, 1)
+    red, steps, stats = _closure(ctx, seed, index, weyl_coords, expand, central=f1, grading=grading)
 
-    # A fresh reducer, so that the closure's own one never holds the f1 rows.
-    combined = RowReducer(ctx.spec)
-    for vec in red.vectors():
-        combined.add(vec)
+    # Coverage is judged on the span plus the f1 rows at level 0: a target is
+    # in that sum iff its residue modulo the span is in that of the f1 rows.
+    rest = RowReducer(ctx.spec)
     for vec in f1.vectors():
         embedded = {}
         for j, c in vec.items():
@@ -801,16 +806,11 @@ def lie_ideal_closure_probe(
             if col is None:
                 raise UsageError("kernel basis was computed on a different window")
             embedded[col] = c
-        combined.add(embedded)
+        rest.add(red.reduce(embedded))
 
-    unreached = []
-    hit = 0
-    for alpha, m in targets:
-        vec = {index[(alpha, m)]: 1}
-        if combined.contains(vec):
-            hit += 1
-        else:
-            unreached.append(format_weyl(wbasis(ctx, alpha, _a_element(ctx, m))))
+    unreached = [format_weyl(wbasis(ctx, alpha, _a_element(ctx, m)))
+                 for alpha, m in targets if not rest.contains(red.reduce({index[(alpha, m)]: 1}))]
+    hit = len(targets) - len(unreached)
     coverage = Fraction(hit, len(targets))  # the refusal above leaves targets nonempty
     witness = [weyl_from_coords(ctx, labels, vec) for vec in red.vectors()]
     kind = FULL_SPAN_MOD_F1 if hit == len(targets) else PROPER_INVARIANT_SUBSPACE

@@ -36,7 +36,7 @@ def run_probe(scenario: Scenario, request: ProbeRequest, f1, tables=None) -> Pro
     if request.kind == "theta_kernel":
         return theta_kernel(ctx, window, restrict_to_f1=request.restrict_to_f1, f1=f1)
     if request.kind == "d_simplicity":
-        return d_simplicity_probe(ctx, seed.a_part(), window)
+        return d_simplicity_probe(ctx, seed.a_part(), window, f1.labels)
     if request.kind == "assoc_closure":
         return assoc_ideal_closure_probe(ctx, seed, window, tables)
     if request.kind == "lie_closure":
@@ -79,7 +79,7 @@ def build_report(scenario: Scenario, verdicts: list | None = None) -> dict:
     }
     all_expected = True
     # The window's a_basis is built once, as f1's labels, and shared with
-    # theta_kernel (through f1) and the closure tables.
+    # theta_kernel and d_simplicity (through f1) and the closure tables.
     tables = None  # built once, for the first operator closure probe
     for request in scenario.probes:
         if tables is None and request.kind in ("assoc_closure", "lie_closure"):

@@ -76,3 +76,16 @@ def shift_ctx() -> Context:
     ctx.add_variable("x3", "polynomial")
     ctx.add_derivation("d1", shift_prefix="x")
     return ctx.freeze()
+
+
+@pytest.fixture(scope="session")
+def term_degrees():
+    """The oracle for the graded pieces of the closure walks: the set of the
+    degrees (Context.degree) of the terms of an operator x, in a context
+    with a grading."""
+
+    def degrees(x) -> frozenset:
+        degree = x.ctx.degree
+        return frozenset(degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms)
+
+    return degrees

@@ -166,9 +166,9 @@ def test_one_report_builds_the_closure_tables_once(monkeypatch):
 
 @pytest.mark.parametrize("name", ["action_wide", "closure_wide", "weyl_polynomial"])
 def test_one_report_builds_the_window_basis_once(name, monkeypatch):
-    # compute_f1 builds the window's coefficient basis, and theta_kernel and
-    # the closure tables read it from f1; only d_simplicity builds its own.
-    # The interior window of lie_closure is another window.
+    # compute_f1 builds the window's coefficient basis, and theta_kernel,
+    # d_simplicity and the closure tables read it from f1.  The interior
+    # window of lie_closure is another window.
     scenario = _load(name)
     built = []
     original = probes.Window.a_basis
@@ -179,5 +179,93 @@ def test_one_report_builds_the_window_basis_once(name, monkeypatch):
 
     monkeypatch.setattr(probes.Window, "a_basis", counted)
     build_report(scenario)
-    kinds = [r.kind for r in scenario.probes]
-    assert built.count(scenario.window) == 1 + kinds.count("d_simplicity")
+    assert built.count(scenario.window) == 1
+    if name != "action_wide":
+        assert "d_simplicity" in [r.kind for r in scenario.probes]
+
+
+GRADED_WINDOWS = [name for name in ALL_WINDOWS if _load(name).ctx.grading is not None]
+
+
+@pytest.mark.parametrize("name", ALL_WINDOWS)
+def test_piece_ids_agree_with_the_degrees(name):
+    scenario = _load(name)
+    ctx = scenario.ctx
+    tables = probes.closure_tables(ctx, scenario.window)
+    if ctx.grading is None:
+        assert tables.piece_of is tables.piece_ids is tables.sizes is None and tables.shifts == []
+        return
+    degrees = list(tables.piece_ids)
+    assert [degrees[p] for p in tables.piece_of] == [ctx.degree(alpha, m) for alpha, m in tables.labels]
+    assert sorted(set(tables.piece_of)) == list(range(len(degrees))) == sorted(tables.piece_ids.values())
+    assert tables.sizes == [tables.piece_of.count(p) for p in range(len(degrees))]
+    # Each generator's shift is the piece of its own label.
+    names = [format_weyl(probes.wbasis(ctx, alpha, probes._a_element(ctx, m))) for alpha, m in tables.labels]
+    assert tables.shifts == [tables.piece_of[names.index(gname)] for gname, _, _ in tables.gens]
+
+
+@pytest.mark.parametrize("name", ALL_WINDOWS)
+def test_each_accepted_step_keeps_the_pieces_of_its_element(name, term_degrees):
+    scenario = _load(name)
+    verdicts = []
+    build_report(scenario, verdicts)
+    tables = probes.closure_tables(scenario.ctx, scenario.window)
+    for request, verdict in zip(scenario.probes, verdicts):
+        for step in verdict.steps:
+            if tables.piece_ids is None or request.kind == "d_simplicity":
+                assert step.pieces is None
+            else:
+                assert step.pieces == {tables.piece_ids[d] for d in term_degrees(step.element)}
+
+
+@pytest.mark.parametrize("name", GRADED_WINDOWS)
+def test_a_walk_computes_no_degree(name, monkeypatch):
+    # closure_tables finds each label's degree once; the walks read pieces
+    # from the tables only.
+    scenario = _load(name)
+    calls = [0]
+    original = probes.Context.degree
+
+    def counted(ctx, alpha, m):
+        calls[0] += 1
+        return original(ctx, alpha, m)
+
+    monkeypatch.setattr(probes.Context, "degree", counted)
+    f1 = probes.compute_f1(scenario.ctx, scenario.window)
+    tables = probes.closure_tables(scenario.ctx, scenario.window, f1.labels)
+    assert calls[0] == len(tables.labels)
+    calls[0] = 0
+    for request in scenario.probes:
+        if request.kind in ("assoc_closure", "lie_closure"):
+            reports.run_probe(scenario, request, f1, tables)
+    assert calls[0] == 0
+
+
+def test_a_report_shares_its_plans_across_its_walks(monkeypatch):
+    # closure_wide's four closure walks run on one set of tables; each piece
+    # set a parent lies in gets its plan built once for the whole report.
+    scenario = _load("closure_wide")
+    built, used = [], []
+    original_plan, original_expand = probes._plan, probes._graded_expand
+
+    def counted_plan(tables, pieces):
+        built.append(pieces)
+        return original_plan(tables, pieces)
+
+    def recorded_expand(tables, form, width):
+        expand, grading = original_expand(tables, form, width)
+        walk = set()
+        used.append(walk)
+
+        def recorded(e, pieces):
+            walk.add(pieces)
+            return expand(e, pieces)
+
+        return recorded, grading
+
+    monkeypatch.setattr(probes, "_plan", counted_plan)
+    monkeypatch.setattr(probes, "_graded_expand", recorded_expand)
+    build_report(scenario)
+    assert len(used) == 4
+    assert len(built) == len(set(built)) and set(built) == set().union(*used)
+    assert sum(len(walk) for walk in used) > len(built)  # some walks met the same pieces

@@ -678,13 +678,14 @@ def skip_off(monkeypatch):
     monkeypatch.setattr(Window, "pieces", lambda self, ctx, labels=None: None)
 
 
-def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None, room=None):
+def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None, grading=None):
     """The closure engine before it stopped on a full span: the BFS runs on
     until a round accepts nothing, unless the `stop` label enters the span.
     The oracle for probes._closure; of its ProbeStats it fills only the stop
     reason, and a None step result is a discard.  It forms every step, so
-    the graded skip must be off (skip_off)."""
-    assert room is None, "turn the graded skip off first"
+    the graded skip must be off (skip_off): the window is ungraded and every
+    element's pieces are None."""
+    assert grading is None, "turn the graded skip off first"
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     seed_vec = coords(seed, index)
@@ -706,7 +707,7 @@ def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for op, gname, z in expand(accepted[pi]):
+            for op, gname, z in expand(accepted[pi], None):
                 if z is None or z.is_zero():
                     continue
                 vec = coords(z, index)
@@ -920,25 +921,30 @@ def _homogeneous_element(ctx, rng, labels_by_degree):
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(GRADED_SCENARIOS), seed=st.integers(0, 10**6))
-def test_degrees_add_under_products_and_brackets(name, seed):
+def test_degrees_add_under_products_and_brackets(name, seed, term_degrees):
     scenario = load_bundled(name)
     ctx, window = scenario.ctx, scenario.window
     labels_by_degree = {}
     for alpha, m in window.ad_basis(ctx):
         labels_by_degree.setdefault(ctx.degree(alpha, m), []).append((alpha, m))
-    assert {d: len(labs) for d, labs in labels_by_degree.items()} == window.pieces(ctx)
+    piece_of, piece_ids = window.pieces(ctx)
+    assert list(piece_ids) == list(labels_by_degree)  # ids count up in order of first label
+    assert list(piece_ids.values()) == list(range(len(piece_ids)))
+    assert {d: piece_of.count(p) for d, p in piece_ids.items()} == {
+        d: len(labs) for d, labs in labels_by_degree.items()
+    }
     rng = random.Random(seed)
     (dx, x), (dy, y) = (_homogeneous_element(ctx, rng, labels_by_degree) for _ in range(2))
-    assert probes._degrees(x) == {dx} and probes._degrees(y) == {dy}
+    assert term_degrees(x) == {dx} and term_degrees(y) == {dy}
     total = tuple(map(add, dx, dy))
     # A is a domain, so the principal symbol of x*y is not zero.
-    assert probes._degrees(w_mul(x, y)) == {total}
+    assert term_degrees(w_mul(x, y)) == {total}
     bracket = lie_bracket(x, y)
     event(f"bracket is zero: {bracket.is_zero()}")
-    assert probes._degrees(bracket) <= {total}
+    assert term_degrees(bracket) <= {total}
 
 
-def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch):
+def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch, term_degrees):
     # t*d1 + t^2*d1 has terms of degrees 1 and 2, so the span is not graded
     # and a full piece shows nothing; a step is skipped only when every
     # piece its bracket can reach holds no window label.
@@ -946,7 +952,7 @@ def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch):
     ctx, window = scenario.ctx, scenario.window
     f1 = compute_f1(ctx, window)
     seed = evaluate_text("t*d1 + t^2*d1", ctx)
-    pieces = window.pieces(ctx)
+    _, pieces = window.pieces(ctx)
     formed = []
     original = probes.lie_bracket
 
@@ -966,7 +972,7 @@ def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch):
     unskipped, stats_off, formed_all = run()
     empty = [
         (e, g) for e, g in formed_all
-        if all(tuple(map(add, d, dg)) not in pieces for d in probes._degrees(e) for dg in probes._degrees(g))
+        if all(tuple(map(add, d, dg)) not in pieces for d in term_degrees(e) for dg in term_degrees(g))
     ]
     assert graded == unskipped
     assert stats.tried == stats_off.tried
