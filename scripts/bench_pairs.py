@@ -1,4 +1,4 @@
-"""Compare two checkouts on benchmark workloads, in alternating pairs.
+r"""Compare two checkouts on benchmark workloads, in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \
         [--workload W2 ...] --pairs N --seconds S [--seed K]
@@ -20,18 +20,26 @@ from the change checkout's BENCHMARK.json (lower is better when it does not
 say).  A run that prints no result stops the script with its standard
 error.  Runs shorter than 10 s get a warning on standard error: 5 s runs
 could not resolve a few percent on probe_bundled.
+
+First the script prints each checkout's `src/weyltype` code lines, counted
+as `grep -v '^\s*$' src/weyltype/*.py | grep -v ':\s*#' | wc -l` counts
+them: set-up time is mostly compiling that source, so it follows its size.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 MIN_SECONDS = 10  # shorter runs get a warning
+# What `grep -v ':\s*#'` drops from grep's "path:line" output: comment
+# lines, and also code lines holding a colon then a comment.
+_COMMENT = re.compile(r":\s*#")
 
 
 def parse_result(stdout: str) -> dict:
@@ -86,6 +94,17 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         attempted = sum(pair[k]["attempted"] for pair in pairs)
         lines.append(f"{side} failed {failed} of {attempted} items")
     return lines
+
+
+def code_lines(root: Path) -> int:
+    """The non-blank, non-comment lines of root's src/weyltype/*.py (0 when
+    there are none), as the grep pipeline in the module docstring counts them."""
+    return sum(
+        1
+        for path in sorted((root / "src" / "weyltype").glob("*.py"))
+        for line in path.read_text().split("\n")
+        if line.strip() and not _COMMENT.search(":" + line)
+    )
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,6 +169,8 @@ def main(argv=None) -> int:
         print(f"warning: runs of {args.seconds:g} s are shorter than {MIN_SECONDS} s and may not "
               "resolve a few percent", file=sys.stderr)
     spec = benchmark_spec(args.change)
+    for side in ("parent", "change"):
+        print(f"{side} src/weyltype code lines: {code_lines(getattr(args, side))}")
     for workload in workload_names(args.workload, spec):
         pairs = compare(args.parent, args.change, workload, args.pairs, args.seconds, args.seed)
         print(f"{workload}, {args.pairs} pairs, {args.seconds:g} s a run:")

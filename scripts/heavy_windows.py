@@ -5,16 +5,20 @@ bundled scenarios do.
 
 Each window overrides a bundled scenario's variables, derivations, window
 and probes (loaded with `load_scenario_mapping`) and holds one closure
-probe.  For each window the script prints one line: the seconds that
-`build_report` took, the verdicts and the sha256 of the report bytes.  It
-exits 1 when a verdict differs from the expected one or a sha256 from the
-pinned one.  The imports come from this checkout's `src/`.
+probe.  For each window the script builds the report once and checks it,
+then times WARM_BUILDS more builds, each of a freshly loaded window.  It
+prints one line per window: the median seconds of those warm builds, the
+verdicts and the sha256 of the first build's report bytes.  (One cold
+build a window swung by half from run to run on one tree.)  It exits 1
+when a verdict differs from the expected one or a sha256 from the pinned
+one.  The imports come from this checkout's `src/`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -25,6 +29,8 @@ from weyltype.probes import FULL_SPAN_MOD_F1 as FULL_SPAN  # noqa: E402
 from weyltype.probes import PROPER_INVARIANT_SUBSPACE as PROPER  # noqa: E402
 from weyltype.reports import build_report, report_bytes  # noqa: E402
 from weyltype.scenario import Scenario, bundled_scenario_path, load_scenario_mapping  # noqa: E402
+
+WARM_BUILDS = 5  # timed builds per window after the checked one
 
 # name -> (bundled scenario, overrides, (kind, seed, expected verdict) of the
 # probe, sha256 of the report bytes)
@@ -96,10 +102,12 @@ def run_window(name: str) -> tuple[float, dict, str]:
 def main() -> int:
     ok = True
     for name, (*_, pinned) in WINDOWS.items():
-        seconds, report, digest = run_window(name)
+        _, report, digest = run_window(name)
+        seconds = statistics.median(run_window(name)[0] for _ in range(WARM_BUILDS))
         verdicts = ",".join(p["verdict"] for p in report["probes"])
         mismatch = "" if digest == pinned else f"  (pinned {pinned})"
-        print(f"{name}: {seconds:.3f} s  {verdicts}  sha256 {digest}{mismatch}")
+        print(f"{name}: {seconds:.3f} s (median of {WARM_BUILDS} warm builds)  "
+              f"{verdicts}  sha256 {digest}{mismatch}")
         ok = ok and report["all_expected"] and not mismatch
     return 0 if ok else 1
 

@@ -18,11 +18,11 @@ reading the bits directly draws the same inputs about 30% faster.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import AElement, Context, LAURENT, ONE_MONOMIAL, Monomial
 from .errors import UsageError
+from .fields import q_frac
 from .multiindex import MultiIndex
 from .operators import (
     WeylElement,
@@ -78,7 +78,7 @@ def random_scalar(rng: random.Random, ctx: Context, nonzero: bool = False):
         if p is None:
             n = randbelow(bits, 13) - 6
             d = randbelow(bits, 4) + 1
-            s = n // d if n % d == 0 else Fraction(n, d)
+            s = q_frac(n, d)
         else:
             s = randbelow(bits, p)
         if s or not nonzero:

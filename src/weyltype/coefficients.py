@@ -21,10 +21,8 @@ A value is a plain field value (see fields.py): over Q an int, or a
 Fraction when it is not integral; over F_p an int in [0, p).  AElement.terms
 holds the same.  The kernels pass such raw dicts around and sum them with
 add_terms and mul_terms only, which take the modulus p (None over Q) and
-reduce inline.  Their buffers may hold cancelled zeros and integral
-Fractions; nonzero drops the one and turns the other into an int, so an
-AElement, built where a public function returns one, and a cache entry
-never hold either.
+keep canonical form inline.  Their buffers may hold cancelled zeros, which
+nonzero drops, so an AElement and a cache entry never hold one.
 
 VariableSpec, a fields._Value record, and the hash-consed Monomial (see
 multiindex.py) are immutable fields._Frozen subclasses.
@@ -36,7 +34,7 @@ import re
 from functools import partial
 
 from .errors import UsageError, ValidationError, VariableCapError
-from .fields import FieldSpec, _Frozen, _Value, _set_attribute
+from .fields import FieldSpec, _Frozen, _Value, _set_attribute, q_add, q_mul
 from .multiindex import MultiIndex, _forget, _KeyedRef, intern, merge_exponents
 
 POLYNOMIAL = "polynomial"
@@ -55,10 +53,10 @@ def add_terms(out: dict, terms: dict, p: int | None, c=None) -> None:
     cancelled zero stays in out."""
     for m, t in terms.items():
         if c is not None:
-            t = t * c
+            t = t * c if t.__class__ is int is c.__class__ else q_mul(t, c)
         cur = out.get(m)
         if cur:
-            t = cur + t
+            t = cur + t if cur.__class__ is int is t.__class__ else q_add(cur, t)
         out[m] = t if p is None else t % p
 
 
@@ -71,15 +69,15 @@ def mul_terms(out: dict, left: dict, right: dict, products: dict, p: int | None,
     """
     for m1, c1 in left.items():
         if c is not None:
-            c1 = c1 * c
+            c1 = c1 * c if c1.__class__ is int is c.__class__ else q_mul(c1, c)
         for m2, c2 in right.items():
             m = products.get((m1, m2))
             if m is None:
                 m = memo_product(products, m1, m2)
-            t = c1 * c2
+            t = c1 * c2 if c1.__class__ is int is c2.__class__ else q_mul(c1, c2)
             cur = out.get(m)
             if cur:
-                t = cur + t
+                t = cur + t if cur.__class__ is int is t.__class__ else q_add(cur, t)
             out[m] = t if p is None else t % p
 
 
@@ -503,9 +501,9 @@ class AElement:
             out: dict[Monomial, object] = {}
             mul_terms(out, self.terms, other.terms, self.ctx._products, self.ctx.spec.p)
             return AElement(self.ctx, out)
-        spec = self.ctx.spec
-        c, p = spec.value(other), spec.p
-        return AElement(self.ctx, {m: v * c if p is None else v * c % p for m, v in self.terms.items()})
+        spec, out = self.ctx.spec, {}
+        add_terms(out, self.terms, spec.p, spec.value(other))
+        return AElement(self.ctx, out)
 
     __rmul__ = __mul__
 

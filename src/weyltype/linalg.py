@@ -1,15 +1,15 @@
 """Exact row reduction over a scalar field, on sparse coordinate vectors.
 
 Vectors are dicts column -> nonzero plain field value (see fields.py),
-combined inline with one reduction mod p over F_p; an integral Fraction an
-update makes over Q is stored as an int.  The reducer keeps its rows in
+combined inline with one reduction mod p over F_p, and over Q by q_mul and
+q_add when an operand is a Fraction.  The reducer keeps its rows in
 reduced row-echelon form at all times; since RREF is unique for a given row
 space, the stored basis does not depend on insertion order.
 
 RowReducer.add is the one place in the library that still accepts Scalars
 (see fields.py): perfbench/micro.py times inserts of rows of rational
-Scalars.  The Scalar operators then do the arithmetic, a Scalar pivot is
-inverted with its own inverse(), and only a Fraction is turned into an int.
+Scalars.  A Scalar is not a Fraction, so its own operators do the
+arithmetic, and a Scalar pivot is inverted with its own inverse().
 
 The rows live in one pivot -> row map; in pivot order they are the RREF
 basis.  An RREF row is zero at every pivot but its own, so subtracting it
@@ -33,21 +33,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, q_add, q_mul
 
 
 def axpy_into(target: dict, c, row: dict, p: int | None) -> None:
     """target -= c * row mod p (p None over Q), dropping entries that cancel
     to zero."""
+    c = -c
     for j, v in row.items():
+        t = c * v if c.__class__ is not Fraction is not v.__class__ else q_mul(c, v)
         cur = target.get(j)
-        nv = -(c * v) if cur is None else cur - c * v
+        if cur is not None:
+            t = cur + t if cur.__class__ is not Fraction is not t.__class__ else q_add(cur, t)
         if p is not None:
-            nv %= p
-        elif nv.__class__ is Fraction and nv.denominator == 1:
-            nv = nv.numerator
-        if nv:
-            target[j] = nv
+            t %= p
+        if t:
+            target[j] = t
         else:
             target.pop(j, None)
 
@@ -97,10 +98,8 @@ class RowReducer:
         if p is not None:
             row = {j: v * inv % p for j, v in work.items()}
         else:
-            row = {j: v * inv for j, v in work.items()}
-            for j, v in row.items():
-                if v.__class__ is Fraction and v.denominator == 1:
-                    row[j] = v.numerator
+            row = {j: v * inv if v.__class__ is not Fraction is not inv.__class__ else q_mul(v, inv)
+                   for j, v in work.items()}
         holders = self._holders
         for k in sorted(holders.pop(pivot, ())):
             existing = self._by_pivot[k]

@@ -389,7 +389,8 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                     idx = outputs.get(beta)
                     if idx is None:
                         idx = outputs[beta] = beta.add(node.rest)
-                    mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, p, c)
+                    scale = None if c == 1 else c  # a unit binomial scales nothing
+                    mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, p, scale)
             children = node.children
             if children is None:
                 children = node.expand(spec)

@@ -145,3 +145,29 @@ def test_main_warns_only_for_runs_shorter_than_ten_seconds(tmp_path, monkeypatch
     assert "shorter than 10 s" in capsys.readouterr().err
     assert bench_pairs.main(argv + ["--seconds", "10"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_code_lines_count_as_the_grep_pipeline_does(tmp_path):
+    # grep -v '^\s*$' src/weyltype/*.py | grep -v ':\s*#' | wc -l: blank
+    # lines and comment lines drop out, and so does a code line whose colon
+    # is followed by a comment; docstring lines count.
+    package = tmp_path / "src" / "weyltype"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\nx = 1\n    # note\nif x:  # why\n    y = {"k": 2}\n')
+    (package / "b.py").write_text("def f():\n    return 1\n")
+    (package / "c.txt").write_text("not python\n")
+    assert bench_pairs.code_lines(tmp_path) == 5
+    assert bench_pairs.code_lines(tmp_path / "missing") == 0
+
+
+def test_main_prints_both_code_line_counts_first(tmp_path, monkeypatch, capsys):
+    for side, lines in (("parent", 2), ("change", 3)):
+        package = tmp_path / side / "src" / "weyltype"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text("x = 1\n" * lines)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: json.loads(result_line(1.0, 29.0)))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "1", "--seconds", "10"]
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["parent src/weyltype code lines: 2", "change src/weyltype code lines: 3"]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import random
@@ -10,7 +10,7 @@ from weyltype import FieldSpec, MultiIndex, RATIONAL, UsageError, w_mul
 from weyltype.fields import Scalar, parse_scalar
 from weyltype.multiindex import binom_product
 from weyltype.checks import SampleBounds, random_weyl
-from weyltype.fields import MAX_MODULUS, is_prime
+from weyltype.fields import MAX_MODULUS, is_prime, q_add, q_frac, q_mul
 from weyltype.parser import evaluate_text
 
 F5 = FieldSpec("prime", 5)
@@ -296,3 +296,52 @@ def test_w_mul_coefficients_are_canonical_on_samples(weyl_q):
             for _, c in u.sorted_terms():
                 # An int when integral, else a Fraction (always in lowest terms).
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+# Canonical rationals for q_mul and q_add: ints, and non-integral Fractions
+# in lowest terms, with numerators and denominators up to about 2^70.
+big = st.integers(min_value=-(2**71), max_value=2**71)
+small = st.integers(min_value=-9, max_value=9)
+non_integral = st.builds(
+    Fraction, small | big, st.integers(min_value=2, max_value=12) | st.integers(min_value=2, max_value=2**70)
+).filter(lambda f: f.denominator != 1)
+canonical = small | big | non_integral
+
+
+def assert_same_rational(v, expected: Fraction):
+    """v agrees with the Fraction result in canonical form: value, type,
+    numerator and denominator, hash."""
+    want = expected.numerator if expected.denominator == 1 else expected
+    assert type(v) is type(want)
+    assert v == want
+    assert (v.numerator, v.denominator) == (want.numerator, want.denominator)
+    assert hash(v) == hash(want)
+
+
+@example(Fraction(3, 2), Fraction(2, 3))  # integral product, integral sum: 1, 13/6
+@example(Fraction(-5, 2), Fraction(5, 2))  # product -25/4, sum 0
+@example(0, Fraction(7, 3))
+@example(2**70, Fraction(1, 2**70))  # integral product 1
+@example(Fraction(2**70 + 1, 6), Fraction(-1, 6))  # sum (2^70)/6, reduced by gcd 2
+@given(canonical, non_integral)
+def test_q_mul_and_q_add_match_fraction_arithmetic(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert_same_rational(q_mul(x, y), Fraction(x) * Fraction(y))
+        assert_same_rational(q_add(x, y), Fraction(x) + Fraction(y))
+
+
+@given(small | big, st.integers(min_value=1, max_value=12) | st.integers(min_value=1, max_value=2**70))
+def test_q_frac_matches_the_fraction_constructor(n, d):
+    assert_same_rational(q_frac(n, d), Fraction(n, d))
+
+
+def test_fraction_keeps_the_slots_that_q_frac_sets():
+    # q_frac builds a Fraction by setting these two slots and skips its
+    # constructor.  A Python whose Fraction keeps its value elsewhere must
+    # fail here rather than give Fractions that read wrong values.
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    q = q_frac(-6, 4)
+    assert type(q) is Fraction
+    assert (q.numerator, q.denominator) == (-3, 2)
+    assert q == Fraction(-3, 2) and hash(q) == hash(Fraction(-3, 2))
+    assert str(q) == "-3/2" and q + Fraction(3, 2) == 0

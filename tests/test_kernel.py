@@ -420,6 +420,30 @@ def test_vanishing_binomial_skips_its_term_in_a_cached_tree():
     assert middle.c is None and middle.neg_c is None and middle.children
 
 
+@pytest.mark.parametrize("fixture_name", CONTEXTS)
+def test_unit_binomials_scale_no_term(fixture_name, request, monkeypatch):
+    # A gamma whose C(alpha, gamma) is 1 (over F_2 also its negative) passes
+    # no scale to mul_terms, and the products still match the reference.
+    ctx = request.getfixturevalue(fixture_name)
+    scales = []
+    original = operators.mul_terms
+
+    def recorded(out, left, right, products, p, c=None):
+        scales.append(c)
+        return original(out, left, right, products, p, c)
+
+    monkeypatch.setattr(operators, "mul_terms", recorded)
+    rng = random.Random(f"unit:{fixture_name}")
+    bounds = SampleBounds(max_degree=3, max_level=3, max_terms=3, n_variables=min(3, len(ctx.variables)))
+    for _ in range(20):
+        x, y = random_weyl(rng, ctx, bounds), random_weyl(rng, ctx, bounds)
+        assert w_mul(x, y) == reference_w_mul(x, y)
+        assert lie_bracket(x, y) == reference_w_mul(x, y) - reference_w_mul(y, x)
+    assert 1 not in scales and None in scales
+    # Over F_2 every binomial that does not vanish is 1, and so is its negative.
+    assert any(c is not None for c in scales) == (ctx.spec.p != 2)
+
+
 def test_gamma_trees_are_per_context():
     # C(5, g) for 0 < g < 5 is nonzero over Q and zero over F_5, so a binomial
     # cached by one context must not serve the other.

@@ -1,10 +1,11 @@
 """Plain field values in the kernel.
 
-The kernel loops (mul_terms, add_terms, axpy_into) store and combine plain
-values and reduce mod p inline.  Scalar does each field operation on its
-own, so it serves as the independent oracle: on Hypothesis-drawn term dicts
-over Q and F_p, p in {2, 3, 5, 7}, each loop must give what the same
-computation gives with Scalar operations, in the same canonical form.
+The kernel loops (mul_terms, add_terms, axpy_into, AElement scalar products,
+RowReducer.add) store and combine plain values and reduce mod p inline.
+Scalar does each field operation on its own, so it serves as the
+independent oracle: on Hypothesis-drawn term dicts over Q and F_p, p in
+{2, 3, 5, 7}, each loop must give what the same computation gives with
+Scalar operations, in the same canonical form.
 
 The canonical form is pinned on real outputs too: every term value of the
 bundled scenarios' probe witnesses and of verify's random draws is, over Q,
@@ -23,9 +24,9 @@ from hypothesis import strategies as st
 from weyltype import RATIONAL, FieldSpec
 from weyltype.checks import SampleBounds, random_a, random_scalar, random_weyl
 from weyltype.cli import main
-from weyltype.coefficients import Monomial, add_terms, mul_terms, nonzero
+from weyltype.coefficients import LAURENT, AElement, Context, Monomial, add_terms, mul_terms, nonzero
 from weyltype.fields import Scalar
-from weyltype.linalg import axpy_into
+from weyltype.linalg import RowReducer, axpy_into
 from weyltype.operators import WeylElement, act, lie_bracket, w_mul
 from weyltype.probes import a_from_coords, compute_f1
 from weyltype.reports import build_report
@@ -113,6 +114,44 @@ def test_axpy_into_matches_scalar_arithmetic(case):
     axpy_into(target, c, row, spec.p)
     assert typed(target) == unboxed(expected)
     assert_canonical(spec, target)
+
+
+def _context(spec):
+    """A context over spec whose variables 0 (Laurent) and 1 carry MONOMIALS."""
+    ctx = Context(spec)
+    ctx.add_variable("x", LAURENT)
+    ctx.add_variable("y")
+    return ctx.freeze()
+
+
+CONTEXTS = {spec: _context(spec) for spec in FIELDS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_aelement_scalar_products_match_scalar_arithmetic(case):
+    spec, terms, _, c = case
+    c = 0 if c is None else c
+    product = AElement(CONTEXTS[spec], terms) * c
+    expected = {m: spec.scalar(v) * spec.scalar(c) for m, v in terms.items()}
+    assert typed(product.terms) == unboxed(expected)
+    assert_canonical(spec, product.terms)
+    assert typed(product.terms) == typed((c * AElement(CONTEXTS[spec], terms)).terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), values(RATIONAL), min_size=1, max_size=5), max_size=6))
+def test_rowreducer_rows_over_q_match_scalar_rows(vectors):
+    # Rows of Scalars reduce with the Scalar operators only; the unit row
+    # of a one-entry vector holds the int 1 either way.
+    plain, boxed = RowReducer(RATIONAL), RowReducer(RATIONAL)
+    for vec in vectors:
+        assert plain.add(vec) == boxed.add({j: RATIONAL.scalar(v) for j, v in vec.items()})
+    rows = plain.vectors()
+    for row, box in zip(rows, boxed.vectors()):
+        assert typed(row) == unboxed({j: RATIONAL.scalar(s) if type(s) is int else s for j, s in box.items()})
+        assert_canonical(RATIONAL, row)
+    assert len(rows) == boxed.rank
 
 
 def _coefficients(elem):
