@@ -16,6 +16,12 @@ It gives both halves twice:
 - cached: code objects held in memory as marshalled bytes, so "compile" is
   the unmarshalling that reading a .pyc file costs, without the file read.
 
+After the import table it prints the median build time of the CLI's
+argument parser, in milliseconds: `parser:all` for the parser with every
+command (what `weyltype --help` or an unknown command builds), and
+`parser:NAME` for the parser of the one command NAME (what each call of that
+command builds once after its import).
+
 One untimed import first loads the standard-library modules weyltype uses,
 so only weyltype's own modules are counted; a fresh import drops only
 weyltype's modules, as `perfbench/run.py` does.  The source comes from this
@@ -135,6 +141,17 @@ def main(argv=None) -> int:
     print(f"{'sum':<24}{totals[0]:>16.2f}{totals[1]:>8.2f}{totals[2]:>16.2f}{totals[3]:>8.2f}")
     walls = [1e3 * statistics.median(wall for _, wall in results[mode]) for mode in ("source", "cached")]
     print(f"{'whole import (wall)':<24}{walls[0]:>24.2f}{walls[1]:>24.2f}")
+
+    cli = sys.modules["weyltype.cli"]
+    build = cli._build_argparser.__wrapped__  # the uncached builder
+    print(f"CLI parser build, median of {REPEAT} (ms)")
+    for command in (None, *cli._COMMANDS):
+        runs = []
+        for _ in range(REPEAT):
+            t = time.perf_counter()
+            build(command)
+            runs.append(time.perf_counter() - t)
+        print(f"{'parser:' + (command or 'all'):<24}{1e3 * statistics.median(runs):>8.2f}")
     return 0
 
 

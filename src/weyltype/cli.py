@@ -53,41 +53,45 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {' '.join(message.split())}\n")
 
 
+# name -> (help line, positionals); every command also takes --scenario.
+_COMMAND_ARGS = {
+    "normalize": ("normal form of an expression", ("expression",)),
+    "act": ("apply an operator to a coefficient element", ("operator", "element")),
+    "bracket": ("commutator of two expressions", ("x", "y")),
+    "probe": ("run the scenario's probes", ()),
+    "verify": ("run the randomized identity suites", ()),
+}
+
+
 @functools.cache
-def _build_argparser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call; parse_args
-    returns a fresh namespace each time, so calls share no state."""
+def _build_argparser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the process for `command`, built on the first call,
+    with that command's subparser only; None gives every command's, for the
+    help listing and the error on an unknown command.  parse_args returns
+    a fresh namespace each time, so calls share no state."""
     ap = _ArgumentParser(
         prog="weyltype",
         description="Exact computer algebra for operator algebras built from "
         "commuting derivations, with truncated-window structure probes.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def command(name, about, *positionals):
+    for name, (about, positionals) in _COMMAND_ARGS.items():
+        if command is not None and name != command:
+            continue
         p = sub.add_parser(name, help=about)
         for positional in positionals:
             p.add_argument(positional)
         p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        return p
-
-    for name, about, *positionals in (
-        ("normalize", "normal form of an expression", "expression"),
-        ("act", "apply an operator to a coefficient element", "operator", "element"),
-        ("bracket", "commutator of two expressions", "x", "y"),
-    ):
-        command(name, about, *positionals).add_argument(
-            "--json", action="store_true", help="JSON output")
-
-    p_probe = command("probe", "run the scenario's probes")
-    p_probe.add_argument("--text", action="store_true", help="plain text summary")
-    p_probe.add_argument("--margin", help="override the interior margin fraction")
-    p_probe.add_argument("--stats", action="store_true",
-                         help="print each probe's closure step counts to stderr")
-
-    p_verify = command("verify", "run the randomized identity suites")
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=0)
+        if name == "probe":
+            p.add_argument("--text", action="store_true", help="plain text summary")
+            p.add_argument("--margin", help="override the interior margin fraction")
+            p.add_argument("--stats", action="store_true",
+                           help="print each probe's closure step counts to stderr")
+        elif name == "verify":
+            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--seed", type=int, default=0)
+        else:
+            p.add_argument("--json", action="store_true", help="JSON output")
     return ap
 
 
@@ -186,8 +190,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_argparser(command).parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
         return _COMMANDS[args.command](args, scenario)

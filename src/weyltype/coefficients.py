@@ -9,11 +9,13 @@ mul_terms reads, and the gamma trees of the product walk in operators.py.
 Contexts are frozen after validation; the only mutation ever allowed
 afterwards is the lazy, append-only registration of new variables by a
 shift-rule derivation (bounded by a hard cap), and the caches only gain
-entries, apart from the product memo, which starts over once it reaches a
-fixed size.  Freezing also finds the exponent grading of the derivations,
-if they have one (Context._grading); the bracket closure uses it to skip
-steps.  Images and derivative-cache entries are raw {Monomial: value}
-dicts, and nothing in the caches points back at the Context, so
+entries, apart from those that start over once they reach a fixed size
+(see PRODUCT_MEMO_CAP).  Freezing also finds the exponent grading of the
+derivations, if they have one (Context._grading); the bracket closure uses
+it to skip steps.  A derivative-cache entry is a raw {Monomial: value}
+dict.  An image holds exponent shifts: a term c*x^(e_i + delta) of d(x_i)
+as the pair (delta, c), so the term e*c*x^(m + delta) of d(m) costs one
+exponent merge.  Nothing in the caches points back at the Context, so
 refcounting alone frees a dropped Context.  Each AElement may also
 memoize its own derivatives (see AElement); they die with the element.
 
@@ -42,9 +44,10 @@ LAURENT = "laurent"
 
 DEFAULT_VARIABLE_CAP = 64
 
-# The monomial-product memo and the derivative cache are each cleared on a
-# miss once they hold this many entries; each entry is a pure function of
-# its key, so only work changes.
+# The monomial-product memo, the derivative cache, the map of gamma trees
+# and each gamma node's output map are cleared on a miss once they hold
+# this many entries (see capped); each entry is a pure function of its key,
+# so only work changes.
 PRODUCT_MEMO_CAP = 1 << 15
 
 
@@ -54,9 +57,11 @@ def add_terms(out: dict, terms: dict, p: int | None, c=None) -> None:
     for m, t in terms.items():
         if c is not None:
             t = t * c if t.__class__ is int is c.__class__ else q_mul(t, c)
-        cur = out.get(m)
-        if cur:
-            t = cur + t if cur.__class__ is int is t.__class__ else q_add(cur, t)
+        cur = out.get(m, 0)
+        if cur.__class__ is not int:
+            t = q_add(cur, t)
+        elif cur:
+            t = cur + t if t.__class__ is int else q_add(cur, t)
         out[m] = t if p is None else t % p
 
 
@@ -75,29 +80,38 @@ def mul_terms(out: dict, left: dict, right: dict, products: dict, p: int | None,
             if m is None:
                 m = memo_product(products, m1, m2)
             t = c1 * c2 if c1.__class__ is int is c2.__class__ else q_mul(c1, c2)
-            cur = out.get(m)
-            if cur:
-                t = cur + t if cur.__class__ is int is t.__class__ else q_add(cur, t)
+            cur = out.get(m, 0)
+            if cur.__class__ is not int:
+                t = q_add(cur, t)
+            elif cur:
+                t = cur + t if t.__class__ is int else q_add(cur, t)
             out[m] = t if p is None else t % p
 
 
+def capped(memo: dict) -> dict:
+    """memo itself, cleared first once it holds PRODUCT_MEMO_CAP entries; a
+    memo calls it on a miss, before it stores the new entry."""
+    if len(memo) >= PRODUCT_MEMO_CAP:
+        memo.clear()
+    return memo
+
+
 def memo_product(products: dict, m1: "Monomial", m2: "Monomial") -> "Monomial":
-    """m1 * m2, stored in the memo `products` on a miss of its lookup; the
-    memo is cleared first once it holds PRODUCT_MEMO_CAP entries."""
-    if len(products) >= PRODUCT_MEMO_CAP:
-        products.clear()
-    m = products[(m1, m2)] = m1 * m2
+    """m1 * m2, stored in the memo `products` on a miss of its lookup."""
+    m = capped(products)[(m1, m2)] = m1 * m2
     return m
 
 
 def nonzero(terms: dict) -> dict:
     """The terms of an accumulation buffer without its cancelled zeros, with
     every integral Fraction turned into an int."""
-    return {
-        m: c if c.__class__ is int or c.denominator != 1 else c.numerator
-        for m, c in terms.items()
-        if c
-    }
+    out = {}
+    for m, c in terms.items():  # reads Fraction's slots, not its properties
+        if c.__class__ is not int and c._denominator == 1:
+            c = c._numerator
+        if c.__class__ is not int or c:
+            out[m] = c
+    return out
 
 
 class VariableSpec(_Value):
@@ -221,10 +235,11 @@ class Context:
         # (derivation index, m) -> raw terms of d(m), at most
         # PRODUCT_MEMO_CAP of them.
         self._dcache: dict[tuple[int, Monomial], dict[Monomial, object]] = {}
-        # (derivation index, variable index) -> raw terms of d(x_i).
-        self._images: dict[tuple[int, int], dict[Monomial, object]] = {}
+        # (derivation index, variable index) -> d(x_i) as (delta, value)
+        # pairs, one per term value*x^(e_i + delta) in the image's order.
+        self._images: dict[tuple[int, int], list[tuple[tuple, object]]] = {}
         # The gamma walk's index arithmetic (operators._walk): alpha -> root
-        # of its lazily built gamma tree.
+        # of its lazily built gamma tree, at most PRODUCT_MEMO_CAP of them.
         self._gamma_trees: dict[MultiIndex, object] = {}
         # (m1, m2) -> m1 * m2 for the monomial products mul_terms forms,
         # at most PRODUCT_MEMO_CAP of them.
@@ -405,18 +420,29 @@ class Context:
         if cached is not None:
             return cached
         out: dict[Monomial, object] = {}
-        p, images = self.spec.p, self._images
-        for i, e in m.exps:
+        p, images, exps = self.spec.p, self._images, m.exps
+        for i, e in exps:
             image = images.get((d.index, i))
-            if image is None:  # may register a shift variable, even where c vanishes
-                image = images[(d.index, i)] = self._image(d, self.variables[i])
-            c = e if p is None else e % p
-            if c:  # e may vanish in characteristic p
-                rest = Monomial(merge_exponents(m.exps, ((i, 1),), -1))
-                mul_terms(out, {rest: c}, image, self._products, p)
-        if len(self._dcache) >= PRODUCT_MEMO_CAP:
-            self._dcache.clear()
-        out = self._dcache[key] = nonzero(out)
+            if image is None:  # may register a shift variable, even where e vanishes
+                image = images[(d.index, i)] = [
+                    (merge_exponents(im.exps, ((i, 1),), -1), c)
+                    for im, c in self._image(d, self.variables[i]).items()
+                ]
+            if p is not None:
+                e %= p
+                if not e:  # e may vanish in characteristic p
+                    continue
+            # e * (m / x_i) * x^(delta + e_i) = e * x^(m + delta)
+            for delta, c in image:
+                rm = Monomial(merge_exponents(exps, delta))
+                t = e * c if c.__class__ is int else q_mul(e, c)
+                cur = out.get(rm, 0)
+                if cur.__class__ is not int:
+                    t = q_add(cur, t)
+                elif cur:
+                    t = cur + t if t.__class__ is int else q_add(cur, t)
+                out[rm] = t if p is None else t % p
+        out = capped(self._dcache)[key] = nonzero(out)
         return out
 
     def _derive(self, d: Derivation, terms: dict[Monomial, object]) -> dict[Monomial, object]:

@@ -39,7 +39,8 @@ Evaluation (w_mul, lie_bracket, act, apply_multi):
   subtree, since deeper gammas can still contribute.
 - Each node also maps beta to the output index beta + (alpha - gamma), so a
   repeated product builds no multi-index at all.  The trees hang off a
-  plain dict on the Context and die with it.
+  plain dict on the Context and die with it; that dict and each node's
+  output map start over once they reach coefficients.PRODUCT_MEMO_CAP.
 - The walk is level-synchronous: each step moves every started term pair
   one gamma level deeper.  mul_terms accumulates the terms into one
   {monomial: value} bucket per output index, and takes each monomial
@@ -79,6 +80,7 @@ from .coefficients import (
     Context,
     Monomial,
     _signed_monomial_term,
+    capped,
     format_a_element,
     join_signed,
     mul_terms,
@@ -279,9 +281,10 @@ class _GammaNode:
     """One gamma <= alpha of the walk, with the index arithmetic its terms need.
 
     `rest` is alpha - gamma and `outputs` maps beta to the output index
-    beta + rest; `c` is C(alpha, gamma) as a plain field value and `neg_c` its
-    negative, both None when the binomial vanishes mod p.  The children are
-    built on the first visit, so a subtree the walk prunes is never built.
+    beta + rest, at most PRODUCT_MEMO_CAP of them; `c` is C(alpha, gamma) as
+    a plain field value and `neg_c` its negative, both None when the binomial
+    vanishes mod p.  The children are built on the first visit, so a subtree
+    the walk prunes is never built.
     """
 
     __slots__ = ("alpha", "gamma", "rest", "outputs", "binom", "c", "neg_c", "children")
@@ -339,7 +342,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
         for alpha, u in x.terms.items():
             root = trees.get(alpha)
             if root is None:
-                root = trees[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
+                root = capped(trees)[alpha] = _GammaNode(spec, alpha, ZERO_INDEX, 1)
             uterms = u.terms
             outputs = root.outputs
             children = root.children
@@ -348,7 +351,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                 if not skip_gamma_zero:
                     idx = outputs.get(beta)
                     if idx is None:
-                        idx = outputs[beta] = beta.add(alpha)
+                        idx = capped(outputs)[beta] = beta.add(alpha)
                     mul_terms(out.setdefault(idx, {}), vterms, uterms, monomial_products, p)
                 if len(vterms) == 1 and ONE_MONOMIAL in vterms:
                     continue  # a constant v: d^gamma(v) = 0 for every gamma > 0
@@ -388,7 +391,7 @@ def _walk(ctx: Context, products: tuple, skip_gamma_zero: bool, guard) -> WeylEl
                     outputs = node.outputs
                     idx = outputs.get(beta)
                     if idx is None:
-                        idx = outputs[beta] = beta.add(node.rest)
+                        idx = capped(outputs)[beta] = beta.add(node.rest)
                     scale = None if c == 1 else c  # a unit binomial scales nothing
                     mul_terms(finished.setdefault(idx, {}), dv, uterms, monomial_products, p, scale)
             children = node.children

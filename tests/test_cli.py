@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from weyltype import cli, coefficients, probes
+from weyltype import cli, coefficients, operators, probes
 from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
 from weyltype.errors import UsageError, ValidationError
@@ -255,6 +256,84 @@ def test_verify_passes(capsys, s_weyl):
     assert out.count("pass") == 6
 
 
+def _parse(parser, argv):
+    """(namespace or exit code, stdout, stderr) of one parse_args call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+# Per command, argvs that parse, then argvs that are usage errors: a missing
+# --scenario, a non-integer --trials, an unknown flag, an extra positional,
+# and --json where the command has none.
+PARSER_ARGVS = {
+    "normalize": (["d1*t", "--scenario", "s"], ["t", "--json", "--scenario", "s"]),
+    "act": (["d1", "t", "--scenario", "s"], ["d1", "t", "--scenario", "s", "--json"]),
+    "bracket": (["d1", "t", "--scenario", "s", "--json"], ["--scenario", "s", "d1", "t"]),
+    "probe": (["--scenario", "s"], ["--scenario", "s", "--text", "--margin", "1/3", "--stats"]),
+    "verify": (["--scenario", "s"], ["--trials", "7", "--seed", "-2", "--scenario", "s"]),
+}
+BAD_ARGVS = (
+    [],
+    ["--trials", "abc", "--scenario", "s"],
+    ["--scenario", "s", "--bogus"],
+    ["a", "b", "c", "--scenario", "s"],
+    ["--scenario", "s", "--json"],
+)
+
+
+@pytest.mark.parametrize("command", list(PARSER_ARGVS))
+def test_command_parser_parses_like_the_full_parser(command):
+    single, full = cli._build_argparser(command), cli._build_argparser(None)
+    assert single is not full
+    help_text = _parse(single, [command, "--help"])
+    assert help_text[0] == 0 and help_text[1].startswith(f"usage: weyltype {command} ")
+    assert help_text == _parse(full, [command, "--help"])
+    for argv in PARSER_ARGVS[command]:
+        parsed = _parse(single, [command, *argv])
+        assert isinstance(parsed[0], dict) and parsed[0]["command"] == command
+        assert parsed == _parse(full, [command, *argv])
+    for argv in BAD_ARGVS:
+        refused = _parse(single, [command, *argv])
+        assert refused[0] == 2 and refused[1] == "" and len(refused[2].splitlines()) == 1, argv
+        assert refused == _parse(full, [command, *argv])
+
+
+def test_unknown_command_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["nope", "--scenario", "s"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "invalid choice: 'nope'" in err
+    assert all(f"'{name}'" in err for name in PARSER_ARGVS)
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "{normalize,act,bracket,probe,verify}" in out
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch, s_weyl):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli._build_argparser.cache_clear()
+    try:
+        assert run_cli(capsys, "probe", "--text", "--scenario", s_weyl)[0] == 0
+        assert run_cli(capsys, "probe", "--scenario", s_weyl)[0] == 0
+    finally:
+        cli._build_argparser.cache_clear()
+    assert added == ["probe"]
+
+
 def test_main_calls_share_no_parsed_state(capsys, monkeypatch, s_weyl):
     # main builds its argument parser once per process; a flag given to one
     # call must not carry over into the next.
@@ -294,6 +373,49 @@ def test_capped_product_memo_changes_no_verify_output(capsys, monkeypatch):
     capped = run()
     assert capped[:3] == (code, out, err) and code == 0
     assert capped[3] <= 64 < uncapped
+
+
+def _gamma_nodes(ctx):
+    """Every built node of the context's gamma trees."""
+    stack = list(ctx._gamma_trees.values())
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children or ())
+
+
+def test_capped_gamma_trees_change_no_verify_output(capsys, monkeypatch):
+    # The map of gamma trees and each node's output map start over at the
+    # cap, like the product memo: the work changes, no verify byte does.
+    path = str(bundled_scenario_path("mixed_flavors"))
+    loaded = []
+    load = cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda p: loaded.append(load(p)) or loaded[-1])
+
+    def run():
+        out = run_cli(capsys, "verify", "--scenario", path, "--trials", "50", "--seed", "3")
+        ctx = loaded[-1].ctx
+        return out, len(ctx._gamma_trees), max(len(n.outputs) for n in _gamma_nodes(ctx))
+
+    uncapped, trees, outputs = run()
+    assert uncapped[0] == 0 and trees > 4 and outputs > 4
+    cap = 4
+    monkeypatch.setattr(coefficients, "PRODUCT_MEMO_CAP", cap)
+    seen = []
+    capped = operators.capped
+
+    def watched(memo):
+        # On every miss, the sizes of the tree map and of each built node's
+        # output map, as they are before the miss stores its entry.
+        ctx = loaded[-1].ctx
+        seen.append(len(ctx._gamma_trees))
+        seen.extend(len(node.outputs) for node in _gamma_nodes(ctx))
+        return capped(memo)
+
+    monkeypatch.setattr(operators, "capped", watched)
+    capped_out, trees, outputs = run()
+    assert capped_out == uncapped
+    assert cap in seen and max(seen) <= cap and trees <= cap and outputs <= cap
 
 
 def test_capped_memos_change_no_report(capsys, monkeypatch):

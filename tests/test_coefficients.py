@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -21,8 +22,18 @@ from weyltype import (
     ValidationError,
     VariableCapError,
 )
+from weyltype import coefficients
 from weyltype.checks import SampleBounds, random_a
-from weyltype.coefficients import ONE_MONOMIAL, Monomial, format_a_element, format_monomial
+from weyltype.coefficients import (
+    LAURENT,
+    ONE_MONOMIAL,
+    Monomial,
+    format_a_element,
+    format_monomial,
+    mul_terms,
+    nonzero,
+)
+from weyltype.scenario import bundled_scenario_names, load_bundled
 
 
 def test_polynomial_product(weyl_q):
@@ -338,3 +349,133 @@ def test_dropped_contexts_are_freed_by_refcounting():
     assert set(result["codes"]) == {0}
     assert result["contexts"] >= len(result["codes"]) == 10
     assert result["alive"] == 0
+
+
+# -- first derivatives of monomials -------------------------------------------
+#
+# The reference applies the Leibniz rule the long way: d(m) is the sum over
+# the variables x_i of m of e_i * (m / x_i) * d(x_i), each product formed
+# by mul_terms with its own product memo.
+
+
+def _generator_image(ctx, d, i):
+    """d(x_i) as raw terms, read off the derivation itself."""
+    if i in d.images:
+        return d.images[i]
+    shifted = ctx.variable(f"{d.shift_prefix}{d.shift_target(ctx.variables[i])}")
+    return {Monomial(((shifted.index, 1),)): 1}
+
+
+def leibniz_reference(ctx, d, m):
+    out, p = {}, ctx.spec.p
+    for i, e in m.exps:
+        c = e if p is None else e % p
+        if c:
+            rest = Monomial.make({**dict(m.exps), i: e - 1})
+            mul_terms(out, {rest: c}, _generator_image(ctx, d, i), {}, p)
+    return nonzero(out)
+
+
+def _monomials(ctx):
+    """Monomials over the declared variables, with exponents that vanish
+    mod 2 and mod 5 and, for a Laurent variable, negative ones."""
+    ranges = [(-5, -1, 0, 1, 2) if var.kind == LAURENT else (0, 1, 2, 5)
+              for var in ctx.variables if var.declared]
+    for exps in itertools.product(*ranges):
+        yield Monomial.make(dict(enumerate(exps)))
+
+
+def _multi_term_context(spec):
+    """d1 = (1 + t^2/2 - 3*t^3)*d/dt on t, is zero on s, and d2 = (s + 3)*d/ds;
+    x is Laurent with d1(x) = x^-1 + t*x^2."""
+    ctx = Context(spec)
+    ctx.add_variable("t")
+    ctx.add_variable("s")
+    ctx.add_variable("x", LAURENT)
+    t, s, x = ctx.var("t"), ctx.var("s"), ctx.var("x")
+    half = spec.value(Fraction(1, 2)) if spec.p is None else spec.value(3)
+    ctx.add_derivation("d1", images={
+        "t": ctx.one() + ctx.var("t", 2) * half - ctx.var("t", 3) * 3,
+        "s": ctx.zero(),
+        "x": ctx.var("x", -1) + t * ctx.var("x", 2),
+    })
+    ctx.add_derivation("d2", images={"t": ctx.zero(), "s": s + ctx.one() * 3, "x": ctx.zero()})
+    return ctx.freeze()
+
+
+def _euler_context(spec):
+    ctx = Context(spec)
+    ctx.add_variable("t")
+    ctx.add_variable("x", LAURENT)
+    ctx.add_derivation("d1", images={"t": ctx.one(), "x": ctx.var("x")})
+    return ctx.freeze()
+
+
+FIELDS_BY_LABEL = {"Q": RATIONAL, "F_2": FieldSpec("prime", 2), "F_5": FieldSpec("prime", 5)}
+DERIVATIVE_CONTEXTS = {name: (lambda name=name: load_bundled(name).ctx) for name in bundled_scenario_names()}
+for _label, _spec in FIELDS_BY_LABEL.items():
+    DERIVATIVE_CONTEXTS[f"multi_term_{_label}"] = lambda spec=_spec: _multi_term_context(spec)
+    DERIVATIVE_CONTEXTS[f"weyl_euler_{_label}"] = lambda spec=_spec: _euler_context(spec)
+
+
+@pytest.mark.parametrize("name", DERIVATIVE_CONTEXTS)
+def test_monomial_derivatives_match_the_leibniz_reference(name):
+    ctx = DERIVATIVE_CONTEXTS[name]()
+    vanished = 0
+    for d in ctx.derivations:
+        for m in _monomials(ctx):
+            got = ctx._monomial_derivative(d, m)
+            expected = leibniz_reference(ctx, d, m)
+            assert list(got.items()) == list(expected.items()), (name, d.name, m)
+            assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+            vanished += not got and any(ctx.spec.p and e % ctx.spec.p == 0 for _, e in m.exps)
+    if ctx.spec.p in (2, 5):
+        assert vanished  # some derivative died because an exponent vanished mod p
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_shift_family_registers_lazy_variables_in_order(p):
+    # x1 and x5 are declared, so d(x1*x5) reaches x2 and then x6; over F_2
+    # both exponents of x1^2*x5^2 vanish, but the targets are still registered.
+    ctx = Context(RATIONAL if p is None else FieldSpec("prime", p), variable_cap=16)
+    ctx.add_variable("x1")
+    ctx.add_variable("x5")
+    ctx.add_derivation("d1", shift_prefix="x")
+    ctx.freeze()
+    d = ctx.derivation("d1")
+    e = 1 if p is None else p
+    got = ctx._monomial_derivative(d, Monomial(((0, e), (1, e))))
+    assert [var.name for var in ctx.variables] == ["x1", "x5", "x2", "x6"]
+    assert [var.declared for var in ctx.variables] == [True, True, False, False]
+    if p is None:
+        assert got == {Monomial(((1, 1), (2, 1))): 1, Monomial(((0, 1), (3, 1))): 1}
+    else:
+        assert got == {}
+    # The next level goes on from the last registered variable.
+    ctx._monomial_derivative(d, Monomial(((3, 1),)))
+    assert [var.name for var in ctx.variables][4:] == ["x7"]
+
+
+@pytest.mark.parametrize("label", ["Q", "F_5"])
+def test_cold_derivative_merges_once_per_image_term(label, monkeypatch):
+    # Each term of d(m) is m + delta: one exponent merge and no product-memo
+    # entry per image term, once the images of m's variables are known.
+    spec = FIELDS_BY_LABEL[label]
+    ctx = _multi_term_context(spec)
+    for d in ctx.derivations:
+        for var in ctx.variables:
+            ctx.apply_derivation(d, ctx.var(var.name))  # resolves every image
+    calls = []
+    merge = coefficients.merge_exponents
+    monkeypatch.setattr(coefficients, "merge_exponents", lambda *a: calls.append(a) or merge(*a))
+    products = dict(ctx._products)
+    for d in ctx.derivations:
+        for m in _monomials(ctx):
+            if (d.index, m) in ctx._dcache:
+                continue
+            calls.clear()
+            ctx._monomial_derivative(d, m)
+            image_terms = sum(len(_generator_image(ctx, d, i)) for i, e in m.exps
+                              if spec.p is None or e % spec.p)
+            assert len(calls) == image_terms, (d.name, m)
+    assert ctx._products == products

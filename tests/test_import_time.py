@@ -19,4 +19,9 @@ def test_import_time_prints_every_module_and_writes_nothing_under_src():
     assert modules <= rows.keys()
     for name in modules:
         assert len(rows[name]) == 4 and all(float(x) >= 0 for x in rows[name])
+    # The parser rows: the full parser, then one per command.
+    parsers = [f"parser:{name}" for name in ("all", "normalize", "act", "bracket", "probe", "verify")]
+    assert [key for key in rows if key.startswith("parser:")] == parsers
+    for name in parsers:
+        assert len(rows[name]) == 1 and float(rows[name][0]) > 0
     assert sorted(p for p in SRC.rglob("*") if p.is_file()) == before

@@ -207,3 +207,45 @@ def test_the_kernel_calls_no_scalar_method(monkeypatch, capsys):
     for argv in commands:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
     capsys.readouterr()
+
+
+def nonzero_reference(terms: dict) -> dict:
+    """nonzero as it read through Fraction's Python-level properties."""
+    return {
+        m: c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items()
+        if c
+    }
+
+
+# Buffer values as the kernel and its callers may leave them: int zeros,
+# Fraction(0), integral and non-integral Fractions, and residues mod 5.
+buffer_values = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(MONOMIALS), buffer_values, max_size=len(MONOMIALS)))
+def test_nonzero_matches_its_property_reading_reference(terms):
+    got, expected = nonzero(terms), nonzero_reference(terms)
+    assert list(typed(got).items()) == list(typed(expected).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(MONOMIALS), buffer_values, max_size=4),
+    st.dictionaries(st.sampled_from(MONOMIALS), values(RATIONAL), max_size=4),
+)
+def test_accumulating_onto_cancelled_zeros_and_fractions(out, terms):
+    # A cancelled zero is overwritten; any other buffer value is added to.
+    expected = dict(out)
+    for m, t in terms.items():
+        expected[m] = expected.get(m, 0) + t
+    add_terms(out, terms, None)
+    assert typed(nonzero(out)) == typed(nonzero_reference(expected))
+    assert_canonical(RATIONAL, nonzero(out))
