@@ -72,6 +72,12 @@ WINDOWS = {
         ("lie_closure", "t*d1", FULL_SPAN),
         "9e0076145a945762c242d33dbdc8a7c7201c038b75d64cee0a5d33ede24b48ac",
     ),
+    "mixed_x2_d3": (
+        "mixed_flavors",
+        {"window": {"max_level": 2, "bounds": {"t1": [0, 1], "t2": [0, 1], "x2": [-1, 1], "x3": [-1, 1]}}},
+        ("lie_closure", "x2*d3", FULL_SPAN),
+        "b648b8c8b1f15caf9478583ceeaadd194ca3b76d2512b071c66dd74f80fa51c5",
+    ),
     "ga_wide": (
         "group_algebra_z2",
         {"window": {"max_level": 3, "bounds": {"g1": [-2, 2], "g2": [-2, 2]}}},

@@ -10,9 +10,9 @@ Contexts are frozen after validation; the only mutation ever allowed
 afterwards is the lazy, append-only registration of new variables by a
 shift-rule derivation (bounded by a hard cap), and the caches only gain
 entries, apart from those that start over once they reach a fixed size
-(see PRODUCT_MEMO_CAP).  Freezing also finds the exponent grading of the
-derivations, if they have one (Context._grading); the bracket closure uses
-it to skip steps.  A derivative-cache entry is a raw {Monomial: value}
+(see PRODUCT_MEMO_CAP).  The coarsest exponent grading of the derivations
+(Context.grading) is found on first use; the operator closures use it to
+skip steps.  A derivative-cache entry is a raw {Monomial: value}
 dict.  An image holds exponent shifts: a term c*x^(e_i + delta) of d(x_i)
 as the pair (delta, c), so the term e*c*x^(m + delta) of d(m) costs one
 exponent merge.  Nothing in the caches points back at the Context, so
@@ -33,10 +33,12 @@ multiindex.py) are immutable fields._Frozen subclasses.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 
 from .errors import UsageError, ValidationError, VariableCapError
-from .fields import FieldSpec, _Frozen, _Value, _set_attribute, q_add, q_mul
+from .fields import RATIONAL, FieldSpec, _Frozen, _Value, _set_attribute, q_add, q_mul
+from .linalg import nullspace
 from .multiindex import MultiIndex, _forget, _KeyedRef, intern, merge_exponents
 
 POLYNOMIAL = "polynomial"
@@ -244,8 +246,6 @@ class Context:
         # (m1, m2) -> m1 * m2 for the monomial products mul_terms forms,
         # at most PRODUCT_MEMO_CAP of them.
         self._products: dict[tuple[Monomial, Monomial], Monomial] = {}
-        # Per derivation, its exponent shift; found by freeze (see _grading).
-        self.grading: tuple[tuple[int, ...], ...] | None = None
 
     # -- declaration ------------------------------------------------------
 
@@ -306,37 +306,37 @@ class Context:
         if violations:
             raise ValidationError(violations)
         self._frozen = True
-        self.grading = self._grading()
         return self
 
-    def _grading(self) -> tuple[tuple[int, ...], ...] | None:
-        """Per derivation d_j, the exponent shift delta_j (one entry per
-        variable) with d_j(x_i) in F*x^(e_i + delta_j) for every variable; a
-        zero image fits any shift.  None when a derivation has a shift rule,
-        an image that is not a single monomial, or images that disagree on
-        delta_j.  With a grading, m*d^alpha has degree m + sum alpha_j*delta_j
-        (see degree), and products and brackets of homogeneous operators are
-        homogeneous of the summed degree."""
-        n = len(self.variables)
-        shifts = []
+    @cached_property
+    def grading(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The coarsest exponent grading the derivations respect, found on
+        first use: l(e_i) per variable and l(delta_j) per derivation.
+
+        Each term c*x^(e_i + s) of an image d_j(x_i) gives a candidate shift
+        s of d_j.  K is the lattice spanned by the differences between the
+        candidate shifts of each single derivation, and l is an integer basis
+        of the functionals that vanish on K, found over Q whatever the field,
+        as exponents are integers.  So each term of d_j(x_i) has degree
+        l(e_i) + l(delta_j), delta_j being any candidate shift of d_j (or 0),
+        m*d^alpha has degree l(m) + sum alpha_j*l(delta_j) (see degree), and
+        products and brackets of homogeneous operators are homogeneous of the
+        summed degree.  K = 0 makes l the identity.  A shift rule reaches
+        variables that are not registered yet, so l is then empty: every
+        operator has degree ()."""
+        firsts, differences = [], []
         for d in self.derivations:
-            if d.shift_prefix is not None:
-                return None
-            delta = None
-            for i, image in d.images.items():
-                if not image:
-                    continue
-                if len(image) != 1:
-                    return None
-                shift = [0] * n
-                for k, e in next(iter(image)).exps:
-                    shift[k] = e
-                shift[i] -= 1
-                if delta is not None and delta != shift:
-                    return None
-                delta = shift
-            shifts.append(tuple(delta or [0] * n))
-        return tuple(shifts)
+            shifts = [merge_exponents(m.exps, ((i, 1),), -1) for i, image in d.images.items() for m in image]
+            firsts.append(shifts[0] if shifts else ())
+            differences += [dict(merge_exponents(s, shifts[0], -1)) for s in shifts[1:]]
+        n = len(self.variables)
+        rows = []
+        if all(d.shift_prefix is None for d in self.derivations):
+            for vec in nullspace(differences, n, RATIONAL):
+                scale = lcm(*(v.denominator for v in vec.values()))
+                rows.append([int(vec.get(i, 0) * scale) for i in range(n)])
+        weights = tuple(tuple(row[i] for row in rows) for i in range(n))
+        return weights, tuple(tuple(sum(row[k] * e for k, e in s) for row in rows) for s in firsts)
 
     # -- lookup -----------------------------------------------------------
 
@@ -364,14 +364,17 @@ class Context:
         raise UsageError(f"derivation {d.name!r} is not registered in this context")
 
     def degree(self, alpha: MultiIndex, m: Monomial) -> tuple[int, ...]:
-        """The degree m + sum_j alpha_j*delta_j of m*d^alpha, one entry per
-        variable; only for a context with a grading."""
-        deg = [0] * len(self.variables)
+        """The degree l(m) + sum_j alpha_j*l(delta_j) of m*d^alpha (see grading)."""
+        weights, shifts = self.grading
+        deg = [0] * len(weights[0]) if weights else []
+        if not deg:  # one piece, also for the variables a shift rule registers later
+            return ()
         for i, e in m.exps:
-            deg[i] = e
+            for k, w in enumerate(weights[i]):
+                deg[k] += e * w
         for j, a in alpha.entries:
-            for i, s in enumerate(self.grading[j]):
-                deg[i] += a * s
+            for k, s in enumerate(shifts[j]):
+                deg[k] += a * s
         return tuple(deg)
 
     # -- element factories --------------------------------------------------

@@ -31,28 +31,30 @@ The test is not used for brackets: the top level of [e, g] cancels, and the
 next one down (the Poisson bracket of the symbols) can vanish.
 
 Both operator closures, lie_closure and assoc_closure, skip the steps that
-their graded piece of the window cannot take.  When each derivation d_j
-shifts exponents by a fixed delta_j (Context.grading), m*d^alpha has degree
-m + sum alpha_j*delta_j, products and brackets of homogeneous operators are
-homogeneous of the summed degree, and the window labels fall into graded
-pieces (Window.pieces).  Each generator g is one term, so g*e, e*g and
-[e, g] lie in the pieces at the degrees of e plus that of g.  When each of
-those pieces is empty (it holds no window label), the step is zero or
-leaves the window.  When the seed is homogeneous, so is every accepted
-element, the span is the sum of its graded parts, and a piece whose rank
-equals its size already spans every step landing in it.  Either way the
-step could only end in zero, a discard or the span, none of which changes
-the walk, so it is not formed: it counts as tried and skipped (both
-products of an assoc_closure generator, as two steps), and the accepted
-steps, span and stop are those of the walk that forms it.  The saturation
-stop is the case in which every piece is full.  With an inhomogeneous seed
-only the empty pieces are skipped.  The symbol test runs on every
-generator that is formed, and on an ungraded window (Context.grading is
-None) it is the only test that decides assoc_closure's discards before
-forming a product.  The skip runs on integer piece ids (closure_tables):
-a walk reads an element's pieces from the columns of its coordinates and
-computes no degree, and the plans of which generators can land where are
-shared by every walk on the same tables.
+their graded piece of the window cannot take.  Every context grades A[D] by
+the coarsest exponent grading its derivations respect (Context.grading):
+each term of an image d_j(x_i) gives a candidate shift, its exponent vector
+minus e_i, and l is an integer basis of the functionals that vanish on the
+differences between the candidate shifts of each single derivation.  Then
+m*d^alpha has degree l(m) + sum alpha_j*l(delta_j), products and brackets of
+homogeneous operators are homogeneous of the summed degree, and the window
+labels fall into graded pieces (Window.pieces).  When l is empty, as for a
+shift rule, the window is one piece, which skips no step that the saturation
+stop would not.  Each generator g is one term, so g*e, e*g and [e, g] lie in
+the pieces at the degrees of e plus that of g. When each of those pieces is
+empty (it holds no window label), the step is zero or leaves the window.
+When the seed is homogeneous, so is every accepted element, the span is the
+sum of its graded parts, and a piece whose rank equals its size already
+spans every step landing in it.  Either way the step could only end in zero,
+a discard or the span, none of which changes the walk, so it is not formed:
+it counts as tried and skipped (both products of an assoc_closure generator,
+as two steps), and the accepted steps, span and stop are those of the walk
+that forms it.  The saturation stop is the case in which every piece is
+full.  With an inhomogeneous seed only the empty pieces are skipped.  The
+symbol test runs on every generator that is formed.  The skip runs on
+integer piece ids (closure_tables): a walk reads an element's pieces from
+the columns of its coordinates and computes no degree, and the plans of
+which generators can land where are shared by every walk on the same tables.
 
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
@@ -199,12 +201,10 @@ class Window(NamedTuple):
         mons = self.a_basis(ctx) if mons is None else mons
         return [(alpha, m) for alpha in multis for m in mons]
 
-    def pieces(self, ctx: Context, labels: list | None = None) -> tuple[list, dict] | None:
+    def pieces(self, ctx: Context, labels: list | None = None) -> tuple[list, dict]:
         """The graded pieces of the ad_basis `labels`: the piece id of each
         label and {degree (Context.degree): piece id}, ids counting up in
-        order of first label; None when the context has no grading."""
-        if ctx.grading is None:
-            return None
+        order of first label."""
         labels = self.ad_basis(ctx) if labels is None else labels
         ids: dict = {}
         return [ids.setdefault(ctx.degree(alpha, m), len(ids)) for alpha, m in labels], ids
@@ -300,7 +300,7 @@ class ClosureStep(NamedTuple):
     generator: str
     parent: int  # index into [seed, *steps]; -1 for the seed's own entry in _closure
     element: object
-    pieces: frozenset | None = None  # the element's piece ids; None when ungraded
+    pieces: frozenset | None = None  # the element's piece ids; None for d_simplicity
 
 
 class ProbeStats:
@@ -473,9 +473,9 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
     Results that are zero or leave the window are dropped, never projected.
     A seed lying in `central` (a SubspaceBasis) is refused.
 
-    `grading`, for a graded window of operators, is (piece_of, room): the
-    piece id of each column and a list of each piece's size.  The walk keeps
-    each element's frozenset of piece ids (else None) for `expand`.  With a
+    `grading`, for a window of operators, is (piece_of, room): the piece id
+    of each column and a list of each piece's size.  The walk keeps each
+    element's frozenset of piece ids (else None) for `expand`.  With a
     homogeneous seed every accepted element lies in the one piece of any of
     its columns, and the walk keeps each entry of room at size - rank by
     taking one for each element it accepts, the seed included.
@@ -638,17 +638,16 @@ class ClosureTables(NamedTuple):
     `gens` holds each window generator g = m*d^beta but the identity as
     (name, g, symbol shift).  `piece_of` and `piece_ids` are Window.pieces,
     `sizes` counts the labels of each piece and `shifts` holds the piece id
-    of each generator; they are None (`shifts` empty) when ungraded.
-    `plans` caches _plan.
+    of each generator.  `plans` caches _plan.
     """
 
     labels: list
     index: dict
     gens: list
     guard: tuple
-    piece_of: list | None
-    piece_ids: dict | None
-    sizes: list | None
+    piece_of: list
+    piece_ids: dict
+    sizes: list
     shifts: list
     plans: dict
 
@@ -656,7 +655,7 @@ class ClosureTables(NamedTuple):
 def closure_tables(ctx: Context, window: Window, mons: list | None = None) -> ClosureTables:
     mons = window.a_basis(ctx) if mons is None else mons
     labels = window.ad_basis(ctx, mons)
-    piece_of, piece_ids = window.pieces(ctx, labels) or (None, None)
+    piece_of, piece_ids = window.pieces(ctx, labels)
     gens, shifts = [], []
     for j, (alpha, m) in enumerate(labels):
         if alpha.is_zero() and m.is_one():
@@ -667,10 +666,9 @@ def closure_tables(ctx: Context, window: Window, mons: list | None = None) -> Cl
         if not (alpha.is_zero() or m.is_one()):
             name = f"{format_monomial(ctx, m)}*{name}"
         gens.append((name, g, _generator_shift(g, window)))
-        if piece_of is not None:
-            shifts.append(piece_of[j])
-    sizes = None if piece_of is None else [0] * len(piece_ids)
-    for p in piece_of or ():
+        shifts.append(piece_of[j])
+    sizes = [0] * len(piece_ids)
+    for p in piece_of:
         sizes[p] += 1
     index = {lab: j for j, lab in enumerate(labels)}
     return ClosureTables(labels, index, gens, window.guard(ctx, mons), piece_of, piece_ids, sizes,
@@ -696,25 +694,20 @@ def _plan(tables: ClosureTables, pieces: frozenset) -> list:
 
 def _graded_expand(tables: ClosureTables, form, width: int):
     """The `expand` of an operator closure walk (see the module docstring)
-    and the walk's `grading`: None when ungraded, else the tables' piece_of
-    and the room that `expand` reads, a fresh list of their sizes.
+    and the walk's `grading`: the tables' piece_of and the room that
+    `expand` reads, a fresh list of their sizes.
 
     `form(e)` gives the function that forms, from e, the `width` steps of
-    the generator at a position.  On an ungraded window (no room) every
-    step is formed, in generator order.  Otherwise only the generators in
-    the plan of e's pieces (_plan) are formed, each while its target piece
-    has room, and each run of the others counts as one int.
+    the generator at a position.  Only the generators in the plan of e's
+    pieces (_plan) are formed, in generator order, each while its target
+    piece has room, and each run of the others counts as one int.
     """
     count = len(tables.gens)
-    room = None if tables.sizes is None else list(tables.sizes)
+    room = list(tables.sizes)
     plans = tables.plans
 
     def expand(e, pieces):
         steps = form(e)
-        if room is None:
-            for k in range(count):
-                yield from steps(k)
-            return
         todo = plans[pieces] if pieces in plans else _plan(tables, pieces)
         done = 0  # steps before this position are formed or counted
         for k, piece in todo:
@@ -726,7 +719,7 @@ def _graded_expand(tables: ClosureTables, form, width: int):
         if done < count:
             yield width * (count - done)
 
-    return expand, None if room is None else (tables.piece_of, room)
+    return expand, (tables.piece_of, room)
 
 
 def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,

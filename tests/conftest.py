@@ -1,6 +1,6 @@
 import pytest
 
-from weyltype import Context, FieldSpec, RATIONAL
+from weyltype import Context, FieldSpec, RATIONAL, probes
 
 
 @pytest.fixture
@@ -89,3 +89,17 @@ def term_degrees():
         return frozenset(degree(alpha, m) for alpha, u in x.terms.items() for m in u.terms)
 
     return degrees
+
+
+def _one_piece(window, ctx, labels=None):
+    """Window.pieces for a grading that puts every label in one piece."""
+    labels = window.ad_basis(ctx) if labels is None else labels
+    return [0] * len(labels), {(): 0}
+
+
+@pytest.fixture
+def skip_off(monkeypatch):
+    """Call it to turn the graded skip of both closure walks off: every
+    window then grades its labels into one piece, which skips no step that
+    the saturation stop would not, so each walk forms every step."""
+    return lambda: monkeypatch.setattr(probes.Window, "pieces", _one_piece)

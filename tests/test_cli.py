@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from weyltype import cli, coefficients, operators, probes
+from weyltype import cli, coefficients, operators
 from weyltype.checks import MAX_SAMPLE_BOUND, MAX_TRIALS, SampleBounds, max_trials
 from weyltype.cli import main
 from weyltype.errors import UsageError, ValidationError
@@ -79,6 +79,26 @@ def test_normalize_error_exit(capsys, s_weyl):
     assert "x" in err
 
 
+@pytest.mark.parametrize(
+    "argv, computed",
+    [
+        (("verify", "--trials", "5", "--scenario", "mixed_flavors"), False),
+        (("normalize", "(d2 + x2)^3*x3", "--scenario", "mixed_flavors"), False),
+        (("probe", "--scenario", "shift_family"), False),  # theta_kernel only
+        (("probe", "--scenario", "mixed_flavors"), False),  # theta_kernel and d_simplicity
+        (("probe", "--scenario", "weyl_polynomial"), True),  # runs both operator closures
+    ],
+)
+def test_only_an_operator_closure_computes_the_grading(capsys, monkeypatch, argv, computed):
+    calls = []
+    grading = coefficients.Context.grading.func
+    monkeypatch.setattr(coefficients.Context, "grading", property(lambda ctx: calls.append(ctx) or grading(ctx)))
+    *head, name = argv
+    code, _, _ = run_cli(capsys, *head, str(bundled_scenario_path(name)))
+    assert code == 0
+    assert bool(calls) == computed
+
+
 def test_act(capsys, s_weyl):
     code, out, _ = run_cli(capsys, "act", "d1^2", "t^3", "--scenario", s_weyl)
     assert code == 0
@@ -136,11 +156,11 @@ def test_probe_writes_its_report_to_a_text_only_stdout():
 
 
 @pytest.mark.parametrize("name", ["weyl_polynomial", "char2_poly"])
-def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, monkeypatch, name):
+def test_probe_stats_print_one_json_line_per_probe_to_stderr(capsys, skip_off, name):
     requests = load_bundled(name).probes
     for skip in (True, False):
         if not skip:  # the graded skip off: every step is formed
-            monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
+            skip_off()
         code, out, err = run_cli(capsys, "probe", "--stats", "--scenario", str(bundled_scenario_path(name)))
         assert code == 0
         assert out.encode("ascii") == _golden_report(name)

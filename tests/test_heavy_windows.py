@@ -1,5 +1,5 @@
 """The widened windows of scripts/heavy_windows.py load, validate and give
-their pinned reports, about a second for all six; the assoc_closure probes
+their pinned reports, about a second for all of them; the assoc_closure probes
 also bound the work of the principal-symbol test and of the graded skip,
 and on these windows, the bundled scenarios and the benchmark's scenarios
 the graded skip of both closure walks changes no report and no step
@@ -109,12 +109,12 @@ def _assoc_work(scenario, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(ASSOC_WORK))
-def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch):
+def test_assoc_closure_forms_only_products_that_fit(name, monkeypatch, skip_off):
     # The principal symbol decides every discard of these probes, so each
     # product they form fits the window; the graded skip forms fewer still.
     formed, unskipped = ASSOC_WORK[name]
     assert _assoc_work(_load(name), monkeypatch)[0] == formed
-    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
+    skip_off()
     assert _assoc_work(_load(name), monkeypatch) == unskipped
 
 
@@ -129,12 +129,12 @@ def _report_chains_and_stats(name):
 
 
 @pytest.mark.parametrize("name", ALL_WINDOWS)
-def test_graded_skip_changes_no_report_and_no_step_chain(name, monkeypatch):
+def test_graded_skip_changes_no_report_and_no_step_chain(name, skip_off):
     # A skipped step could only have ended in zero, a discard or the span:
     # the walk that forms every step gives the same bytes and chains, tries
     # and accepts the same steps, and ends those it skips in the other ways.
     report, chains, stats = _report_chains_and_stats(name)
-    monkeypatch.setattr(probes.Window, "pieces", lambda self, ctx, labels=None: None)
+    skip_off()
     unskipped_report, unskipped_chains, unskipped_stats = _report_chains_and_stats(name)
     assert (unskipped_report, unskipped_chains) == (report, chains)
     for on, off in zip(stats, unskipped_stats):
@@ -205,17 +205,11 @@ def test_one_report_builds_the_window_basis_once(name, monkeypatch):
         assert "d_simplicity" in [r.kind for r in scenario.probes]
 
 
-GRADED_WINDOWS = [name for name in ALL_WINDOWS if _load(name).ctx.grading is not None]
-
-
 @pytest.mark.parametrize("name", ALL_WINDOWS)
 def test_piece_ids_agree_with_the_degrees(name):
     scenario = _load(name)
     ctx = scenario.ctx
     tables = probes.closure_tables(ctx, scenario.window)
-    if ctx.grading is None:
-        assert tables.piece_of is tables.piece_ids is tables.sizes is None and tables.shifts == []
-        return
     degrees = list(tables.piece_ids)
     assert [degrees[p] for p in tables.piece_of] == [ctx.degree(alpha, m) for alpha, m in tables.labels]
     assert sorted(set(tables.piece_of)) == list(range(len(degrees))) == sorted(tables.piece_ids.values())
@@ -233,13 +227,13 @@ def test_each_accepted_step_keeps_the_pieces_of_its_element(name, term_degrees):
     tables = probes.closure_tables(scenario.ctx, scenario.window)
     for request, verdict in zip(scenario.probes, verdicts):
         for step in verdict.steps:
-            if tables.piece_ids is None or request.kind == "d_simplicity":
+            if request.kind == "d_simplicity":
                 assert step.pieces is None
             else:
                 assert step.pieces == {tables.piece_ids[d] for d in term_degrees(step.element)}
 
 
-@pytest.mark.parametrize("name", GRADED_WINDOWS)
+@pytest.mark.parametrize("name", ALL_WINDOWS)
 def test_a_walk_computes_no_degree(name, monkeypatch):
     # closure_tables finds each label's degree once; the walks read pieces
     # from the tables only.
@@ -290,3 +284,52 @@ def test_a_report_shares_its_plans_across_its_walks(monkeypatch):
     assert len(used) == 4
     assert len(built) == len(set(built)) and set(built) == set().union(*used)
     assert sum(len(walk) for walk in used) > len(built)  # some walks met the same pieces
+
+
+# The windows whose derivations shift exponents by more than one vector, or
+# by a shift rule: K != 0, so their grading is coarser than the exponents.
+COARSE_WINDOWS = ("action_wide", "mixed_flavors", "mixed_x2_d3", "shift_family")
+
+
+def _exponent_shifts(ctx):
+    """Per derivation d_j its one exponent shift delta_j, one entry per
+    variable, or None when some image term shifts by another one."""
+    n = len(ctx.variables)
+    shifts = []
+    for d in ctx.derivations:
+        found = set()
+        if d.shift_prefix is not None:
+            return None
+        for i, image in d.images.items():
+            for m in image:
+                delta = [0] * n
+                for k, e in m.exps:
+                    delta[k] = e
+                delta[i] -= 1
+                found.add(tuple(delta))
+        if len(found) > 1:
+            return None
+        shifts.append(found.pop() if found else (0,) * n)
+    return shifts
+
+
+@pytest.mark.parametrize("name", [name for name in ALL_WINDOWS if name not in COARSE_WINDOWS])
+def test_where_k_is_zero_the_degree_is_the_exponent_shift_formula(name):
+    # Exact as before: m*d^alpha has degree m + sum_j alpha_j*delta_j.
+    scenario = _load(name)
+    ctx = scenario.ctx
+    shifts = _exponent_shifts(ctx)
+    assert shifts is not None
+    for alpha, m in scenario.window.ad_basis(ctx):
+        deg = [0] * len(ctx.variables)
+        for i, e in m.exps:
+            deg[i] = e
+        for j, a in alpha.entries:
+            for i, s in enumerate(shifts[j]):
+                deg[i] += a * s
+        assert ctx.degree(alpha, m) == tuple(deg)
+
+
+@pytest.mark.parametrize("name", COARSE_WINDOWS)
+def test_a_coarse_window_has_no_single_exponent_shift(name):
+    assert _exponent_shifts(_load(name).ctx) is None

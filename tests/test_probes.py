@@ -30,9 +30,10 @@ from weyltype import (
     widentity,
 )
 from weyltype import operators, probes
-from weyltype.coefficients import AElement
+from weyltype.coefficients import ONE_MONOMIAL, AElement
 from weyltype.checks import SampleBounds, random_scalar, random_weyl
 from weyltype.linalg import RowReducer
+from weyltype.multiindex import ZERO_INDEX
 from weyltype.operators import act, format_weyl, lie_bracket, wderivation, wfrom_a
 from weyltype.probes import (
     KERNEL_NONZERO,
@@ -672,10 +673,7 @@ def _unguarded(bracket):
     return lambda x, y, guard=None: bracket(x, y)
 
 
-def skip_off(monkeypatch):
-    """Turn the graded skip of both closure walks off: every window reads as ungraded,
-    so the walk forms every step."""
-    monkeypatch.setattr(Window, "pieces", lambda self, ctx, labels=None: None)
+ONE_PIECE = frozenset((0,))
 
 
 def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None, grading=None):
@@ -683,9 +681,8 @@ def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None
     until a round accepts nothing, unless the `stop` label enters the span.
     The oracle for probes._closure; of its ProbeStats it fills only the stop
     reason, and a None step result is a discard.  It forms every step, so
-    the graded skip must be off (skip_off): the window is ungraded and every
-    element's pieces are None."""
-    assert grading is None, "turn the graded skip off first"
+    the graded skip must be off (skip_off): every window is one piece, and
+    every element lies in it."""
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     seed_vec = coords(seed, index)
@@ -707,7 +704,7 @@ def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for op, gname, z in expand(accepted[pi], None):
+            for op, gname, z in expand(accepted[pi], ONE_PIECE):
                 if z is None or z.is_zero():
                     continue
                 vec = coords(z, index)
@@ -746,14 +743,14 @@ EXACTNESS_SCENARIOS = {
 
 
 @pytest.mark.parametrize("name", sorted(EXACTNESS_SCENARIOS))
-def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch):
+def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch, skip_off):
     def run():
         scenario = EXACTNESS_SCENARIOS[name]()
         report = report_bytes(build_report(scenario))
         return report, [v.name for v in scenario.ctx.variables]
 
     engine = run()
-    skip_off(monkeypatch)
+    skip_off()
     monkeypatch.setattr(probes, "_closure", exhaustive_closure)
     assert run() == engine
 
@@ -830,7 +827,7 @@ def _bundled_step_totals() -> Counter:
 STEP_OUTCOMES = ("zero", "discarded", "in_span", "accepted", "skipped")
 
 
-def test_closure_stats_equal_those_of_forming_every_product(monkeypatch):
+def test_closure_stats_equal_those_of_forming_every_product(monkeypatch, skip_off):
     # With the graded skip off, the counts are those of a walk that forms
     # every product, in full, and reads each one's coordinates: a step that
     # the principal symbol or a guarded bracket finds to leave the window is
@@ -840,7 +837,7 @@ def test_closure_stats_equal_those_of_forming_every_product(monkeypatch):
     assert totals == {
         "tried": 3_429, "zero": 102, "discarded": 262, "in_span": 217, "accepted": 306, "skipped": 2_542,
     }
-    skip_off(monkeypatch)
+    skip_off()
     unskipped = _bundled_step_totals()
     assert unskipped == {
         "tried": 3_429, "zero": 317, "discarded": 1_796, "in_span": 1_010, "accepted": 306, "skipped": 0,
@@ -872,40 +869,96 @@ def test_graded_skip_forms_98_of_the_closure_wide_brackets(monkeypatch):
 # -- the exponent grading ---------------------------------------------------------
 
 
+IDENTITY_2 = ((1, 0), (0, 1))
+
+
 @pytest.mark.parametrize(
     "name, grading",
     [
-        ("mixed_flavors", None),  # d2 sends t2 to 1 but x2 to x2
-        ("shift_family", None),
-        ("weyl_polynomial", ((-1,),)),
-        ("char2_poly", ((-1,),)),
-        ("nonsimple_euler", ((0,),)),
-        ("laurent_euler", ((0,),)),
-        ("char5_laurent_euler", ((0,),)),
-        ("group_algebra_z2", ((0, 0), (0, 0))),
+        # d2 sends t2 to 1 but x2 to x2, so K = <e_t2>: t2 has degree 0.
+        ("mixed_flavors", (((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1)), ((-1, 0, 0), (0, 0, 0), (0, 0, 0)))),
+        ("shift_family", (((), (), ()), ((),))),  # a shift rule: one piece
+        ("weyl_polynomial", (((1,),), ((-1,),))),
+        ("char2_poly", (((1,),), ((-1,),))),
+        ("nonsimple_euler", (((1,),), ((0,),))),
+        ("laurent_euler", (((1,),), ((0,),))),
+        ("char5_laurent_euler", (((1,),), ((0,),))),
+        ("group_algebra_z2", (IDENTITY_2, ((0, 0), (0, 0)))),
     ],
 )
 def test_context_finds_the_exponent_grading(name, grading):
     assert load_bundled(name).ctx.grading == grading
 
 
-def test_grading_of_hand_built_derivations():
-    def grading(**images):
-        ctx = Context(RATIONAL)
-        ctx.add_variable("t", "polynomial")
-        ctx.add_variable("s", "laurent")
+def _hand_built(images, spec: FieldSpec = RATIONAL, variables=(("t", "polynomial"), ("s", "laurent"))):
+    """A context on `variables` with one derivation d1 of the given images,
+    or none when `images` is None."""
+    ctx = Context(spec)
+    for name, kind in variables:
+        ctx.add_variable(name, kind)
+    if images is not None:
         ctx.add_derivation("d1", images={v: evaluate_text(x, ctx).a_part() for v, x in images.items()})
-        return ctx.freeze().grading
-
-    assert grading(t="t^2", s="0") == ((1, 0),)
-    assert grading(t="0", s="t*s") == ((1, 0),)
-    assert grading(t="2*t*s", s="s^2") == ((0, 1),)
-    assert grading(t="0", s="0") == ((0, 0),)
-    assert grading(t="s", s="t*s^2") is None  # shifts (-1, 1) and (1, 1) disagree
-    assert grading(t="1 + t", s="0") is None  # not a single monomial
+    return ctx.freeze()
 
 
-GRADED_SCENARIOS = sorted(set(bundled_scenario_names()) - {"mixed_flavors", "shift_family"})
+# name -> (a context on t, polynomial, and s, Laurent, unless said, its grading)
+HAND_BUILT = {
+    "t^2": (lambda: _hand_built({"t": "t^2", "s": "0"}), (IDENTITY_2, ((1, 0),))),
+    "t*s on s": (lambda: _hand_built({"t": "0", "s": "t*s"}), (IDENTITY_2, ((1, 0),))),
+    "2*t*s and s^2": (lambda: _hand_built({"t": "2*t*s", "s": "s^2"}), (IDENTITY_2, ((0, 1),))),
+    "zero": (lambda: _hand_built({"t": "0", "s": "0"}), (IDENTITY_2, ((0, 0),))),
+    # Shifts (-1, 1) and (1, 1) differ by (2, 0): the s exponent alone.
+    "s and t*s^2": (lambda: _hand_built({"t": "s", "s": "t*s^2"}), (((0,), (1,)), ((1,),))),
+    # Shifts (-1, 0) and (0, 0) differ by e_t: the s exponent alone, and d1 has degree 0.
+    "1 + t": (lambda: _hand_built({"t": "1 + t", "s": "0"}), (((0,), (1,)), ((0,),))),
+    # On t alone the same image leaves no functional: one piece.
+    "1 + t on t alone": (lambda: _hand_built({"t": "1 + t"}, variables=(("t", "polynomial"),)), (((),), ((),))),
+    # K = <(2, 3)>: the functional 3a - 2b, found as (1, -2/3) over Q.
+    "t + t^3*s^3": (lambda: _hand_built({"t": "t + t^3*s^3", "s": "0"}), (((3,), (-2,)), ((0,),))),
+    "no derivation": (lambda: _hand_built(None), (IDENTITY_2, ())),
+    # Shifts 0 and 2: K = <2> over Q, though 2 vanishes in F_2.
+    "t + t^3 over F_2": (
+        lambda: _hand_built({"t": "t + t^3"}, FieldSpec("prime", 2), (("t", "polynomial"),)), (((),), ((),)),
+    ),
+}
+
+
+def test_grading_of_hand_built_derivations():
+    for name, (build, grading) in HAND_BUILT.items():
+        assert build().grading == grading, name
+
+
+def test_a_lattice_of_full_rank_grades_the_window_into_one_piece():
+    ctx = HAND_BUILT["t + t^3 over F_2"][0]()
+    window = Window.for_context(ctx, {"t": (0, 3)}, max_level=2)
+    assert window.pieces(ctx) == ([0] * 12, {(): 0})
+
+
+def _functional_degree(weights, m) -> tuple:
+    """l(m), read from the grading's l(e_i), not by Context.degree."""
+    rank = len(weights[0]) if weights else 0
+    return tuple(sum(e * weights[i][k] for i, e in m.exps) for k in range(rank))
+
+
+GRADED_CONTEXTS = {
+    **{name: (lambda name=name: load_bundled(name).ctx) for name in bundled_scenario_names()},
+    **{f"hand-built {name}": build for name, (build, _) in HAND_BUILT.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_CONTEXTS))
+def test_every_image_term_has_the_degree_of_its_derivation(name):
+    # Term by term: each term of d_j(x_i) has degree l(e_i) + l(delta_j).
+    ctx = GRADED_CONTEXTS[name]()
+    weights, shifts = ctx.grading
+    assert len(shifts) == len(ctx.derivations)
+    for var in ctx.variables[: len(weights)]:  # a shift rule registers more
+        (x,) = ctx.var(var.name).terms
+        assert ctx.degree(ZERO_INDEX, x) == weights[var.index] == _functional_degree(weights, x)
+        for j, d in enumerate(ctx.derivations):
+            assert ctx.degree(mk({j: 1}), ONE_MONOMIAL) == shifts[j]
+            for m in ctx.apply_derivation(d, ctx.var(var.name)).terms:
+                assert _functional_degree(weights, m) == tuple(map(add, weights[var.index], shifts[j]))
 
 
 def _homogeneous_element(ctx, rng, labels_by_degree):
@@ -920,7 +973,7 @@ def _homogeneous_element(ctx, rng, labels_by_degree):
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(GRADED_SCENARIOS), seed=st.integers(0, 10**6))
+@given(name=st.sampled_from(sorted(bundled_scenario_names())), seed=st.integers(0, 10**6))
 def test_degrees_add_under_products_and_brackets(name, seed, term_degrees):
     scenario = load_bundled(name)
     ctx, window = scenario.ctx, scenario.window
@@ -944,7 +997,7 @@ def test_degrees_add_under_products_and_brackets(name, seed, term_degrees):
     assert term_degrees(bracket) <= {total}
 
 
-def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch, term_degrees):
+def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch, skip_off, term_degrees):
     # t*d1 + t^2*d1 has terms of degrees 1 and 2, so the span is not graded
     # and a full piece shows nothing; a step is skipped only when every
     # piece its bracket can reach holds no window label.
@@ -968,7 +1021,7 @@ def test_an_inhomogeneous_seed_skips_only_empty_pieces(monkeypatch, term_degrees
         return (verdict.kind, verdict.coverage, chain), verdict.stats, list(formed)
 
     graded, stats, formed_graded = run()
-    skip_off(monkeypatch)
+    skip_off()
     unskipped, stats_off, formed_all = run()
     empty = [
         (e, g) for e, g in formed_all

@@ -117,7 +117,7 @@ SKIP_COUNTS = (
 )
 
 
-def test_probe_stats_lines_are_unchanged(capsys, monkeypatch):
+def test_probe_stats_lines_are_unchanged(capsys, skip_off):
     path = str(bundled_scenario_path("weyl_polynomial"))
     assert main(["probe", "--scenario", path, "--stats"]) == 0
     assert capsys.readouterr().err == WEYL_POLYNOMIAL_STATS
@@ -125,7 +125,7 @@ def test_probe_stats_lines_are_unchanged(capsys, monkeypatch):
     for on, off in SKIP_COUNTS:
         assert unskipped.count(on) == 1
         unskipped = unskipped.replace(on, off)
-    monkeypatch.setattr(Window, "pieces", lambda self, ctx, labels=None: None)
+    skip_off()
     assert main(["probe", "--scenario", path, "--stats"]) == 0
     assert capsys.readouterr().err == unskipped
 
