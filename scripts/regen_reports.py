@@ -3,12 +3,19 @@
 The generated files are the byte-exact regression baseline that the test
 suite compares CLI output against.  Rerun after any change that legitimately
 alters probe output, then review the diff.
+
+    python3 scripts/regen_reports.py
+
+The imports come from this checkout's `src/`.
 """
 
+import sys
 from pathlib import Path
 
-from weyltype.reports import build_report, report_bytes
-from weyltype.scenario import bundled_scenario_names, load_bundled
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from weyltype.reports import build_report, report_bytes  # noqa: E402
+from weyltype.scenario import bundled_scenario_names, load_bundled  # noqa: E402
 
 
 def main() -> None:

@@ -168,7 +168,7 @@ class Scalar:
     counts and times its operators, and the tests use it as arithmetic
     independent of the kernel's inline sums.  In the library only
     FieldSpec.scalar returns one and only RowReducer.add accepts one.  ROADMAP
-    item 5 deletes it once item 2 has moved the harness onto plain values.
+    item 5 deletes it once item 2a has moved the harness onto plain values.
 
     `value` is in canonical form (see the module docstring) and is never
     changed after construction.  Arithmetic between Scalars checks that the

@@ -20,13 +20,15 @@ Likewise an insertion clears its new pivot column only from the rows that
 hold it, which a non-pivot column -> holder pivots index lists; the index
 is updated for every row a subtraction changes, and may keep empty sets.
 
-A one-entry vector {j: c} on a column j that is not yet a pivot is its own
-residue, and its RREF row is the unit row {j: 1}: add stores that and
-deletes column j from the rows that hold it, with no reduction, scaling or
-inverse.  The unit row holds the int 1 also when c is a Scalar, which the
-Scalar operators take as the field's one.  A one-entry vector on a pivot
-column is reduced as any other, since that pivot's row may hold more
-entries.  Many of theta_kernel's constraint rows take this path.
+A one-entry vector {j: c} on a column j that is not yet a pivot, with c
+nonzero (over F_p an int in [1, p)), is its own residue, and its RREF row
+is the unit row {j: 1}: add stores that and deletes column j from the rows
+that hold it, with no reduction, scaling or inverse.  The unit row holds the
+int 1 also when c is a Scalar over Q, which the Scalar operators take as
+the field's one.  Any other one-entry vector is reduced as any vector: on a
+pivot column that pivot's row may hold more entries, and a zero c (over
+F_p, any multiple of p) raises there as it does in a longer vector.  Many
+of theta_kernel's constraint rows take this path.
 """
 
 from __future__ import annotations
@@ -85,10 +87,12 @@ class RowReducer:
         if len(vec) == 1:
             (pivot,) = vec
             if pivot not in self._by_pivot:
-                for k in self._holders.pop(pivot, ()):
-                    del self._by_pivot[k][pivot]
-                self._by_pivot[pivot] = {pivot: 1}
-                return True
+                c, p = vec[pivot], self._p
+                if c if p is None else c.__class__ is int and 0 < c < p:  # a nonzero canonical c
+                    for k in self._holders.pop(pivot, ()):
+                        del self._by_pivot[k][pivot]
+                    self._by_pivot[pivot] = {pivot: 1}
+                    return True
         work = self.reduce(vec)
         if not work:
             return False

@@ -30,9 +30,9 @@ and the walk counts two discards, exactly as it would for the products.
 The test is not used for brackets: the top level of [e, g] cancels, and the
 next one down (the Poisson bracket of the symbols) can vanish.
 
-Both operator closures, lie_closure and assoc_closure, skip the steps that
-their graded piece of the window cannot take.  Every context grades A[D] by
-the coarsest exponent grading its derivations respect (Context.grading):
+Every closure walk (_closure) skips the steps that the graded pieces of its
+window cannot take.  For lie_closure and assoc_closure, every context grades
+A[D] by the coarsest exponent grading its derivations respect (Context.grading):
 each term of an image d_j(x_i) gives a candidate shift, its exponent vector
 minus e_i, and l is an integer basis of the functionals that vanish on the
 differences between the candidate shifts of each single derivation.  Then
@@ -55,6 +55,8 @@ symbol test runs on every generator that is formed.  The skip runs on
 integer piece ids (closure_tables): a walk reads an element's pieces from
 the columns of its coordinates and computes no degree, and the plans of
 which generators can land where are shared by every walk on the same tables.
+d_simplicity walks A on one piece holding every label, which has room until
+the span holds the identity, so that walk skips nothing.
 
 Probes are pure functions of (context, seed, window); independent probes can
 run concurrently.
@@ -300,7 +302,7 @@ class ClosureStep(NamedTuple):
     generator: str
     parent: int  # index into [seed, *steps]; -1 for the seed's own entry in _closure
     element: object
-    pieces: frozenset | None = None  # the element's piece ids; None for d_simplicity
+    pieces: frozenset = frozenset()  # the element's piece ids in its walk's ClosureTables
 
 
 class ProbeStats:
@@ -308,9 +310,9 @@ class ProbeStats:
 
     Every step is counted once as tried and then as exactly one of zero,
     discarded (it left the window), in_span, accepted or skipped.  A skipped
-    step is one the graded skip of lie_closure or assoc_closure did not
-    form (see the module docstring); each skipped assoc_closure generator
-    counts two.  `ranks` holds the span's rank after seeding and after each
+    step is one the graded skip did not form (see the module docstring);
+    each skipped assoc_closure generator counts two, and d_simplicity skips
+    none.  `ranks` holds the span's rank after seeding and after each
     breadth-first round, the last entry taken where the walk stopped.
     """
 
@@ -459,26 +461,26 @@ def theta_kernel(ctx: Context, window: Window, restrict_to_f1: bool = False,
 # -- ideal-closure probes ------------------------------------------------------
 
 
-def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central=None,
-             grading=None):
-    """Breadth-first closure of the seed inside a window, with discard semantics.
+def _closure(ctx: Context, seed, tables: ClosureTables, coords, form, width: int, stop=None,
+             central=None):
+    """Breadth-first closure of the seed inside a window, with discard
+    semantics and the graded skip (see the module docstring).
 
-    `index` maps each label of the window basis to its column and
+    `tables.index` maps each label of the window basis to its column and
     `coords(z, index)` gives an element's coordinates over that basis, or
-    None when the element leaves the window.
-    `expand(elem, pieces)` yields the `(op, generator name, result)` of
-    every closure step from one accepted element, in a fixed order; a
-    result of None says the step left the window, and an int n in place of
-    a step counts n steps skipped unformed.
-    Results that are zero or leave the window are dropped, never projected.
-    A seed lying in `central` (a SubspaceBasis) is refused.
+    None when the element leaves the window.  `form(e)` gives the function
+    that forms, from e, the `width` steps `(op, generator name, result)` of
+    the generator at a position; a result of None says the step left the
+    window.  Results that are zero or leave the window are dropped, never
+    projected.  A seed lying in `central` (a SubspaceBasis) is refused.
 
-    `grading`, for a window of operators, is (piece_of, room): the piece id
-    of each column and a list of each piece's size.  The walk keeps each
-    element's frozenset of piece ids (else None) for `expand`.  With a
-    homogeneous seed every accepted element lies in the one piece of any of
-    its columns, and the walk keeps each entry of room at size - rank by
-    taking one for each element it accepts, the seed included.
+    The walk keeps each element's frozenset of piece ids.  From each parent
+    it forms, in generator order, the generators in the plan of its pieces
+    (_plan) whose target piece has room, and counts each run of the others
+    as skipped.  room starts at the piece sizes; with a homogeneous seed
+    every accepted element lies in the one piece of any of its columns, and
+    the walk keeps each entry at size - rank by taking one for each element
+    it accepts, the seed included.
 
     The walk stops for one of three reasons, checked in this order after
     seeding and after each accepted step:
@@ -492,6 +494,7 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
     Returns the reducer holding the span, the accepted steps and the walk's
     ProbeStats.
     """
+    index = tables.index
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     seed_vec = coords(seed, index)
@@ -504,11 +507,12 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
 
     red = RowReducer(ctx.spec)
     red.add(seed_vec)
-    piece_of, room = grading or (None, None)
-    pieces = None if piece_of is None else frozenset([piece_of[j] for j in seed_vec])
+    piece_of, plans, room = tables.piece_of, tables.plans, list(tables.sizes)
+    count = len(tables.shifts)
+    pieces = frozenset([piece_of[j] for j in seed_vec])
     accepted = [ClosureStep("", "", -1, seed, pieces)]  # the seed, then the steps
     stats = ProbeStats(ranks=[red.rank])
-    homogeneous = room is not None and len(pieces) == 1
+    homogeneous = len(pieces) == 1
     if homogeneous:
         room[next(iter(pieces))] -= 1
     singles = {}  # piece id -> its one frozenset, shared by a homogeneous walk
@@ -529,50 +533,58 @@ def _closure(ctx: Context, seed, index: dict, coords, expand, stop=None, central
         next_frontier = []
         for pi in frontier:
             parent = accepted[pi]
-            for step in expand(parent.element, parent.pieces):
-                if step.__class__ is int:
-                    stats.tried += step
-                    stats.skipped += step
+            steps = form(parent.element)
+            plan = plans[parent.pieces] if parent.pieces in plans else _plan(tables, parent.pieces)
+            reached = 0  # the positions below it are formed or counted as skipped
+            for k, target in plan:
+                if target is not None and not room[target]:
                     continue
-                op, gname, z = step
-                stats.tried += 1
-                if z is not None and z.is_zero():
-                    stats.zero += 1
-                    continue
-                vec = None if z is None else coords(z, index)
-                if vec is None:
-                    stats.discarded += 1  # the step left the window
-                    continue
-                if not red.add(vec):
-                    stats.in_span += 1
-                    continue
-                stats.accepted += 1
-                if homogeneous:
-                    piece = piece_of[next(iter(vec))]
-                    room[piece] -= 1
-                    pieces = singles.setdefault(piece, frozenset((piece,)))
-                elif piece_of is not None:
-                    pieces = frozenset([piece_of[j] for j in vec])
-                accepted.append(ClosureStep(op, gname, pi, z, pieces))
-                next_frontier.append(len(accepted) - 1)
-                if stop_vec is not None and red.contains(stop_vec):
-                    return done(STOP_IDENTITY)
-                if red.rank == len(index):
-                    return done(STOP_SATURATED)
+                if k > reached:
+                    stats.tried += width * (k - reached)
+                    stats.skipped += width * (k - reached)
+                reached = k + 1
+                for op, gname, z in steps(k):
+                    stats.tried += 1
+                    if z is not None and z.is_zero():
+                        stats.zero += 1
+                        continue
+                    vec = None if z is None else coords(z, index)
+                    if vec is None:
+                        stats.discarded += 1  # the step left the window
+                        continue
+                    if not red.add(vec):
+                        stats.in_span += 1
+                        continue
+                    stats.accepted += 1
+                    if homogeneous:
+                        piece = piece_of[next(iter(vec))]
+                        room[piece] -= 1
+                        pieces = singles.setdefault(piece, frozenset((piece,)))
+                    else:
+                        pieces = frozenset([piece_of[j] for j in vec])
+                    accepted.append(ClosureStep(op, gname, pi, z, pieces))
+                    next_frontier.append(len(accepted) - 1)
+                    if stop_vec is not None and red.contains(stop_vec):
+                        return done(STOP_IDENTITY)
+                    if red.rank == len(index):
+                        return done(STOP_SATURATED)
+            if reached < count:
+                stats.tried += width * (count - reached)
+                stats.skipped += width * (count - reached)
         frontier = next_frontier
         stats.ranks.append(red.rank)
     return done(STOP_EXHAUSTED)
 
 
-def _identity_closure(ctx: Context, seed, labels: list, index: dict, coords, from_coords, expand,
-                      stop, grading=None) -> ProbeVerdict:
+def _identity_closure(ctx: Context, seed, tables: ClosureTables, coords, from_coords, form,
+                      width: int, stop) -> ProbeVerdict:
     """The verdict of a probe that closes the seed until its span holds the
     `stop` label; `from_coords(ctx, labels, vec)` builds a witness."""
-    red, steps, stats = _closure(ctx, seed, index, coords, expand, stop=stop, grading=grading)
+    red, steps, stats = _closure(ctx, seed, tables, coords, form, width, stop=stop)
     return ProbeVerdict(
         kind=REACHES_IDENTITY if stats.stop == STOP_IDENTITY else PROPER_INVARIANT_SUBSPACE,
-        coverage=Fraction(red.rank, len(labels)),
-        witness=[from_coords(ctx, labels, vec) for vec in red.vectors()],
+        coverage=Fraction(red.rank, len(tables.labels)),
+        witness=[from_coords(ctx, tables.labels, vec) for vec in red.vectors()],
         steps=steps,
         stats=stats,
     )
@@ -585,19 +597,28 @@ def d_simplicity_probe(ctx: Context, seed: AElement, window: Window,
 
     Reaching the identity certifies that the derivation-stable ideal
     generated by the seed is the whole coefficient algebra.  `labels` are
-    the window's a_basis, built here when not given.
+    the window's a_basis, built here when not given.  The walk runs on one
+    piece holding every label, whose room runs out only when the span holds
+    the identity, so it skips no step.
     """
     labels = window.a_basis(ctx) if labels is None else labels
     gens = [(format_monomial(ctx, m), _a_element(ctx, m)) for m in labels if not m.is_one()]
+    muls = len(gens)
+    gens += [(d.name, d) for d in ctx.derivations]
 
-    def expand(e, _pieces):
-        for name, g in gens:
-            yield "mul", name, e * g
-        for d in ctx.derivations:
-            yield "derive", d.name, ctx.apply_derivation(d, e)
+    def form(e):
+        def steps(k):
+            name, g = gens[k]
+            if k < muls:
+                return (("mul", name, e * g),)
+            return (("derive", name, ctx.apply_derivation(g, e)),)
 
-    index = {m: j for j, m in enumerate(labels)}
-    return _identity_closure(ctx, seed, labels, index, a_coords, a_from_coords, expand, ONE_MONOMIAL)
+        return steps
+
+    n = len(labels)
+    tables = ClosureTables(labels, {m: j for j, m in enumerate(labels)}, gens, None, [0] * n, {(): 0},
+                           [n], [0] * len(gens), {})
+    return _identity_closure(ctx, seed, tables, a_coords, a_from_coords, form, 1, ONE_MONOMIAL)
 
 
 def _symbol_room(e: WeylElement, window: Window) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -633,12 +654,14 @@ def _symbol_leaves(room: tuple, shift: tuple) -> bool:
 
 
 class ClosureTables(NamedTuple):
-    """What the operator closure probes on one window share (closure_tables).
+    """What the closure walks on one window share (closure_tables).
 
-    `gens` holds each window generator g = m*d^beta but the identity as
-    (name, g, symbol shift).  `piece_of` and `piece_ids` are Window.pieces,
-    `sizes` counts the labels of each piece and `shifts` holds the piece id
-    of each generator.  `plans` caches _plan.
+    `gens` holds the generators in walk order; for the operator closures,
+    each window generator g = m*d^beta but the identity as (name, g, symbol
+    shift).  `piece_of` and `piece_ids` are Window.pieces, `sizes` counts
+    the labels of each piece and `shifts` holds the piece id of each
+    generator.  `plans` caches _plan.  d_simplicity builds one-piece tables
+    of its own, with no guard.
     """
 
     labels: list
@@ -692,36 +715,6 @@ def _plan(tables: ClosureTables, pieces: frozenset) -> list:
     return plan
 
 
-def _graded_expand(tables: ClosureTables, form, width: int):
-    """The `expand` of an operator closure walk (see the module docstring)
-    and the walk's `grading`: the tables' piece_of and the room that
-    `expand` reads, a fresh list of their sizes.
-
-    `form(e)` gives the function that forms, from e, the `width` steps of
-    the generator at a position.  Only the generators in the plan of e's
-    pieces (_plan) are formed, in generator order, each while its target
-    piece has room, and each run of the others counts as one int.
-    """
-    count = len(tables.gens)
-    room = list(tables.sizes)
-    plans = tables.plans
-
-    def expand(e, pieces):
-        steps = form(e)
-        todo = plans[pieces] if pieces in plans else _plan(tables, pieces)
-        done = 0  # steps before this position are formed or counted
-        for k, piece in todo:
-            if piece is None or room[piece]:
-                if k > done:
-                    yield width * (k - done)
-                yield from steps(k)
-                done = k + 1
-        if done < count:
-            yield width * (count - done)
-
-    return expand, (tables.piece_of, room)
-
-
 def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,
                               tables: ClosureTables | None = None) -> ProbeVerdict:
     """Two-sided multiplicative closure of the seed, with discard semantics.
@@ -750,10 +743,8 @@ def assoc_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window,
 
         return steps
 
-    expand, grading = _graded_expand(tables, form, 2)
-    stop = (ZERO_INDEX, ONE_MONOMIAL)
-    return _identity_closure(ctx, seed, tables.labels, tables.index, weyl_coords, weyl_from_coords,
-                             expand, stop, grading)
+    return _identity_closure(ctx, seed, tables, weyl_coords, weyl_from_coords, form, 2,
+                             (ZERO_INDEX, ONE_MONOMIAL))
 
 
 def lie_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window, f1: SubspaceBasis,
@@ -786,8 +777,7 @@ def lie_ideal_closure_probe(ctx: Context, seed: WeylElement, window: Window, f1:
 
         return steps
 
-    expand, grading = _graded_expand(tables, form, 1)
-    red, steps, stats = _closure(ctx, seed, index, weyl_coords, expand, central=f1, grading=grading)
+    red, steps, stats = _closure(ctx, seed, tables, weyl_coords, form, 1, central=f1)
 
     # Coverage is judged on the span plus the f1 rows at level 0: a target is
     # in that sum iff its residue modulo the span is in that of the f1 rows.

@@ -228,9 +228,37 @@ def test_each_accepted_step_keeps_the_pieces_of_its_element(name, term_degrees):
     for request, verdict in zip(scenario.probes, verdicts):
         for step in verdict.steps:
             if request.kind == "d_simplicity":
-                assert step.pieces is None
+                assert step.pieces == {0}  # its walk runs on one piece
             else:
                 assert step.pieces == {tables.piece_ids[d] for d in term_degrees(step.element)}
+
+
+# (window, probe index) -> (tried, accepted) of each d_simplicity walk, those
+# of the walk that forms every step; the heavy windows hold none.
+D_SIMPLICITY_STEPS = {
+    ("char2_poly", 2): (7, 6),
+    ("char2_poly", 3): (35, 4),
+    ("group_algebra_z2", 1): (1, 1),
+    ("laurent_euler", 1): (1, 1),
+    ("mixed_flavors", 1): (36, 18),
+    ("mixed_flavors", 2): (5, 5),
+    ("nonsimple_euler", 1): (42, 5),
+    ("weyl_polynomial", 1): (7, 6),
+    ("closure_wide", 1): (13, 12),
+}
+
+
+def test_a_d_simplicity_walk_skips_no_step():
+    found = {}
+    for name in ALL_WINDOWS:
+        scenario = _load(name)
+        verdicts = []
+        build_report(scenario, verdicts)
+        for k, (request, verdict) in enumerate(zip(scenario.probes, verdicts)):
+            if request.kind == "d_simplicity":
+                assert verdict.stats.skipped == 0
+                found[(name, k)] = (verdict.stats.tried, verdict.stats.accepted)
+    assert found == D_SIMPLICITY_STEPS
 
 
 @pytest.mark.parametrize("name", ALL_WINDOWS)
@@ -257,33 +285,43 @@ def test_a_walk_computes_no_degree(name, monkeypatch):
 
 
 def test_a_report_shares_its_plans_across_its_walks(monkeypatch):
-    # closure_wide's four closure walks run on one set of tables; each piece
-    # set a parent lies in gets its plan built once for the whole report.
+    # closure_wide's four operator closure walks run on one set of tables;
+    # each piece set a parent lies in gets its plan built once for the whole
+    # report.  Its d_simplicity walk runs on one-piece tables of its own.
     scenario = _load("closure_wide")
-    built, used = [], []
-    original_plan, original_expand = probes._plan, probes._graded_expand
+    built, walks = [], []
+    original_plan, original_closure = probes._plan, probes._closure
 
     def counted_plan(tables, pieces):
-        built.append(pieces)
+        built.append((id(tables), pieces))
         return original_plan(tables, pieces)
 
-    def recorded_expand(tables, form, width):
-        expand, grading = original_expand(tables, form, width)
-        walk = set()
-        used.append(walk)
+    def recorded_closure(ctx, seed, tables, coords, form, width, **kwargs):
+        # form(e) is called once for each parent the walk expands.
+        parents = []
 
-        def recorded(e, pieces):
-            walk.add(pieces)
-            return expand(e, pieces)
+        def recorded_form(e):
+            parents.append(e)
+            return form(e)
 
-        return recorded, grading
+        red, steps, stats = original_closure(ctx, seed, tables, coords, recorded_form, width, **kwargs)
+        pieces = {id(step.element): step.pieces for step in steps}
+        pieces[id(seed)] = frozenset(tables.piece_of[j] for j in coords(seed, tables.index))
+        walks.append((tables, coords is probes.weyl_coords, {pieces[id(e)] for e in parents}))
+        return red, steps, stats
 
     monkeypatch.setattr(probes, "_plan", counted_plan)
-    monkeypatch.setattr(probes, "_graded_expand", recorded_expand)
+    monkeypatch.setattr(probes, "_closure", recorded_closure)
     build_report(scenario)
-    assert len(used) == 4
-    assert len(built) == len(set(built)) and set(built) == set().union(*used)
-    assert sum(len(walk) for walk in used) > len(built)  # some walks met the same pieces
+    operator = [(tables, used) for tables, weyl, used in walks if weyl]
+    assert len(operator) == 4 and len({id(tables) for tables, _ in operator}) == 1
+    simple = [(tables, used) for tables, weyl, used in walks if not weyl]
+    assert len(simple) == [r.kind for r in scenario.probes].count("d_simplicity") > 0
+    assert all(used == {frozenset((0,))} for _, used in simple)
+    assert len(built) == len(set(built))
+    assert set(built) == {(id(tables), p) for tables, used in operator + simple for p in used}
+    shared = set().union(*(used for _, used in operator))
+    assert sum(len(used) for _, used in operator) > len(shared)  # some walks met the same pieces
 
 
 # The windows whose derivations shift exponents by more than one vector, or

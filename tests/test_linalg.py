@@ -12,6 +12,7 @@ from weyltype.fields import Scalar
 from weyltype.linalg import RowReducer, nullspace
 
 F5 = FieldSpec("prime", 5)
+F2 = FieldSpec("prime", 2)
 SMALL_PRIMES = [FieldSpec("prime", p) for p in (2, 3, 5, 7)]
 
 
@@ -322,3 +323,26 @@ def test_one_entry_scalar_rows_reduce_like_plain_ones():
     ], box=True)
     assert [ordered(v) for v in red.vectors()] == [[(0, 1), (3, 4)], [(1, 1)], [(2, 1)], [(4, 1)]]
     assert [type(v[p]) for p, v in zip(red.pivots(), red.vectors())] == [Scalar, Scalar, int, int]
+
+
+@pytest.mark.parametrize("spec, c", [(RATIONAL, 0), (F5, 0), (F2, 0), (F5, 5), (F2, 2)])
+def test_a_one_entry_zero_raises_as_a_longer_vector_does(spec, c):
+    # Zero, or p over F_p, is no pivot: the one-entry vector takes the
+    # general path and raises what a vector with one more zero entry raises.
+    with pytest.raises(Exception) as longer:
+        RowReducer(spec).add({0: c, 1: 0})
+    red = RowReducer(spec)
+    with pytest.raises(longer.type):
+        red.add({0: c})
+    assert red.rank == 0 and red.vectors() == []
+    with pytest.raises(longer.type):
+        nullspace([{0: c}], 1, spec)
+
+
+@pytest.mark.parametrize("spec, c", [(RATIONAL, 1), (RATIONAL, Fraction(-2, 3)), (F5, 4), (F2, 1)])
+def test_a_one_entry_unit_row_stays_on_its_shortcut(spec, c, monkeypatch):
+    # A nonzero canonical entry on a free column stores {j: 1} without
+    # reducing the vector.
+    monkeypatch.setattr(RowReducer, "reduce", lambda self, vec: pytest.fail("reduced"))
+    red = RowReducer(spec)
+    assert red.add({3: c}) and red.vectors() == [{3: 1}]

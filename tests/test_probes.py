@@ -673,16 +673,14 @@ def _unguarded(bracket):
     return lambda x, y, guard=None: bracket(x, y)
 
 
-ONE_PIECE = frozenset((0,))
-
-
-def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None, grading=None):
-    """The closure engine before it stopped on a full span: the BFS runs on
-    until a round accepts nothing, unless the `stop` label enters the span.
-    The oracle for probes._closure; of its ProbeStats it fills only the stop
-    reason, and a None step result is a discard.  It forms every step, so
-    the graded skip must be off (skip_off): every window is one piece, and
-    every element lies in it."""
+def exhaustive_closure(ctx, seed, tables, coords, form, width, stop=None, central=None):
+    """The closure engine before it stopped on a full span or skipped a
+    step: the BFS forms every step of every generator position from `form`
+    alone, reading no plan and no room, and runs on until a round accepts
+    nothing, unless the `stop` label enters the span.  The oracle for
+    probes._closure; of its ProbeStats it fills only the stop reason, and a
+    None step result is a discard."""
+    index = tables.index
     if seed.is_zero():
         raise UsageError("seed must be nonzero")
     seed_vec = coords(seed, index)
@@ -704,18 +702,20 @@ def exhaustive_closure(ctx, seed, index, coords, expand, stop=None, central=None
     while frontier:
         next_frontier = []
         for pi in frontier:
-            for op, gname, z in expand(accepted[pi], ONE_PIECE):
-                if z is None or z.is_zero():
-                    continue
-                vec = coords(z, index)
-                if vec is None:
-                    continue
-                if red.add(vec):
-                    accepted.append(z)
-                    steps.append(ClosureStep(op, gname, pi, z))
-                    next_frontier.append(len(accepted) - 1)
-                    if stop_vec is not None and red.contains(stop_vec):
-                        return red, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
+            formed = form(accepted[pi])
+            for k in range(len(tables.gens)):
+                for op, gname, z in formed(k):
+                    if z is None or z.is_zero():
+                        continue
+                    vec = coords(z, index)
+                    if vec is None:
+                        continue
+                    if red.add(vec):
+                        accepted.append(z)
+                        steps.append(ClosureStep(op, gname, pi, z))
+                        next_frontier.append(len(accepted) - 1)
+                        if stop_vec is not None and red.contains(stop_vec):
+                            return red, steps, probes.ProbeStats(stop=probes.STOP_IDENTITY)
         frontier = next_frontier
     return red, steps, probes.ProbeStats(stop=probes.STOP_EXHAUSTED)
 
@@ -743,14 +743,13 @@ EXACTNESS_SCENARIOS = {
 
 
 @pytest.mark.parametrize("name", sorted(EXACTNESS_SCENARIOS))
-def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch, skip_off):
+def test_early_stop_reports_equal_the_exhaustive_walk(name, monkeypatch):
     def run():
         scenario = EXACTNESS_SCENARIOS[name]()
         report = report_bytes(build_report(scenario))
         return report, [v.name for v in scenario.ctx.variables]
 
     engine = run()
-    skip_off()
     monkeypatch.setattr(probes, "_closure", exhaustive_closure)
     assert run() == engine
 
